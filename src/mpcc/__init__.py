@@ -53,16 +53,13 @@ from .mlr import (
 )
 from .model import (
     Disk,
-    DiskKey,
+    DiskOrder,
     InfeasibleInstanceError,
     Instance,
     Point,
     Solution,
-    build_disk_family,
     check_feasible,
-    contains,
-    disk_index,
-    disk_key,
+    disk_order,
     distance_sq,
     make_disk,
     power_of,

@@ -12,14 +12,15 @@ that pass ``check_feasible``.
 from dataclasses import dataclass
 from time import perf_counter
 
+import numpy as np
+
 from .model import (
     Disk,
     Instance,
     InfeasibleInstanceError,
     Solution,
-    build_disk_family,
-    contains,
-    disk_index,
+    disk_order,
+    make_disk,
 )
 
 __all__ = [
@@ -46,21 +47,24 @@ def solve_nca(inst: Instance) -> Solution:
     repeatedly taking the closest available pair, because a pair skipped
     for a covered TD or a full AP never becomes available again.
     """
-    disks = build_disk_family(inst)
-    order = sorted(range(len(disks)), key=lambda i: (disks[i].key, disks[i].ap_id))
-    spare = [inst.k] * (inst.m + 1)
-    covered = [False] * (inst.n + 1)
+    table = disk_order(inst)
+    m, n = inst.m, inst.n
+    ap_index, td_index = np.divmod(np.arange(m * n), n)
+    # np.lexsort sorts by its last key first: the disk key, then the AP.
+    keys = (ap_index, td_index, table.y_sign.ravel(), table.cos.ravel(), table.rsq.ravel())
+    spare = [inst.k] * m
+    covered = [False] * n
     assigned: dict[int, list[int]] = {}
-    remaining = inst.n
-    for i in order:
+    remaining = n
+    for i in np.lexsort(keys).tolist():
         if remaining == 0:
             break
-        d = disks[i]
-        if covered[d.td_id] or spare[d.ap_id] == 0:
+        a0, u0 = divmod(i, n)
+        if covered[u0] or spare[a0] == 0:
             continue
-        covered[d.td_id] = True
-        spare[d.ap_id] -= 1
-        assigned.setdefault(d.ap_id, []).append(d.td_id)
+        covered[u0] = True
+        spare[a0] -= 1
+        assigned.setdefault(a0 + 1, []).append(u0 + 1)
         remaining -= 1
     if remaining:
         raise InfeasibleInstanceError(
@@ -73,8 +77,8 @@ def solve_nca(inst: Instance) -> Solution:
     total = 0.0
     for ap_id in sorted(assigned):
         tds = assigned[ap_id]
-        largest = max(tds, key=lambda u: disks[disk_index(inst, ap_id, u)].key)
-        d = disks[disk_index(inst, ap_id, largest)]
+        largest = max(tds, key=lambda u: table.rank[ap_id - 1, u - 1])
+        d = make_disk(inst, ap_id, largest)
         selected[ap_id] = d
         coverage[ap_id] = frozenset(tds)
         total += d.power
@@ -144,6 +148,11 @@ class FlowNetwork:
                 flow += pushed
 
 
+def _contained(rank_row: list[int], u0: int) -> list[int]:
+    """Ascending ids of the TDs inside TD index u0's disk at an AP's ranks."""
+    return [v + 1 for v, r in enumerate(rank_row) if r <= rank_row[u0]]
+
+
 def _flow_assign(
     chosen_aps: list[int], contained: list[list[int]], k: int, n: int
 ) -> dict[int, set[int]] | None:
@@ -180,11 +189,9 @@ def assignment_feasible(
     Returns a full assignment (AP id to TD id set, respecting capacity
     and containment) when the choices are feasible, otherwise None.
     """
+    rank = disk_order(inst).rank.tolist()
     chosen_aps = sorted(a for a, d in chosen.items() if d is not None)
-    contained = [
-        [u for u in range(1, inst.n + 1) if contains(chosen[a], u, inst)]
-        for a in chosen_aps
-    ]
+    contained = [_contained(rank[a - 1], chosen[a].td_id - 1) for a in chosen_aps]
     return _flow_assign(chosen_aps, contained, inst.k, inst.n)
 
 
@@ -228,16 +235,18 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
     if budget is None:
         budget = ExactBudget()
     t0 = perf_counter()
-    disks = build_disk_family(inst)
+    table = disk_order(inst)
     m, n = inst.m, inst.n
+    powers = table.power.ravel().tolist()
+    ranks = table.rank.ravel().tolist()
 
+    # Disk (a0, u0) is index a0 * n + u0 below.
     contained_tds = [
-        [u for u in range(1, n + 1) if contains(d, u, inst)] for d in disks
+        _contained(row, u0) for row in table.rank.tolist() for u0 in range(n)
     ]
     choice_lists: list[list[int | None]] = []
-    for a in range(1, m + 1):
-        base = disk_index(inst, a, 1)
-        ordered = sorted(range(base, base + n), key=lambda i: (disks[i].power, disks[i].key))
+    for base in range(0, m * n, n):
+        ordered = sorted(range(base, base + n), key=lambda i: (powers[i], ranks[i]))
         choice_lists.append([None, *ordered])
 
     best_total = [float("inf")]
@@ -253,17 +262,19 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
 
     chosen: list[int | None] = [None] * m
 
+    def assign(choice) -> dict[int, set[int]] | None:
+        aps = [a0 + 1 for a0, i in enumerate(choice) if i is not None]
+        return _flow_assign(aps, [contained_tds[choice[a - 1]] for a in aps], inst.k, n)
+
     def descend(a0: int, partial: float):
         tick()
         if a0 == m:
-            chosen_aps = [a + 1 for a in range(m) if chosen[a] is not None]
-            contained = [contained_tds[chosen[a - 1]] for a in chosen_aps]
-            if _flow_assign(chosen_aps, contained, inst.k, n) is not None:
+            if assign(chosen) is not None:
                 best_total[0] = partial
                 best_choice[0] = tuple(chosen)
             return
         for i in choice_lists[a0]:
-            s = partial if i is None else partial + disks[i].power
+            s = partial if i is None else partial + powers[i]
             if s >= best_total[0]:
                 if i is not None:
                     break  # ascending power: later choices prune too
@@ -281,9 +292,10 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
     solution = None
     if best_choice[0] is not None:
         picks = {
-            a0 + 1: disks[i] for a0, i in enumerate(best_choice[0]) if i is not None
+            a0 + 1: make_disk(inst, a0 + 1, i % n + 1)
+            for a0, i in enumerate(best_choice[0]) if i is not None
         }
-        assignment = assignment_feasible(picks, inst)
+        assignment = assign(best_choice[0])
         if assignment is None:
             raise RuntimeError("incumbent lost feasibility; solver bug")
         coverage = {

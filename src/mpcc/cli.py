@@ -6,12 +6,12 @@ solution, 6 exact-solver budget exceeded, 1 other runtime failure.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
-from time import perf_counter
 
 from . import experiments
-from .baselines import STATUS_OPTIMAL, ExactBudget, solve_exact, solve_nca
+from .baselines import ExactBudget
 from .formats import (
     FormatError,
     instance_from_json,
@@ -21,7 +21,6 @@ from .formats import (
     trace_to_jsonl,
 )
 from .model import validate_instance
-from .mlr import solve_mlr
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -98,6 +97,13 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _error(code: int, *messages) -> int:
+    """Print each message as an ``error:`` line and return ``code``."""
+    for msg in messages:
+        print(f"error: {msg}", file=sys.stderr)
+    return code
+
+
 def _cmd_gen(args) -> int:
     cfg = experiments.ExperimentConfig(
         n=args.n, m=args.m, k=args.k, side=args.side,
@@ -105,16 +111,15 @@ def _cmd_gen(args) -> int:
     )
     problems = experiments.config_violations(cfg)
     if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _error(EXIT_VALIDATION, *problems)
     inst = experiments.generate_instance(cfg, args.trial)
     problems = validate_instance(inst)
     if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        return EXIT_VALIDATION
-    Path(args.out).write_text(instance_to_json(inst))
+        return _error(EXIT_VALIDATION, *problems)
+    try:
+        Path(args.out).write_text(instance_to_json(inst))
+    except OSError as exc:
+        return _error(EXIT_FAILURE, f"cannot write: {exc}")
     print(f"seed={args.seed} trial={args.trial} n={args.n} m={args.m} "
           f"k={args.k} side={args.side:g} -> {args.out}")
     return EXIT_OK
@@ -122,45 +127,28 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     if args.trace and args.alg != "mlr":
-        print("error: --trace is only available for --alg mlr", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(EXIT_USAGE, "--trace is only available for --alg mlr")
     try:
         inst = instance_from_json(_read(args.instance))
     except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(EXIT_PARSE, exc)
     problems = validate_instance(inst)
     if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _error(EXIT_VALIDATION, *problems)
 
     trace = [] if args.trace else None
-    if args.alg == "mlr":
-        t0 = perf_counter()
-        sol = solve_mlr(inst, trace=trace)
-        wall_ms = (perf_counter() - t0) * 1e3
-    elif args.alg == "nca":
-        t0 = perf_counter()
-        sol = solve_nca(inst)
-        wall_ms = (perf_counter() - t0) * 1e3
-    else:
-        budget = ExactBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
-        t0 = perf_counter()
-        res = solve_exact(inst, budget)
-        wall_ms = (perf_counter() - t0) * 1e3
-        if res.status != STATUS_OPTIMAL:
-            print(
-                f"budget exceeded after {res.nodes_explored} nodes "
-                f"({res.elapsed_seconds:.3f}s); no solution written",
-                file=sys.stderr,
-            )
-            return EXIT_BUDGET
-        sol = res.solution
-
-    Path(args.out).write_text(solution_to_json(sol, inst))
-    if trace is not None:
-        Path(args.trace).write_text(trace_to_jsonl(trace))
+    budget = ExactBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
+    sol, wall_ms, _ = experiments.solve_timed(args.alg, inst, budget, trace)
+    if sol is None:
+        print(f"budget exceeded after {wall_ms / 1e3:.3f}s; no solution written",
+              file=sys.stderr)
+        return EXIT_BUDGET
+    try:
+        Path(args.out).write_text(solution_to_json(sol, inst))
+        if trace is not None:
+            Path(args.trace).write_text(trace_to_jsonl(trace))
+    except OSError as exc:
+        return _error(EXIT_FAILURE, f"cannot write: {exc}")
     variance = experiments.utilization_variance(sol, inst)
     print(f"total_power={sol.total_power:.17g} wall_ms={wall_ms:.3f} "
           f"variance={variance:.17g}")
@@ -172,18 +160,14 @@ def _cmd_check(args) -> int:
         inst = instance_from_json(_read(args.instance))
         solution_text = _read(args.solution)
     except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(EXIT_PARSE, exc)
     problems = validate_instance(inst)
     if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _error(EXIT_VALIDATION, *problems)
     try:
         violations = solution_violations(solution_text, inst)
     except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(EXIT_PARSE, exc)
     if violations:
         for v in violations:
             print(f"violation: {v}")
@@ -192,9 +176,22 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _parse_config_file(path: str) -> list[experiments.ExperimentConfig]:
-    import json
+def _check_config_types(i: int, entry: dict) -> None:
+    """Raise FormatError for a config field of the wrong JSON type."""
+    for f, value in entry.items():
+        if f in ("n", "m", "k", "trials", "seed"):
+            ok = type(value) is int
+        elif f in ("side", "c", "alpha"):
+            ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        elif f == "algorithms":
+            ok = isinstance(value, list) and all(isinstance(a, str) for a in value)
+        else:
+            continue
+        if not ok:
+            raise FormatError(f"config {i} field '{f}' has the wrong type or value")
 
+
+def _parse_config_file(path: str) -> list[experiments.ExperimentConfig]:
     try:
         doc = json.loads(_read(path))
     except ValueError as exc:
@@ -205,6 +202,7 @@ def _parse_config_file(path: str) -> list[experiments.ExperimentConfig]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
             raise FormatError(f"config {i} is not an object")
+        _check_config_types(i, entry)
         try:
             configs.append(
                 experiments.ExperimentConfig(
@@ -233,24 +231,19 @@ def _cmd_bench(args) -> int:
         try:
             configs = _parse_config_file(args.config)
         except FormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            return _error(EXIT_PARSE, exc)
     configs = experiments.truncate_sweep(configs, args.max_n)
     configs = experiments.override_configs(configs, trials=args.trials, seed=args.seed)
     if not configs:
-        print("error: sweep is empty after truncation", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _error(EXIT_VALIDATION, "sweep is empty after truncation")
     for cfg in configs:
         problems = experiments.config_violations(cfg)
         if problems:
-            for p in problems:
-                print(f"error: {p}", file=sys.stderr)
-            return EXIT_VALIDATION
+            return _error(EXIT_VALIDATION, *problems)
     try:
         experiments.run_sweep(configs, series, args.out_dir, progress=print)
-    except experiments.ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    except (experiments.ExperimentError, OSError) as exc:
+        return _error(EXIT_FAILURE, exc)
     print(f"wrote {Path(args.out_dir) / 'results.csv'}")
     return EXIT_OK
 
@@ -268,3 +261,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -36,6 +36,7 @@ __all__ = [
     "config_violations",
     "generate_instance",
     "utilization_variance",
+    "solve_timed",
     "run_experiment",
     "preset",
     "sweep_parameter",
@@ -165,24 +166,30 @@ def utilization_variance(sol: Solution, inst: Instance) -> float:
     return acc / inst.m
 
 
-def _solve_timed(algorithm: str, inst: Instance, cfg: ExperimentConfig):
-    """Run one solver; returns (solution_or_None, wall_ms, status)."""
+def solve_timed(
+    algorithm: str,
+    inst: Instance,
+    budget: ExactBudget,
+    trace: list | None = None,
+):
+    """Run one solver by name; returns (solution_or_None, wall_ms, status).
+
+    ``budget`` bounds the exact solver, whose budget miss comes back as
+    ``(None, wall_ms, "budget_exceeded")``.  ``trace`` collects MLR's
+    iteration records and is ignored by the other solvers.
+    """
+    if algorithm not in ("mlr", "nca", "exact"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    t0 = perf_counter()
     if algorithm == "mlr":
-        t0 = perf_counter()
-        sol = solve_mlr(inst)
-        return sol, (perf_counter() - t0) * 1e3, "ok"
-    if algorithm == "nca":
-        t0 = perf_counter()
+        sol = solve_mlr(inst, trace=trace)
+    elif algorithm == "nca":
         sol = solve_nca(inst)
-        return sol, (perf_counter() - t0) * 1e3, "ok"
-    if algorithm == "exact":
-        t0 = perf_counter()
-        res = solve_exact(inst, cfg.exact_budget)
-        wall = (perf_counter() - t0) * 1e3
-        if res.status != STATUS_OPTIMAL:
-            return None, wall, STATUS_BUDGET_EXCEEDED
-        return res.solution, wall, "ok"
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    else:
+        res = solve_exact(inst, budget)
+        sol = res.solution if res.status == STATUS_OPTIMAL else None
+    wall_ms = (perf_counter() - t0) * 1e3
+    return sol, wall_ms, "ok" if sol is not None else STATUS_BUDGET_EXCEEDED
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -199,7 +206,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for trial in range(cfg.trials):
         inst = generate_instance(cfg, trial)
         for algorithm in cfg.algorithms:
-            sol, wall_ms, status = _solve_timed(algorithm, inst, cfg)
+            sol, wall_ms, status = solve_timed(algorithm, inst, cfg.exact_budget)
             if sol is None:
                 rows.append(TrialRow(trial, algorithm, None, wall_ms, None, status))
                 continue

@@ -19,6 +19,7 @@ deterministic: equal values produce byte-identical documents.
 
 import json
 import math
+from collections import Counter
 
 from .model import Disk, Instance, Solution, check_feasible, make_disk
 
@@ -77,6 +78,14 @@ def _load(text: str):
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 
+def _real(value, what: str) -> float:
+    """A JSON number as a float; FormatError beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{what} is beyond the float range") from None
+
+
 def _point_list(doc, field: str) -> list[tuple[float, float]]:
     pts = doc.get(field)
     if not isinstance(pts, list):
@@ -89,7 +98,7 @@ def _point_list(doc, field: str) -> list[tuple[float, float]]:
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
         ):
             raise FormatError(f"'{field}'[{i}] is not an [x, y] pair of numbers")
-        out.append((float(p[0]), float(p[1])))
+        out.append((_real(p[0], f"'{field}'[{i}]"), _real(p[1], f"'{field}'[{i}]")))
     return out
 
 
@@ -109,8 +118,8 @@ def instance_from_json(text: str) -> Instance:
         aps=_point_list(doc, "aps"),
         tds=_point_list(doc, "tds"),
         k=doc["k"],
-        power_c=doc["c"],
-        power_alpha=doc["alpha"],
+        power_c=_real(doc["c"], "'c'"),
+        power_alpha=_real(doc["alpha"], "'alpha'"),
     )
 
 
@@ -161,7 +170,7 @@ def _solution_parts(text: str):
         ):
             raise FormatError(f"assignment {i} 'covered' must be a list of integers")
         triples.append((ap, td, covered))
-    return float(total), triples
+    return _real(total, "'total_power'"), triples
 
 
 def solution_from_json(text: str, inst: Instance) -> Solution:
@@ -183,25 +192,25 @@ def solution_violations(text: str, inst: Instance) -> list[str]:
     """Feasibility report for a solution document.
 
     Structural problems raise FormatError; everything semantic (duplicate
-    AP assignments, unknown ids, coverage or capacity faults, power
-    mismatches) comes back as violation strings via ``check_feasible``.
+    AP assignments, TDs listed twice, unknown ids, coverage or capacity
+    faults, power mismatches) comes back as violation strings.
     """
     total, triples = _solution_parts(text)
     violations = []
     seen = set()
-    for ap, _, _ in triples:
+    for ap, _, covered in triples:
         if ap in seen:
             violations.append(f"more than one disk selected for AP {ap}")
         seen.add(ap)
-    id_ok = True
-    for ap, td, covered in triples:
+        for u, times in sorted(Counter(covered).items()):
+            if times > 1:
+                violations.append(f"coverage of AP {ap} lists TD {u} {times} times")
+    for ap, td, _ in triples:
         if not 1 <= ap <= inst.m:
             violations.append(f"assignment references unknown AP {ap}")
-            id_ok = False
         if not 1 <= td <= inst.n:
             violations.append(f"assignment of AP {ap} references unknown TD {td}")
-            id_ok = False
-    if violations or not id_ok:
+    if violations:
         return violations
     selected = {ap: make_disk(inst, ap, td) for ap, td, _ in triples}
     coverage = {ap: frozenset(covered) for ap, _, covered in triples}

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    Disk,
+    DiskOrder,
     Instance,
     InfeasibleInstanceError,
     Solution,
-    build_disk_family,
-    disk_order_tables,
+    disk_order,
+    make_disk,
 )
 
 __all__ = [
@@ -54,24 +54,23 @@ class MlrInvariantError(RuntimeError):
 class SolverState:
     """Mutable working state of one solve call.
 
-    Arrays are indexed by the disk family order (AP major, TD minor);
-    ``k_hat`` is per AP because all disks of one AP share their residual
-    capacity.  A state is private to its solve call and must not be
-    shared across threads.
+    Per-disk arrays are flat over the m*n disks, AP major and TD minor:
+    disk (a0, u0) sits at index ``a0 * n + u0``.  ``k_hat`` is per AP
+    because all disks of one AP share their residual capacity.  A state is
+    private to its solve call and must not be shared across threads.
     """
 
     inst: Instance
-    disks: list[Disk]
+    table: DiskOrder         # the disk order, (m, n) arrays
     ap_of: np.ndarray        # (m*n,) int64, 0-based AP of each disk
     rank_in_ap: np.ndarray   # (m*n,) int64, key-order position within the AP
-    contains_td: np.ndarray  # (m*n, n) bool, order-based containment
     powers: np.ndarray       # (m*n,) float64, full disk powers
     live_disk: np.ndarray    # (m*n,) bool
     live_td: np.ndarray      # (n,) bool
     d_count: np.ndarray      # (m*n,) int64, live TDs contained per disk
     k_hat: np.ndarray        # (m,) int64, residual capacity per AP
     p_hat: np.ndarray        # (m*n,) float64, residual power per disk
-    selected: dict[int, int]       # AP id -> family index of its latest disk
+    selected: dict[int, int]       # AP id -> index of its latest disk
     covered_by: dict[int, list[int]]  # AP id -> covered TD ids
 
 
@@ -97,21 +96,20 @@ class IterationRecord:
 
 
 def init_state(inst: Instance) -> SolverState:
-    disks = build_disk_family(inst)
-    ranks, containment = disk_order_tables(inst, disks)
+    table = disk_order(inst)
     mn = inst.m * inst.n
-    ap_of = np.repeat(np.arange(inst.m, dtype=np.int64), inst.n)
-    powers = np.array([d.power for d in disks], dtype=np.float64)
+    ranks = table.rank.ravel()
+    powers = table.power.ravel()
     return SolverState(
         inst=inst,
-        disks=disks,
-        ap_of=ap_of,
+        table=table,
+        ap_of=np.repeat(np.arange(inst.m, dtype=np.int64), inst.n),
         rank_in_ap=ranks,
-        contains_td=containment,
         powers=powers,
         live_disk=np.ones(mn, dtype=bool),
         live_td=np.ones(inst.n, dtype=bool),
-        d_count=containment.sum(axis=1, dtype=np.int64),
+        # With every TD live, the disk of rank r contains r + 1 of them.
+        d_count=ranks + 1,
         k_hat=np.full(inst.m, inst.k, dtype=np.int64),
         p_hat=powers.copy(),
         selected={},
@@ -128,9 +126,9 @@ def local_ratio(p_hat: float, k_hat: int, d: int) -> float:
 
 
 def select_min_ratio(state: SolverState) -> int:
-    """Family index of the live disk with the minimum local ratio.
+    """Index of the live disk with the minimum local ratio.
 
-    Exact ratio ties break to the lowest AP id, then the lowest disk key.
+    Exact ratio ties break to the lowest AP id, then the lowest disk rank.
     The returned disk always satisfies d <= k_hat.
     """
     idx = np.flatnonzero(state.live_disk)
@@ -141,7 +139,7 @@ def select_min_ratio(state: SolverState) -> int:
         raise MlrInvariantError("live disk with degenerate ratio divisor")
     ratios = state.p_hat[idx] / div
     cand = idx[ratios == ratios.min()]
-    best = int(min(cand, key=lambda i: (state.ap_of[i], state.disks[i].key)))
+    best = int(min(cand, key=lambda i: (state.ap_of[i], state.rank_in_ap[i])))
     if state.d_count[best] > state.k_hat[state.ap_of[best]]:
         raise MlrInvariantError(
             f"selected disk has d={state.d_count[best]} above "
@@ -156,13 +154,15 @@ def apply_selection(state: SolverState, i_star: int):
     Returns ``(ratio, covered_td_ids, removed_disks)`` describing the
     round for tracing.  Update order matters; see the module docstring.
     """
-    ap0 = int(state.ap_of[i_star])
+    n = state.inst.n
+    ap0, u0 = divmod(i_star, n)
     ap_id = ap0 + 1
     e_star = local_ratio(
         float(state.p_hat[i_star]), int(state.k_hat[ap0]), int(state.d_count[i_star])
     )
 
-    covered_mask = state.live_td & state.contains_td[i_star]
+    rank_row = state.table.rank[ap0]
+    covered_mask = state.live_td & (rank_row <= rank_row[u0])
     covered0 = np.flatnonzero(covered_mask)
     cnt = int(covered0.size)
 
@@ -188,10 +188,12 @@ def apply_selection(state: SolverState, i_star: int):
     state.p_hat[live] -= e_star * div_all[live]
 
     # 4. Retire covered TDs everywhere and shrink the chosen AP's capacity
-    # by the number just assigned.
+    # by the number just assigned.  A disk's live count is the number of
+    # live TDs up to its rank in its AP's order.
     state.live_td &= ~covered_mask
     if cnt:
-        state.d_count -= state.contains_td[:, covered0].sum(axis=1, dtype=np.int64)
+        prefix = np.cumsum(state.live_td[state.table.order], axis=1)
+        state.d_count[:] = prefix[state.ap_of, state.rank_in_ap]
     state.k_hat[ap0] -= cnt
 
     # 5. Drop disks that can no longer contribute.
@@ -199,9 +201,7 @@ def apply_selection(state: SolverState, i_star: int):
     state.live_disk &= ~dead
 
     removed_idx = np.flatnonzero(removed_step | dead)
-    removed = tuple(
-        (state.disks[i].ap_id, state.disks[i].td_id) for i in removed_idx
-    )
+    removed = tuple((int(i) // n + 1, int(i) % n + 1) for i in removed_idx)
     covered_ids = tuple(int(u) + 1 for u in covered0)
     return e_star, covered_ids, removed
 
@@ -211,10 +211,10 @@ def assemble_solution(state: SolverState) -> Solution:
     coverage = {}
     total = 0.0
     for ap_id in sorted(state.selected):
-        i = state.selected[ap_id]
-        selected[ap_id] = state.disks[i]
+        d = make_disk(state.inst, ap_id, state.selected[ap_id] % state.inst.n + 1)
+        selected[ap_id] = d
         coverage[ap_id] = frozenset(state.covered_by[ap_id])
-        total += float(state.powers[i])
+        total += d.power
     return Solution(selected=selected, coverage=coverage, total_power=total)
 
 
@@ -236,14 +236,14 @@ def solve_mlr(inst: Instance, trace: list[IterationRecord] | None = None) -> Sol
         if iteration > inst.n:
             raise MlrInvariantError("more rounds than TDs")
         i_star = select_min_ratio(state)
-        d_star = state.disks[i_star]
+        ap0, u0 = divmod(i_star, inst.n)
         e_star, covered, removed = apply_selection(state, i_star)
         if trace is not None:
             trace.append(
                 IterationRecord(
                     iteration=iteration,
-                    ap_id=d_star.ap_id,
-                    td_id=d_star.td_id,
+                    ap_id=ap0 + 1,
+                    td_id=u0 + 1,
                     ratio=e_star,
                     covered=covered,
                     removed=removed,

@@ -16,29 +16,28 @@ boundary TD id.  Containment is defined through this order: disk D
 contains TD v exactly when v's own disk at the same center does not rank
 above D.  Equal-radius boundary ties therefore resolve deterministically,
 and of two same-radius disks at one AP the greater-keyed one contains
-both boundary TDs while the lesser contains only its own.
+both boundary TDs while the lesser contains only its own.  ``disk_order``
+builds this order for every AP at once as rank tables, and every solver
+and the checker read containment from them.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Point",
     "Instance",
-    "DiskKey",
     "Disk",
+    "DiskOrder",
     "Solution",
     "InfeasibleInstanceError",
     "distance_sq",
     "power_of",
-    "disk_key",
     "make_disk",
-    "build_disk_family",
-    "disk_index",
-    "contains",
-    "disk_order_tables",
+    "disk_order",
     "validate_instance",
     "check_feasible",
 ]
@@ -99,35 +98,33 @@ class Instance:
         )
 
 
-@dataclass(frozen=True, order=True)
-class DiskKey:
-    """Lexicographic sort key giving a strict total order over the disks
-    of one AP.
-
-    ``radius_sq`` and ``cos_angle`` carry the geometric order;
-    ``y_sign_rank`` (0 for boundary vectors with y >= 0, 1 otherwise) and
-    ``td_id`` break the remaining ties so that mirrored and coincident
-    boundary TDs still compare strictly.
-    """
-
-    radius_sq: float
-    cos_angle: float
-    y_sign_rank: int
-    td_id: int
-
-
 @dataclass(frozen=True)
 class Disk:
     """Candidate power assignment: AP ``ap_id`` serving out to TD ``td_id``."""
 
     ap_id: int
     td_id: int
-    key: DiskKey
+    radius_sq: float
     power: float
 
-    @property
-    def radius_sq(self) -> float:
-        return self.key.radius_sq
+
+class DiskOrder(NamedTuple):
+    """The disk order of every AP as ``(m, n)`` arrays.
+
+    Row ``a0`` belongs to AP ``a0 + 1`` and column ``u0`` to TD ``u0 + 1``.
+    ``rsq``, ``cos`` and ``y_sign`` are the key fields of disk (a0, u0)
+    (``y_sign`` is 0 for boundary vectors with y >= 0, 1 otherwise) and
+    ``power`` its power.  ``order[a0]`` lists AP a0's TDs in ascending key
+    order and ``rank`` is its inverse, so disk (a0, u0) contains TD v0
+    exactly when ``rank[a0, v0] <= rank[a0, u0]``.
+    """
+
+    rsq: np.ndarray
+    cos: np.ndarray
+    y_sign: np.ndarray
+    power: np.ndarray
+    order: np.ndarray
+    rank: np.ndarray
 
 
 @dataclass
@@ -159,70 +156,39 @@ def power_of(radius_sq: float, c: float, alpha: float) -> float:
     return c * radius_sq ** (alpha / 2.0)
 
 
-def disk_key(inst: Instance, ap_id: int, td_id: int) -> DiskKey:
-    a = inst.ap(ap_id)
-    u = inst.td(td_id)
-    rsq = distance_sq(a, u)
-    if rsq == 0.0:
-        # Degenerate boundary vector; direction fields take a fixed value
-        # and coincident TDs are ordered by id alone.
-        return DiskKey(0.0, 1.0, 0, td_id)
-    dx = u.x - a.x
-    dy = u.y - a.y
-    cos = dx / math.sqrt(rsq)
-    # sqrt rounding can push the quotient a hair past 1 in magnitude.
-    cos = max(-1.0, min(1.0, cos))
-    return DiskKey(rsq, cos, 0 if dy >= 0.0 else 1, td_id)
-
-
 def make_disk(inst: Instance, ap_id: int, td_id: int) -> Disk:
-    key = disk_key(inst, ap_id, td_id)
-    return Disk(ap_id, td_id, key, power_of(key.radius_sq, inst.power_c, inst.power_alpha))
+    rsq = distance_sq(inst.ap(ap_id), inst.td(td_id))
+    return Disk(ap_id, td_id, rsq, power_of(rsq, inst.power_c, inst.power_alpha))
 
 
-def build_disk_family(inst: Instance) -> list[Disk]:
-    """All m*n candidate disks, AP id major and TD id minor.
-
-    The position of disk (a, u) in the returned list is
-    ``disk_index(inst, a, u)``; solvers rely on this layout.
-    """
-    return [
-        make_disk(inst, a, u)
-        for a in range(1, inst.m + 1)
-        for u in range(1, inst.n + 1)
-    ]
+def _boundary_vectors(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """``(dx, dy)`` of every AP-to-TD vector as ``(m, n)`` arrays."""
+    xy = np.array([(p.x, p.y) for p in inst.aps + inst.tds], dtype=np.float64)
+    ap, td = xy.reshape(-1, 2)[: inst.m], xy.reshape(-1, 2)[inst.m :]
+    return td[:, 0] - ap[:, 0, None], td[:, 1] - ap[:, 1, None]
 
 
-def disk_index(inst: Instance, ap_id: int, td_id: int) -> int:
-    return (ap_id - 1) * inst.n + (td_id - 1)
-
-
-def contains(d: Disk, td_id: int, inst: Instance) -> bool:
-    """Order-based containment: D contains v iff key(D_{a,v}) <= key(D)."""
-    return disk_key(inst, d.ap_id, td_id) <= d.key
-
-
-def disk_order_tables(inst: Instance, disks: list[Disk] | None = None):
-    """Rank and containment tables over the disk family.
-
-    Returns ``(ranks, containment)`` where ``ranks[i]`` is the position of
-    family disk i in its AP's key order and ``containment[i, u0]`` says
-    whether disk i contains the TD with 0-based index u0.  Containment is
-    ``rank(v's disk) <= rank(i)`` within one AP, matching ``contains``.
-    """
-    if disks is None:
-        disks = build_disk_family(inst)
-    m, n = inst.m, inst.n
-    ranks = np.empty(m * n, dtype=np.int64)
-    containment = np.empty((m * n, n), dtype=bool)
-    for a0 in range(m):
-        base = a0 * n
-        order = sorted(range(n), key=lambda u0: disks[base + u0].key)
-        block = ranks[base : base + n]
-        for pos, u0 in enumerate(order):
-            block[u0] = pos
-        containment[base : base + n] = block[None, :] <= block[:, None]
-    return ranks, containment
+def disk_order(inst: Instance) -> DiskOrder:
+    """Build the key order of all m*n candidate disks at once."""
+    dx, dy = _boundary_vectors(inst)
+    rsq = dx * dx + dy * dy
+    # A zero-length boundary vector takes a fixed direction (cos 1, y sign
+    # 0), so coincident TDs are ordered by id alone.
+    degenerate = rsq == 0.0
+    cos = np.ones_like(rsq)
+    np.divide(dx, np.sqrt(rsq), out=cos, where=~degenerate)
+    # sqrt rounding can push the quotient a hair past 1 in magnitude.
+    cos = np.minimum(1.0, np.maximum(-1.0, cos))
+    y_sign = ((dy < 0.0) & ~degenerate).astype(np.int64)
+    # np.lexsort is stable, so TD ids break the remaining ties.
+    order = np.lexsort((y_sign, cos, rsq), axis=-1)
+    rank = np.empty_like(order)
+    rank[np.arange(inst.m)[:, None], order] = np.arange(inst.n)
+    # Scalar ``**`` per element, as in ``power_of``: numpy's vectorised
+    # power may differ from it in the last bits for non-integer exponents.
+    c, e = inst.power_c, inst.power_alpha / 2.0
+    power = np.array([c * r ** e for r in rsq.ravel().tolist()], dtype=np.float64)
+    return DiskOrder(rsq, cos, y_sign, power.reshape(rsq.shape), order, rank)
 
 
 def validate_instance(inst: Instance) -> list[str]:
@@ -246,6 +212,18 @@ def validate_instance(inst: Instance) -> list[str]:
         v.append(f"power constant c={inst.power_c} must be positive and finite")
     if not (1.0 <= inst.power_alpha <= 5.0):
         v.append(f"attenuation factor alpha={inst.power_alpha} outside [1, 5]")
+    if not v:
+        # Power grows with the radius, so the largest disk decides.
+        with np.errstate(over="ignore"):
+            dx, dy = _boundary_vectors(inst)
+            rsq = float((dx * dx + dy * dy).max())
+        try:
+            top = power_of(rsq, inst.power_c, inst.power_alpha)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            v.append(f"the largest candidate disk (squared radius {rsq!r}) "
+                     "has a power beyond the float range")
     return v
 
 
@@ -260,6 +238,7 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
     """
     v = []
     m, n, k = inst.m, inst.n, inst.k
+    table = disk_order(inst)
 
     for ap_id in sorted(sol.selected):
         d = sol.selected[ap_id]
@@ -291,7 +270,8 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
             else:
                 owner[u] = ap_id
             if disk is not None and disk.ap_id == ap_id and 1 <= disk.td_id <= n:
-                if not contains(disk, u, inst):
+                rank = table.rank[ap_id - 1]
+                if rank[u - 1] > rank[disk.td_id - 1]:
                     v.append(f"TD {u} lies outside the selected disk of AP {ap_id}")
     for u in range(1, n + 1):
         if u not in owner:
@@ -301,11 +281,7 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
     for ap_id in sorted(sol.selected):
         d = sol.selected[ap_id]
         if 1 <= ap_id <= m and d.ap_id == ap_id and 1 <= d.td_id <= n:
-            derived += power_of(
-                distance_sq(inst.ap(ap_id), inst.td(d.td_id)),
-                inst.power_c,
-                inst.power_alpha,
-            )
+            derived += float(table.power[ap_id - 1, d.td_id - 1])
     if not math.isclose(sol.total_power, derived, rel_tol=1e-9, abs_tol=1e-12):
         v.append(
             f"stated total_power {sol.total_power!r} disagrees with "

@@ -2,13 +2,52 @@
 
 These deliberately avoid the package's max-flow and branch-and-bound
 code: feasibility is decided by raw enumeration or per-TD backtracking,
-so they can serve as oracles for the production paths.
+so they can serve as oracles for the production paths.  The disk order is
+specified here one pair at a time by the scalar ``disk_key``, against
+which the package's array-built ``disk_order`` is tested.
 """
 
 import itertools
 import math
 
-from mpcc import Instance, build_disk_family, contains, disk_index
+from mpcc import Instance, distance_sq, make_disk
+
+
+def disk_key(inst, ap_id, td_id) -> tuple[float, float, int, int]:
+    """Sort key of disk (ap_id, td_id) in its AP's strict total order:
+    ``(radius_sq, cos_angle, y_sign_rank, td_id)``.
+
+    ``cos_angle`` is the cosine of the boundary vector's angle with the
+    x-axis; ``y_sign_rank`` is 0 for boundary vectors with y >= 0 and 1
+    otherwise, and the TD id breaks the remaining ties.
+    """
+    a = inst.ap(ap_id)
+    u = inst.td(td_id)
+    rsq = distance_sq(a, u)
+    if rsq == 0.0:
+        # Degenerate boundary vector; direction fields take a fixed value
+        # and coincident TDs are ordered by id alone.
+        return (0.0, 1.0, 0, td_id)
+    dx = u.x - a.x
+    dy = u.y - a.y
+    cos = dx / math.sqrt(rsq)
+    # sqrt rounding can push the quotient a hair past 1 in magnitude.
+    cos = max(-1.0, min(1.0, cos))
+    return (rsq, cos, 0 if dy >= 0.0 else 1, td_id)
+
+
+def contains(d, td_id, inst) -> bool:
+    """Order-based containment: disk D contains v iff key(D_{a,v}) <= key(D)."""
+    return disk_key(inst, d.ap_id, td_id) <= disk_key(inst, d.ap_id, d.td_id)
+
+
+def disk_family(inst):
+    """All m*n candidate disks, AP id major and TD id minor."""
+    return [
+        make_disk(inst, a, u)
+        for a in range(1, inst.m + 1)
+        for u in range(1, inst.n + 1)
+    ]
 
 
 def random_instance(rng, m, n, k, side=40.0, power_c=1.0, power_alpha=2.0) -> Instance:
@@ -60,7 +99,7 @@ def enumerate_optimal_total(inst) -> float:
 
     Returns +inf when no choice vector covers all TDs.
     """
-    disks = build_disk_family(inst)
+    disks = disk_family(inst)
     options = [None, *range(1, inst.n + 1)]
     best = math.inf
     for vector in itertools.product(options, repeat=inst.m):
@@ -68,7 +107,7 @@ def enumerate_optimal_total(inst) -> float:
         total = 0.0
         for a0, td in enumerate(vector):
             if td is not None:
-                d = disks[disk_index(inst, a0 + 1, td)]
+                d = disks[a0 * inst.n + td - 1]
                 chosen[a0 + 1] = d
                 total += d.power
         if total >= best or not chosen:
@@ -104,7 +143,8 @@ def mlr_reference(inst):
     """
     from mpcc import Solution
 
-    disks = build_disk_family(inst)
+    disks = disk_family(inst)
+    key = [disk_key(inst, d.ap_id, d.td_id) for d in disks]
     contained = {
         i: {u for u in range(1, inst.n + 1) if contains(disks[i], u, inst)}
         for i in range(len(disks))
@@ -120,7 +160,7 @@ def mlr_reference(inst):
         best = min(ratio.values())
         i_star = min(
             (i for i in live if ratio[i] == best),
-            key=lambda i: (disks[i].ap_id, disks[i].key),
+            key=lambda i: (disks[i].ap_id, key[i]),
         )
         a_star = disks[i_star].ap_id
         taken = set(contained[i_star])
@@ -131,7 +171,7 @@ def mlr_reference(inst):
         else:
             gone = {
                 i for i in live
-                if disks[i].ap_id == a_star and disks[i].key < disks[i_star].key
+                if disks[i].ap_id == a_star and key[i] < key[i_star]
             } | {i_star}
         live -= gone
         for i in live:

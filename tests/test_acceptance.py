@@ -20,7 +20,7 @@ from mpcc import (
     assemble_solution,
     assignment_feasible,
     check_feasible,
-    disk_key,
+    disk_order,
     generate_instance,
     init_state,
     make_disk,
@@ -35,7 +35,7 @@ from mpcc import (
 )
 from mpcc.baselines import STATUS_OPTIMAL
 
-from oracles import product_assignment_exists, random_instance
+from oracles import disk_key, product_assignment_exists, random_instance
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -328,24 +328,27 @@ def test_criterion_7_property_suite():
         else:
             vx, vy = ux, uy  # coincident boundary TDs
         inst2 = Instance.from_coords(aps=[(ax, ay)], tds=[(ux, uy), (vx, vy)], k=2)
+        table = disk_order(inst2)
+        r1, r2 = table.rank[0].tolist()
         k1 = disk_key(inst2, 1, 1)
         k2 = disk_key(inst2, 1, 2)
-        for a, b in ((k1, k2), (k2, k1)):
+        for (a, ra), (b, rb) in (((k1, r1), (k2, r2)), ((k2, r2), (k1, r1))):
             pair_checks += 1
-            relations = (a < b, a == b, b < a)
+            relations = (ra < rb, ra == rb, rb < ra)
             if sum(relations) != 1:
                 problems.append(f"trichotomy broke for {a} vs {b}")
-            if a < b and not (b > a):
+            if ra < rb and not (rb > ra):
                 problems.append(f"asymmetry broke for {a} vs {b}")
-        if k1 == k2:
-            problems.append(f"distinct TDs compared equal: {k1}")
-        if k1.radius_sq == k2.radius_sq and k1.cos_angle != k2.cos_angle:
-            if (k1.cos_angle > k2.cos_angle) != (k1 > k2):
+            if (ra < rb) != (a < b):
+                problems.append(f"rank order contradicts the key order for {a} vs {b}")
+        if r1 == r2:
+            problems.append(f"distinct TDs share a rank: {k1}, {k2}")
+        rsq, cos = table.rsq[0], table.cos[0]
+        if rsq[0] == rsq[1] and cos[0] != cos[1]:
+            if (cos[0] > cos[1]) != (r1 > r2):
                 problems.append("equal-radius order contradicts the cosine rule")
-        ksmall, kbig = sorted([k1, k2])
-        d_big = make_disk(inst2, 1, 1 if kbig is k1 else 2)
-        inside = {u for u in (1, 2)
-                  if disk_key(inst2, 1, u) <= d_big.key}
+        big = 0 if r1 > r2 else 1
+        inside = {u + 1 for u in (0, 1) if table.rank[0, u] <= table.rank[0, big]}
         if inside != {1, 2}:
             problems.append("greater same-center disk missed a boundary TD")
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +215,87 @@ def test_solution_files_match_library_checker(tmp_path):
     run_cli("solve", "--alg", "nca", "--in", str(inst_path), "--out", str(sol_path))
     inst = instance_from_json(inst_path.read_text())
     assert solution_violations(sol_path.read_text(), inst) == []
+
+
+def test_check_flags_repeated_td(tmp_path, capsys):
+    inst_path = gen_instance(tmp_path)
+    sol_path = tmp_path / "solution.json"
+    run_cli("solve", "--alg", "mlr", "--in", str(inst_path), "--out", str(sol_path))
+    doc = json.loads(sol_path.read_text())
+    covered = doc["assignments"][0]["covered"]
+    covered.append(covered[0])
+    sol_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run_cli("check", "--instance", str(inst_path), "--solution", str(sol_path))
+    assert code == cli.EXIT_INFEASIBLE
+    assert f"lists TD {covered[0]} 2 times" in capsys.readouterr().out
+
+
+def test_coordinate_beyond_float_range_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"c": 1, "alpha": 2, "k": 1, "aps": [[1' + "0" * 400 + ', 0]], '
+                    '"tds": [[1, 0]]}')
+    code = run_cli("solve", "--alg", "mlr", "--in", str(path),
+                   "--out", str(tmp_path / "sol.json"))
+    assert code == cli.EXIT_PARSE
+    assert "float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alg", ["mlr", "nca"])
+def test_overflowing_distance_is_a_validation_error(tmp_path, capsys, alg):
+    path = tmp_path / "far.json"
+    path.write_text('{"c": 1, "alpha": 2, "k": 2, "aps": [[0, 0]], '
+                    '"tds": [[1e200, 0], [1, 0]]}')
+    code = run_cli("solve", "--alg", alg, "--in", str(path),
+                   "--out", str(tmp_path / "sol.json"))
+    assert code == cli.EXIT_VALIDATION
+    assert "beyond the float range" in capsys.readouterr().err
+
+
+def test_overflowing_power_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text('{"c": 1, "alpha": 5, "k": 1, "aps": [[0, 0]], "tds": [[1e100, 0]]}')
+    code = run_cli("solve", "--alg", "nca", "--in", str(path),
+                   "--out", str(tmp_path / "sol.json"))
+    assert code == cli.EXIT_VALIDATION
+    assert "power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("n", "5"), ("trials", 2.0), ("side", None),
+                                          ("alpha", 10**400), ("algorithms", "mlr")],
+                         ids=["n-string", "trials-real", "side-null", "alpha-huge",
+                              "algorithms-string"])
+def test_bench_rejects_mistyped_config_field(tmp_path, capsys, field, value):
+    entry = {"n": 5, "m": 2, "k": 3, "side": 40, "trials": 1}
+    entry[field] = value
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps([entry]))
+    assert run_cli("bench", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "out")) == cli.EXIT_PARSE
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_reported_without_traceback(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    code = run_cli("gen", "--n", "4", "--m", "1", "--k", "4",
+                   "--out", str(missing / "inst.json"))
+    assert code == cli.EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    inst_path = gen_instance(tmp_path)
+    code = run_cli("solve", "--alg", "mlr", "--in", str(inst_path),
+                   "--out", str(missing / "sol.json"))
+    assert code == cli.EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "inst.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mpcc.cli", "gen", "--n", "4", "--m", "1", "--k", "4",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert instance_from_json(out.read_text()).n == 4

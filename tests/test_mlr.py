@@ -20,6 +20,12 @@ from mpcc import (
 from oracles import mlr_reference, random_instance
 
 
+def disk_ids(state, i):
+    """(AP id, TD id) of the disk at flat state index i."""
+    ap0, u0 = divmod(int(i), state.inst.n)
+    return ap0 + 1, u0 + 1
+
+
 def two_td_line():
     return Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (2, 0)], k=2)
 
@@ -48,7 +54,7 @@ def test_residual_power_update_after_first_round():
     inst = two_td_line()
     state = init_state(inst)
     i = select_min_ratio(state)
-    assert (state.disks[i].ap_id, state.disks[i].td_id) == (1, 1)
+    assert disk_ids(state, i) == (1, 1)
     e, covered, removed = apply_selection(state, i)
     assert e == 1.0
     assert covered == (1,)
@@ -68,8 +74,7 @@ def test_full_capacity_pick_clears_the_center():
     )
     state = init_state(inst)
     i = select_min_ratio(state)
-    d = state.disks[i]
-    assert d.ap_id == 1
+    assert disk_ids(state, i)[0] == 1
     assert state.d_count[i] == 2 == state.k_hat[0]
     apply_selection(state, i)
     assert not state.live_disk[: inst.n].any()
@@ -79,7 +84,7 @@ def test_partial_pick_keeps_larger_disks_with_less_capacity():
     inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (5, 0)], k=3)
     state = init_state(inst)
     i = select_min_ratio(state)
-    assert (state.disks[i].ap_id, state.disks[i].td_id) == (1, 1)
+    assert disk_ids(state, i) == (1, 1)
     assert state.d_count[i] == 1 < state.k_hat[0]
     apply_selection(state, i)
     assert list(state.live_disk) == [False, True]
@@ -91,14 +96,14 @@ def test_min_ratio_prefers_smaller_ratio():
     state = init_state(inst)
     i = select_min_ratio(state)
     # ratios are 1 (d=1 disk) and 2 (rsq 2, capacity-limited divisor 1)
-    assert (state.disks[i].ap_id, state.disks[i].td_id) == (1, 1)
+    assert disk_ids(state, i) == (1, 1)
 
 
 def test_min_ratio_tie_breaks_to_lowest_ap():
     inst = Instance.from_coords(aps=[(0, 0), (10, 0)], tds=[(1, 0), (9, 0)], k=2)
     state = init_state(inst)
     i = select_min_ratio(state)
-    assert state.disks[i].ap_id == 1
+    assert disk_ids(state, i)[0] == 1
 
 
 def test_each_ap_takes_its_near_td():
@@ -136,7 +141,7 @@ def _step_through(inst):
     """Drive the solver loop op by op, asserting the state invariants."""
     state = init_state(inst)
     rounds = 0
-    last_key = {}
+    last_rank = {}
     while state.live_td.any():
         assert state.live_disk.any()
         rounds += 1
@@ -145,11 +150,11 @@ def _step_through(inst):
         assert (state.d_count[live] >= 1).all()
         assert (state.k_hat[state.ap_of[live]] >= 1).all()
         i = select_min_ratio(state)
-        d = state.disks[i]
+        ap_id, _ = disk_ids(state, i)
         assert state.d_count[i] <= state.k_hat[state.ap_of[i]]
-        if d.ap_id in last_key:
-            assert last_key[d.ap_id] < d.key  # l_a only ever grows
-        last_key[d.ap_id] = d.key
+        if ap_id in last_rank:
+            assert last_rank[ap_id] < state.rank_in_ap[i]  # l_a only ever grows
+        last_rank[ap_id] = state.rank_in_ap[i]
         apply_selection(state, i)
         live = state.live_disk
         slack = state.p_hat[live] + 1e-9 * state.powers[live]

@@ -1,24 +1,23 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcc import (
-    Disk,
     Instance,
     Point,
     Solution,
-    build_disk_family,
     check_feasible,
-    contains,
-    disk_index,
-    disk_key,
+    disk_order,
     distance_sq,
     make_disk,
     power_of,
     validate_instance,
 )
+
+from oracles import contains, disk_key
 
 # Integer coordinates keep squared distances and translations exact in
 # floating point, so order and invariance properties can be asserted
@@ -44,45 +43,50 @@ def test_power_of_examples():
     assert power_of(4, 1, 3) == 8
 
 
+def inside(table, ap_id, disk_td, td_id) -> bool:
+    """Rank containment: disk (ap_id, disk_td) contains TD td_id."""
+    rank = table.rank[ap_id - 1]
+    return bool(rank[td_id - 1] <= rank[disk_td - 1])
+
+
 def test_family_size_and_order():
     inst = Instance.from_coords(
         aps=[(0, 0), (5, 5)], tds=[(1, 0), (2, 2), (3, 1)], k=3
     )
-    disks = build_disk_family(inst)
-    assert len(disks) == 6
-    assert [(d.ap_id, d.td_id) for d in disks] == [
-        (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)
-    ]
+    table = disk_order(inst)
+    for arr in table:
+        assert arr.shape == (2, 3)
     for a in (1, 2):
+        assert sorted(table.order[a - 1]) == [0, 1, 2]
         for u in (1, 2, 3):
-            assert disks[disk_index(inst, a, u)].ap_id == a
-            assert disks[disk_index(inst, a, u)].td_id == u
+            # row a - 1, column u - 1 is disk (a, u)
+            assert table.rsq[a - 1, u - 1] == distance_sq(inst.ap(a), inst.td(u))
+            assert table.power[a - 1, u - 1] == make_disk(inst, a, u).power
+            assert table.order[a - 1, table.rank[a - 1, u - 1]] == u - 1
 
 
 def test_single_pair_disk_power():
     inst = Instance.from_coords(aps=[(0, 0)], tds=[(3, 4)], k=1)
-    (d,) = build_disk_family(inst)
-    assert d.power == 25
-    assert d.radius_sq == 25
+    table = disk_order(inst)
+    assert table.power[0, 0] == 25
+    assert table.rsq[0, 0] == 25
 
 
 def test_mirror_x_pair_gets_distinct_keys():
     inst = inst_around((0, 0), [(1, 0), (-1, 0)])
-    d1, d2 = build_disk_family(inst)
-    assert d1.key.radius_sq == d2.key.radius_sq == 1
-    assert d1.key.cos_angle == 1.0
-    assert d2.key.cos_angle == -1.0
-    assert d2.key < d1.key
+    table = disk_order(inst)
+    assert table.rsq[0, 0] == table.rsq[0, 1] == 1
+    assert table.cos[0, 0] == 1.0
+    assert table.cos[0, 1] == -1.0
+    assert table.rank[0, 1] < table.rank[0, 0]
 
 
 def test_contains_equal_radius_ordering():
-    inst = inst_around((0, 0), [(1, 0), (-1, 0)])
-    d_u = make_disk(inst, 1, 1)
-    d_v = make_disk(inst, 1, 2)
-    assert contains(d_u, 2, inst)       # the greater-keyed disk takes both
-    assert not contains(d_v, 1, inst)   # the lesser only its own boundary
-    assert contains(d_u, 1, inst)
-    assert contains(d_v, 2, inst)
+    table = disk_order(inst_around((0, 0), [(1, 0), (-1, 0)]))
+    assert inside(table, 1, 1, 2)       # the greater-keyed disk takes both
+    assert not inside(table, 1, 2, 1)   # the lesser only its own boundary
+    assert inside(table, 1, 1, 1)
+    assert inside(table, 1, 2, 2)
 
 
 def test_validate_accepts_experiment_scale():
@@ -198,11 +202,14 @@ def test_check_feasible_flags_coverage_without_disk():
 def test_key_order_is_strict_and_total(ap, tds):
     inst = inst_around(ap, tds)
     keys = [disk_key(inst, 1, u) for u in range(1, inst.n + 1)]
+    rank = disk_order(inst).rank[0]
+    assert sorted(rank) == list(range(inst.n))  # strict: no two disks share a rank
     for i in range(len(keys)):
         for j in range(len(keys)):
             if i == j:
                 continue
             assert (keys[i] < keys[j]) != (keys[j] < keys[i])  # total, antisymmetric
+            assert (keys[i] < keys[j]) == (rank[i] < rank[j])
     for a in keys:
         for b in keys:
             for c in keys:
@@ -217,28 +224,27 @@ def test_mirrored_pairs_order_by_y_sign(ap, td):
     if uy == ay:
         return
     mirrored = (ux, 2 * ay - uy)
-    inst = inst_around(ap, [td, mirrored])
-    k1 = disk_key(inst, 1, 1)
-    k2 = disk_key(inst, 1, 2)
-    assert k1.radius_sq == k2.radius_sq
-    assert k1.cos_angle == k2.cos_angle
+    table = disk_order(inst_around(ap, [td, mirrored]))
+    assert table.rsq[0, 0] == table.rsq[0, 1]
+    assert table.cos[0, 0] == table.cos[0, 1]
     if uy > ay:
-        assert k1 < k2  # non-negative y ranks below negative y
+        assert table.rank[0, 0] < table.rank[0, 1]  # non-negative y ranks below negative y
     else:
-        assert k2 < k1
+        assert table.rank[0, 1] < table.rank[0, 0]
 
 
 @given(ap=int_point, tds=st.lists(int_point, min_size=1, max_size=7))
 def test_containment_is_monotone_and_reflexive(ap, tds):
     inst = inst_around(ap, tds)
-    disks = build_disk_family(inst)
-    for d in disks:
-        assert contains(d, d.td_id, inst)
-    for d1 in disks:
-        for d2 in disks:
-            if d1.key <= d2.key:
-                inside1 = {u for u in range(1, inst.n + 1) if contains(d1, u, inst)}
-                inside2 = {u for u in range(1, inst.n + 1) if contains(d2, u, inst)}
+    table = disk_order(inst)
+    tds_ids = range(1, inst.n + 1)
+    for w in tds_ids:
+        assert inside(table, 1, w, w)
+    for w1 in tds_ids:
+        for w2 in tds_ids:
+            if table.rank[0, w1 - 1] <= table.rank[0, w2 - 1]:
+                inside1 = {u for u in tds_ids if inside(table, 1, w1, u)}
+                inside2 = {u for u in tds_ids if inside(table, 1, w2, u)}
                 assert inside1 <= inside2
 
 
@@ -253,15 +259,11 @@ def test_scaling_preserves_order_and_scales_power(ap, tds, t, alpha):
     scaled = inst_around(
         (ap[0] * t, ap[1] * t), [(x * t, y * t) for x, y in tds], power_alpha=alpha
     )
-    keys = [disk_key(inst, 1, u) for u in range(1, inst.n + 1)]
-    keys_s = [disk_key(scaled, 1, u) for u in range(1, inst.n + 1)]
-    for i in range(len(keys)):
-        for j in range(len(keys)):
-            assert (keys[i] < keys[j]) == (keys_s[i] < keys_s[j])
+    table = disk_order(inst)
+    table_s = disk_order(scaled)
+    assert (table.rank == table_s.rank).all()
     factor = t ** alpha
-    for u in range(1, inst.n + 1):
-        p = make_disk(inst, 1, u).power
-        ps = make_disk(scaled, 1, u).power
+    for p, ps in zip(table.power[0], table_s.power[0]):
         assert ps == pytest.approx(factor * p, rel=1e-12, abs=1e-300)
 
 
@@ -272,10 +274,12 @@ def test_scaling_preserves_order_and_scales_power(ap, tds, t, alpha):
 )
 def test_translation_leaves_keys_unchanged(ap, tds, shift):
     sx, sy = shift
-    inst = inst_around(ap, tds)
-    moved = inst_around((ap[0] + sx, ap[1] + sy), [(x + sx, y + sy) for x, y in tds])
-    for u in range(1, inst.n + 1):
-        assert disk_key(inst, 1, u) == disk_key(moved, 1, u)
+    table = disk_order(inst_around(ap, tds))
+    moved = disk_order(
+        inst_around((ap[0] + sx, ap[1] + sy), [(x + sx, y + sy) for x, y in tds])
+    )
+    for field in ("rsq", "cos", "y_sign", "rank"):
+        assert (getattr(table, field) == getattr(moved, field)).all()
 
 
 @settings(max_examples=30)
@@ -284,12 +288,50 @@ def test_translation_leaves_keys_unchanged(ap, tds, shift):
     tds=st.lists(int_point, min_size=1, max_size=6),
 )
 def test_cross_center_containment_consistency(aps, tds):
-    # contains() agrees with the rank tables the solvers use
-    from mpcc.model import disk_order_tables
-
+    # the rank tables the solvers use agree with the scalar key's containment
     inst = Instance.from_coords(aps=aps, tds=tds, k=len(tds))
-    disks = build_disk_family(inst)
-    _, table = disk_order_tables(inst, disks)
-    for i, d in enumerate(disks):
-        for u in range(1, inst.n + 1):
-            assert table[i, u - 1] == contains(d, u, inst)
+    table = disk_order(inst)
+    for a in range(1, inst.m + 1):
+        for w in range(1, inst.n + 1):
+            d = make_disk(inst, a, w)
+            for u in range(1, inst.n + 1):
+                assert inside(table, a, w, u) == contains(d, u, inst)
+
+
+def _grid_instance(rng, m, n, span):
+    """Integer-grid instance with mirrored, coincident and equal-radius TDs."""
+    aps = rng.integers(-span, span + 1, (m, 2)).tolist()
+    tds = rng.integers(-span, span + 1, (n, 2)).tolist()
+    ax, ay = aps[0]
+    for x, y in tds[: n // 4]:
+        tds.append([x, 2 * ay - y])      # mirror across the AP's x-direction line
+        tds.append([2 * ax - x, y])      # mirror across its y-direction line
+        tds.append([y - ay + ax, x - ax + ay])  # same radius, rotated a quarter turn
+        tds.append([x, y])               # coincident
+    tds.append(list(aps[-1]))            # a TD on top of an AP
+    return aps, tds
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 2.5, 3.7, 4.0])
+def test_disk_order_equals_scalar_key_and_power_bits(alpha):
+    rng = np.random.default_rng(int(alpha * 10))
+    for trial in range(12):
+        aps, tds = _grid_instance(rng, m=3, n=24, span=6 if trial % 2 else 40)
+        inst = Instance.from_coords(aps=aps, tds=tds, k=len(tds),
+                                    power_c=1.7, power_alpha=alpha)
+        table = disk_order(inst)
+        for a in range(1, inst.m + 1):
+            keys = [disk_key(inst, a, u) for u in range(1, inst.n + 1)]
+            for u0, key in enumerate(keys):
+                row = (table.rsq, table.cos, table.y_sign)
+                assert tuple(f[a - 1, u0] for f in row) + (u0 + 1,) == key
+            by_key = sorted(range(inst.n), key=keys.__getitem__)
+            assert table.order[a - 1].tolist() == by_key
+            assert table.rank[a - 1].tolist() == sorted(range(inst.n), key=by_key.__getitem__)
+    # Powers must match the scalar formula bit for bit, on many radii.
+    tds = np.random.default_rng(5).random((40_000, 2)) * 40
+    inst = Instance.from_coords(aps=[(0.0, 0.0)], tds=tds.tolist(), k=1,
+                                power_c=1.7, power_alpha=alpha)
+    table = disk_order(inst)
+    expected = [power_of(r, 1.7, alpha) for r in table.rsq.ravel().tolist()]
+    assert (table.power.ravel().view(np.uint64) == np.array(expected).view(np.uint64)).all()
