@@ -23,7 +23,7 @@ from .baselines import (
     solve_exact,
     solve_nca,
 )
-from .model import Instance, Solution, check_feasible
+from .model import Instance, Solution, check_feasible, validate_instance
 from .mlr import solve_mlr
 
 __all__ = [
@@ -123,8 +123,14 @@ def config_violations(cfg: ExperimentConfig) -> list[str]:
         v.append("n, m, and k must all be at least 1")
     elif cfg.m * cfg.k < cfg.n:
         v.append(f"total capacity m*k = {cfg.m * cfg.k} cannot cover n = {cfg.n} TDs")
-    if not cfg.side > 0:
-        v.append(f"side length {cfg.side} must be positive")
+    if not (cfg.side > 0 and math.isfinite(cfg.side)):
+        v.append(f"side length {cfg.side} must be positive and finite")
+    else:
+        # Every AP-TD distance in a generated instance is below the square's
+        # diagonal, so the power law is checked on a disk that wide.
+        corner = Instance.from_coords(aps=[(0, 0)], tds=[(cfg.side, cfg.side)], k=1,
+                                      power_c=cfg.power_c, power_alpha=cfg.power_alpha)
+        v.extend(validate_instance(corner))
     if cfg.trials < 1:
         v.append("trials must be at least 1")
     if cfg.seed < 0:

@@ -52,25 +52,28 @@ class MlrInvariantError(RuntimeError):
 
 @dataclass
 class SolverState:
-    """Mutable working state of one solve call.
+    """Mutable working state of one solve call, in rank space.
 
-    Per-disk arrays are flat over the m*n disks, AP major and TD minor:
-    disk (a0, u0) sits at index ``a0 * n + u0``.  ``k_hat`` is per AP
-    because all disks of one AP share their residual capacity.  A state is
+    Per-disk arrays are ``(m, n)``: column r of row a0 is disk
+    (a0, order[a0, r]), the disk of rank r at AP a0 + 1.  AP a0's live
+    disks are exactly its ranks r >= ``first_live[a0]`` (n once the AP is
+    retired): step 2 retires a rank prefix or the whole AP, ``d`` never
+    decreases along a row so step 5's d = 0 disks form a prefix, and
+    k_hat = 0 retires the whole AP.  Retired entries of ``p_hat`` hold
+    +inf, so they never win a selection.  ``div`` is min(k_hat, d) as of
+    the latest ``select_min_ratio`` call; the charge reuses it.  A state is
     private to its solve call and must not be shared across threads.
     """
 
     inst: Instance
     table: DiskOrder         # the disk order, (m, n) arrays
-    ap_of: np.ndarray        # (m*n,) int64, 0-based AP of each disk
-    rank_in_ap: np.ndarray   # (m*n,) int64, key-order position within the AP
-    powers: np.ndarray       # (m*n,) float64, full disk powers
-    live_disk: np.ndarray    # (m*n,) bool
     live_td: np.ndarray      # (n,) bool
-    d_count: np.ndarray      # (m*n,) int64, live TDs contained per disk
+    d: np.ndarray            # (m, n) int64, live TDs contained per disk
     k_hat: np.ndarray        # (m,) int64, residual capacity per AP
-    p_hat: np.ndarray        # (m*n,) float64, residual power per disk
-    selected: dict[int, int]       # AP id -> index of its latest disk
+    p_hat: np.ndarray        # (m, n) float64, residual power per disk
+    first_live: np.ndarray   # (m,) int64, lowest live rank per AP
+    div: np.ndarray          # (m, n) int64, min(k_hat, d) at the last pick
+    selected: dict[int, int]       # AP id -> TD id of its latest disk
     covered_by: dict[int, list[int]]  # AP id -> covered TD ids
 
 
@@ -97,21 +100,21 @@ class IterationRecord:
 
 def init_state(inst: Instance) -> SolverState:
     table = disk_order(inst)
-    mn = inst.m * inst.n
-    ranks = table.rank.ravel()
-    powers = table.power.ravel()
+    m, n = inst.m, inst.n
+    # No AP can take more than the n TDs, and k itself may exceed int64.
+    k_hat = np.full(m, min(inst.k, n), dtype=np.int64)
+    # With every TD live, the disk of rank r contains r + 1 of them.
+    d = np.empty((m, n), dtype=np.int64)
+    d[:] = np.arange(1, n + 1)
     return SolverState(
         inst=inst,
         table=table,
-        ap_of=np.repeat(np.arange(inst.m, dtype=np.int64), inst.n),
-        rank_in_ap=ranks,
-        powers=powers,
-        live_disk=np.ones(mn, dtype=bool),
-        live_td=np.ones(inst.n, dtype=bool),
-        # With every TD live, the disk of rank r contains r + 1 of them.
-        d_count=ranks + 1,
-        k_hat=np.full(inst.m, inst.k, dtype=np.int64),
-        p_hat=powers.copy(),
+        live_td=np.ones(n, dtype=bool),
+        d=d,
+        k_hat=k_hat,
+        p_hat=table.power[np.arange(m)[:, None], table.order],
+        first_live=np.zeros(m, dtype=np.int64),
+        div=np.minimum(k_hat[:, None], d),
         selected={},
         covered_by={},
     )
@@ -125,85 +128,94 @@ def local_ratio(p_hat: float, k_hat: int, d: int) -> float:
     return p_hat / div
 
 
-def select_min_ratio(state: SolverState) -> int:
-    """Index of the live disk with the minimum local ratio.
+def select_min_ratio(state: SolverState) -> tuple[int, int]:
+    """``(AP index, rank)`` of the live disk with the minimum local ratio.
 
-    Exact ratio ties break to the lowest AP id, then the lowest disk rank.
-    The returned disk always satisfies d <= k_hat.
-    """
-    idx = np.flatnonzero(state.live_disk)
-    if idx.size == 0:
-        raise MlrInvariantError("select_min_ratio called with no live disks")
-    div = np.minimum(state.k_hat[state.ap_of[idx]], state.d_count[idx])
-    if div.min() < 1:
-        raise MlrInvariantError("live disk with degenerate ratio divisor")
-    ratios = state.p_hat[idx] / div
-    cand = idx[ratios == ratios.min()]
-    best = int(min(cand, key=lambda i: (state.ap_of[i], state.rank_in_ap[i])))
-    if state.d_count[best] > state.k_hat[state.ap_of[best]]:
-        raise MlrInvariantError(
-            f"selected disk has d={state.d_count[best]} above "
-            f"k_hat={state.k_hat[state.ap_of[best]]}"
-        )
-    return best
-
-
-def apply_selection(state: SolverState, i_star: int):
-    """Commit the chosen disk and advance the state by one round.
-
-    Returns ``(ratio, covered_td_ids, removed_disks)`` describing the
-    round for tracing.  Update order matters; see the module docstring.
+    The row-major argmin breaks exact ratio ties to the lowest AP id, then
+    the lowest disk rank.  The returned disk always satisfies d <= k_hat.
     """
     n = state.inst.n
-    ap0, u0 = divmod(i_star, n)
-    ap_id = ap0 + 1
-    e_star = local_ratio(
-        float(state.p_hat[i_star]), int(state.k_hat[ap0]), int(state.d_count[i_star])
-    )
+    first = state.first_live
+    live_ap = np.flatnonzero(first < n)
+    if live_ap.size == 0:
+        raise MlrInvariantError("select_min_ratio called with no live disks")
+    div = np.minimum(state.k_hat[:, None], state.d, out=state.div)
+    # d grows along a row, so an AP's smallest divisor sits at first_live.
+    if div[live_ap, first[live_ap]].min() < 1:
+        raise MlrInvariantError("live disk with degenerate ratio divisor")
+    a0, r = divmod(int((state.p_hat / div).argmin()), n)
+    if r < first[a0]:
+        raise MlrInvariantError(f"selected retired disk of AP {a0 + 1}")
+    if state.d[a0, r] > state.k_hat[a0]:
+        raise MlrInvariantError(
+            f"selected disk has d={state.d[a0, r]} above k_hat={state.k_hat[a0]}"
+        )
+    return a0, r
 
-    rank_row = state.table.rank[ap0]
-    covered_mask = state.live_td & (rank_row <= rank_row[u0])
-    covered0 = np.flatnonzero(covered_mask)
-    cnt = int(covered0.size)
+
+def apply_selection(state: SolverState, pick: tuple[int, int]):
+    """Commit the chosen disk ``(AP index, rank)`` and advance one round.
+
+    Returns ``(ratio, covered_td_ids, removed)`` describing the round for
+    tracing; ``removed`` holds the disks retired this round as indices
+    ``a0 * n + u0``, in no particular order.  Update order matters; see
+    the module docstring.
+    """
+    a0, r = pick
+    n = state.inst.n
+    order = state.table.order
+    d_star, k_star = int(state.d[a0, r]), int(state.k_hat[a0])
+    e_star = local_ratio(float(state.p_hat[a0, r]), k_star, d_star)
+    first = state.first_live
+    removed = []
+
+    prefix = order[a0, : r + 1]
+    covered0 = np.sort(prefix[state.live_td[prefix]])
+    covered_ids = (covered0 + 1).tolist()
 
     # 1. Assignment: the chosen AP now answers for these TDs, and its
     # latest disk strictly grows in key order.
-    state.selected[ap_id] = i_star
-    state.covered_by.setdefault(ap_id, []).extend(int(u) + 1 for u in covered0)
+    ap_id = a0 + 1
+    state.selected[ap_id] = int(order[a0, r]) + 1
+    state.covered_by.setdefault(ap_id, []).extend(covered_ids)
 
     # 2. Retire disks at the chosen AP.  A pick that exactly fills the
     # residual capacity retires the whole center; otherwise the pick and
     # every smaller-keyed disk there go.
-    same_ap_live = state.live_disk & (state.ap_of == ap0)
-    if state.d_count[i_star] == state.k_hat[ap0]:
-        removed_step = same_ap_live
-    else:
-        removed_step = same_ap_live & (state.rank_in_ap <= state.rank_in_ap[i_star])
-    state.live_disk &= ~removed_step
+    _retire(state, a0, n if d_star == k_star else r + 1, removed)
 
     # 3. Charge survivors before any counts change: the subtraction uses
-    # each disk's pre-assignment min(k_hat, d).
-    live = state.live_disk
-    div_all = np.minimum(state.k_hat[state.ap_of], state.d_count)
-    state.p_hat[live] -= e_star * div_all[live]
+    # each disk's pre-assignment min(k_hat, d), the divisor the selection
+    # used.  Retired entries hold +inf and keep it.
+    state.p_hat -= e_star * state.div
 
     # 4. Retire covered TDs everywhere and shrink the chosen AP's capacity
     # by the number just assigned.  A disk's live count is the number of
     # live TDs up to its rank in its AP's order.
-    state.live_td &= ~covered_mask
-    if cnt:
-        prefix = np.cumsum(state.live_td[state.table.order], axis=1)
-        state.d_count[:] = prefix[state.ap_of, state.rank_in_ap]
-    state.k_hat[ap0] -= cnt
+    state.live_td[covered0] = False
+    np.cumsum(state.live_td[order], axis=1, out=state.d)
+    state.k_hat[a0] -= covered0.size
 
-    # 5. Drop disks that can no longer contribute.
-    dead = live & ((state.d_count <= 0) | (state.k_hat[state.ap_of] <= 0))
-    state.live_disk &= ~dead
+    # 5. Drop disks that can no longer contribute: the whole chosen AP once
+    # its capacity is spent, and every AP's new prefix of d = 0 disks.
+    if state.k_hat[a0] <= 0:
+        _retire(state, a0, n, removed)
+    # A row of d never decreases, so only an AP whose first live disk now
+    # has d = 0 loses disks, and its zeros are a prefix of the row.
+    live_ap = np.flatnonzero(first < n)
+    for a in live_ap[state.d[live_ap, first[live_ap]] == 0]:
+        _retire(state, a, int(np.searchsorted(state.d[a], 1)), removed)
+    return e_star, tuple(covered_ids), np.concatenate(removed)
 
-    removed_idx = np.flatnonzero(removed_step | dead)
-    removed = tuple((int(i) // n + 1, int(i) % n + 1) for i in removed_idx)
-    covered_ids = tuple(int(u) + 1 for u in covered0)
-    return e_star, covered_ids, removed
+
+def _retire(state: SolverState, a0: int, stop: int, removed: list) -> None:
+    """Retire AP a0's live disks of rank below ``stop``, appending their
+    indices ``a0 * n + u0`` to ``removed``."""
+    start = state.first_live[a0]
+    if stop > start:
+        state.p_hat[a0, start:stop] = math.inf
+        removed.append(state.table.order[a0, start:stop] + a0 * state.inst.n)
+        state.first_live[a0] = stop
 
 
 def assemble_solution(state: SolverState) -> Solution:
@@ -211,7 +223,7 @@ def assemble_solution(state: SolverState) -> Solution:
     coverage = {}
     total = 0.0
     for ap_id in sorted(state.selected):
-        d = make_disk(state.inst, ap_id, state.selected[ap_id] % state.inst.n + 1)
+        d = make_disk(state.inst, ap_id, state.selected[ap_id])
         selected[ap_id] = d
         coverage[ap_id] = frozenset(state.covered_by[ap_id])
         total += d.power
@@ -225,28 +237,31 @@ def solve_mlr(inst: Instance, trace: list[IterationRecord] | None = None) -> Sol
     ``IterationRecord`` per round is appended to it.
     """
     state = init_state(inst)
+    n = inst.n
     iteration = 0
     while state.live_td.any():
-        if not state.live_disk.any():
+        if (state.first_live >= n).all():
             raise InfeasibleInstanceError(
                 "uncovered TDs remain but no candidate disks are live; "
                 "the instance violates m*k >= n"
             )
         iteration += 1
-        if iteration > inst.n:
+        if iteration > n:
             raise MlrInvariantError("more rounds than TDs")
-        i_star = select_min_ratio(state)
-        ap0, u0 = divmod(i_star, inst.n)
-        e_star, covered, removed = apply_selection(state, i_star)
+        a0, r = select_min_ratio(state)
+        td_id = int(state.table.order[a0, r]) + 1
+        e_star, covered, removed = apply_selection(state, (a0, r))
         if trace is not None:
             trace.append(
                 IterationRecord(
                     iteration=iteration,
-                    ap_id=ap0 + 1,
-                    td_id=u0 + 1,
+                    ap_id=a0 + 1,
+                    td_id=td_id,
                     ratio=e_star,
                     covered=covered,
-                    removed=removed,
+                    removed=tuple(
+                        (int(i) // n + 1, int(i) % n + 1) for i in np.sort(removed)
+                    ),
                 )
             )
     solution = assemble_solution(state)

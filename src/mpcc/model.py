@@ -168,9 +168,8 @@ def _boundary_vectors(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     return td[:, 0] - ap[:, 0, None], td[:, 1] - ap[:, 1, None]
 
 
-def disk_order(inst: Instance) -> DiskOrder:
-    """Build the key order of all m*n candidate disks at once."""
-    dx, dy = _boundary_vectors(inst)
+def _key_fields(dx: np.ndarray, dy: np.ndarray):
+    """Key fields ``(rsq, cos, y_sign)`` of boundary vectors, elementwise."""
     rsq = dx * dx + dy * dy
     # A zero-length boundary vector takes a fixed direction (cos 1, y sign
     # 0), so coincident TDs are ordered by id alone.
@@ -180,6 +179,12 @@ def disk_order(inst: Instance) -> DiskOrder:
     # sqrt rounding can push the quotient a hair past 1 in magnitude.
     cos = np.minimum(1.0, np.maximum(-1.0, cos))
     y_sign = ((dy < 0.0) & ~degenerate).astype(np.int64)
+    return rsq, cos, y_sign
+
+
+def disk_order(inst: Instance) -> DiskOrder:
+    """Build the key order of all m*n candidate disks at once."""
+    rsq, cos, y_sign = _key_fields(*_boundary_vectors(inst))
     # np.lexsort is stable, so TD ids break the remaining ties.
     order = np.lexsort((y_sign, cos, rsq), axis=-1)
     rank = np.empty_like(order)
@@ -227,6 +232,21 @@ def validate_instance(inst: Instance) -> list[str]:
     return v
 
 
+def _outside(inst: Instance, claims) -> set[tuple[int, int]]:
+    """The ``(ap_id, td_id)`` of each ``(ap_id, td_id, disk_td_id)`` claim
+    whose TD ranks above the disk's boundary TD in that AP's disk order,
+    i.e. lies outside the disk."""
+    if not claims:
+        return set()
+    ends = [(a, u) for a, u, _ in claims] + [(a, b) for a, _, b in claims]
+    vec = np.array([(inst.td(u).x - inst.ap(a).x, inst.td(u).y - inst.ap(a).y)
+                    for a, u in ends])
+    rsq, cos, y_sign = _key_fields(vec[:, 0], vec[:, 1])
+    keys = list(zip(rsq.tolist(), cos.tolist(), y_sign.tolist(), (u for _, u in ends)))
+    c = len(claims)
+    return {(a, u) for (a, u, _), ku, kb in zip(claims, keys[:c], keys[c:]) if ku > kb}
+
+
 def check_feasible(sol: Solution, inst: Instance) -> list[str]:
     """Verify a Solution against its instance; returns violations.
 
@@ -238,8 +258,8 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
     """
     v = []
     m, n, k = inst.m, inst.n, inst.k
-    table = disk_order(inst)
 
+    valid = set()
     for ap_id in sorted(sol.selected):
         d = sol.selected[ap_id]
         if not 1 <= ap_id <= m:
@@ -249,7 +269,15 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
             v.append(f"disk stored for AP {ap_id} is centered at AP {d.ap_id}")
         if not 1 <= d.td_id <= n:
             v.append(f"disk of AP {ap_id} has unknown boundary TD {d.td_id}")
+        if d.ap_id == ap_id and 1 <= d.td_id <= n:
+            valid.add(ap_id)
 
+    # Only the containments actually claimed need their disks' keys.
+    outside = _outside(inst, [
+        (ap_id, u, sol.selected[ap_id].td_id)
+        for ap_id in sorted(sol.coverage) if ap_id in valid
+        for u in sorted(sol.coverage[ap_id]) if 1 <= u <= n
+    ])
     owner: dict[int, int] = {}
     for ap_id in sorted(sol.coverage):
         tds = sol.coverage[ap_id]
@@ -260,7 +288,6 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
             v.append(f"AP {ap_id} covers TDs but selected no disk")
         if len(tds) > k:
             v.append(f"AP {ap_id} covers {len(tds)} TDs, capacity is {k}")
-        disk = sol.selected.get(ap_id)
         for u in sorted(tds):
             if not 1 <= u <= n:
                 v.append(f"coverage of AP {ap_id} references unknown TD {u}")
@@ -269,19 +296,15 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
                 v.append(f"TD {u} covered by both AP {owner[u]} and AP {ap_id}")
             else:
                 owner[u] = ap_id
-            if disk is not None and disk.ap_id == ap_id and 1 <= disk.td_id <= n:
-                rank = table.rank[ap_id - 1]
-                if rank[u - 1] > rank[disk.td_id - 1]:
-                    v.append(f"TD {u} lies outside the selected disk of AP {ap_id}")
+            if (ap_id, u) in outside:
+                v.append(f"TD {u} lies outside the selected disk of AP {ap_id}")
     for u in range(1, n + 1):
         if u not in owner:
             v.append(f"TD {u} is not covered")
 
     derived = 0.0
-    for ap_id in sorted(sol.selected):
-        d = sol.selected[ap_id]
-        if 1 <= ap_id <= m and d.ap_id == ap_id and 1 <= d.td_id <= n:
-            derived += float(table.power[ap_id - 1, d.td_id - 1])
+    for ap_id in sorted(valid):
+        derived += make_disk(inst, ap_id, sol.selected[ap_id].td_id).power
     if not math.isclose(sol.total_power, derived, rel_tol=1e-9, abs_tol=1e-12):
         v.append(
             f"stated total_power {sol.total_power!r} disagrees with "

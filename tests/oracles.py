@@ -10,7 +10,9 @@ which the package's array-built ``disk_order`` is tested.
 import itertools
 import math
 
-from mpcc import Instance, distance_sq, make_disk
+import numpy as np
+
+from mpcc import Instance, Solution, disk_order, distance_sq, make_disk
 
 
 def disk_key(inst, ap_id, td_id) -> tuple[float, float, int, int]:
@@ -48,6 +50,54 @@ def disk_family(inst):
         for a in range(1, inst.m + 1)
         for u in range(1, inst.n + 1)
     ]
+
+
+def check_feasible_reference(sol, inst) -> list[str]:
+    """``check_feasible`` with containment decided pair by pair through
+    ``contains`` and powers through ``make_disk``; same messages, same order."""
+    v = []
+    m, n, k = inst.m, inst.n, inst.k
+    for ap_id in sorted(sol.selected):
+        d = sol.selected[ap_id]
+        if not 1 <= ap_id <= m:
+            v.append(f"selected disk references unknown AP {ap_id}")
+            continue
+        if d.ap_id != ap_id:
+            v.append(f"disk stored for AP {ap_id} is centered at AP {d.ap_id}")
+        if not 1 <= d.td_id <= n:
+            v.append(f"disk of AP {ap_id} has unknown boundary TD {d.td_id}")
+    owner = {}
+    for ap_id in sorted(sol.coverage):
+        if not 1 <= ap_id <= m:
+            v.append(f"coverage references unknown AP {ap_id}")
+            continue
+        tds = sol.coverage[ap_id]
+        if tds and ap_id not in sol.selected:
+            v.append(f"AP {ap_id} covers TDs but selected no disk")
+        if len(tds) > k:
+            v.append(f"AP {ap_id} covers {len(tds)} TDs, capacity is {k}")
+        disk = sol.selected.get(ap_id)
+        for u in sorted(tds):
+            if not 1 <= u <= n:
+                v.append(f"coverage of AP {ap_id} references unknown TD {u}")
+                continue
+            if u in owner:
+                v.append(f"TD {u} covered by both AP {owner[u]} and AP {ap_id}")
+            else:
+                owner[u] = ap_id
+            valid = disk is not None and disk.ap_id == ap_id and 1 <= disk.td_id <= n
+            if valid and not contains(make_disk(inst, ap_id, disk.td_id), u, inst):
+                v.append(f"TD {u} lies outside the selected disk of AP {ap_id}")
+    v.extend(f"TD {u} is not covered" for u in range(1, n + 1) if u not in owner)
+    derived = 0.0
+    for ap_id in sorted(sol.selected):
+        d = sol.selected[ap_id]
+        if 1 <= ap_id <= m and d.ap_id == ap_id and 1 <= d.td_id <= n:
+            derived += make_disk(inst, ap_id, d.td_id).power
+    if not math.isclose(sol.total_power, derived, rel_tol=1e-9, abs_tol=1e-12):
+        v.append(f"stated total_power {sol.total_power!r} disagrees with "
+                 f"selected disks ({derived!r})")
+    return v
 
 
 def random_instance(rng, m, n, k, side=40.0, power_c=1.0, power_alpha=2.0) -> Instance:
@@ -141,8 +191,6 @@ def mlr_reference(inst):
     Kept deliberately naive (no arrays, no incremental bookkeeping
     shortcuts) as a differential oracle for the vectorized solver.
     """
-    from mpcc import Solution
-
     disks = disk_family(inst)
     key = [disk_key(inst, d.ap_id, d.td_id) for d in disks]
     contained = {
@@ -192,3 +240,69 @@ def mlr_reference(inst):
         coverage={a: frozenset(covered_by[a]) for a in sorted(covered_by)},
         total_power=total,
     )
+
+
+def mlr_flat_reference(inst):
+    """The minimum-local-ratio rounds over flat ``(m*n,)`` disk arrays.
+
+    The array solver as it stood before its state moved to rank space:
+    disk (a0, u0) sits at index ``a0 * n + u0``, every round gathers the
+    live disks by mask and breaks ratio ties with a Python ``min`` over
+    (AP, rank).  Returns ``(Solution, trace docs)`` so that both the
+    solution and every round's record can be compared byte for byte.
+    Needs k below 2**63.
+    """
+    table = disk_order(inst)
+    m, n = inst.m, inst.n
+    ap_of = np.repeat(np.arange(m, dtype=np.int64), n)
+    rank_in_ap = table.rank.ravel()
+    live_disk = np.ones(m * n, dtype=bool)
+    live_td = np.ones(n, dtype=bool)
+    d_count = rank_in_ap + 1
+    k_hat = np.full(m, inst.k, dtype=np.int64)
+    p_hat = table.power.ravel().copy()
+    selected, covered_by, docs = {}, {}, []
+    while live_td.any():
+        if not live_disk.any():
+            raise RuntimeError("no live disks with TDs uncovered")
+        idx = np.flatnonzero(live_disk)
+        div = np.minimum(k_hat[ap_of[idx]], d_count[idx])
+        ratios = p_hat[idx] / div
+        cand = idx[ratios == ratios.min()]
+        i_star = int(min(cand, key=lambda i: (ap_of[i], rank_in_ap[i])))
+        ap0, u0 = divmod(i_star, n)
+        e_star = float(p_hat[i_star]) / min(int(k_hat[ap0]), int(d_count[i_star]))
+        covered_mask = live_td & (table.rank[ap0] <= table.rank[ap0, u0])
+        covered0 = np.flatnonzero(covered_mask)
+        selected[ap0 + 1] = i_star
+        covered_by.setdefault(ap0 + 1, []).extend(int(u) + 1 for u in covered0)
+        same_ap_live = live_disk & (ap_of == ap0)
+        if d_count[i_star] == k_hat[ap0]:
+            removed_step = same_ap_live
+        else:
+            removed_step = same_ap_live & (rank_in_ap <= rank_in_ap[i_star])
+        live_disk &= ~removed_step
+        live = live_disk
+        div_all = np.minimum(k_hat[ap_of], d_count)
+        p_hat[live] -= e_star * div_all[live]
+        live_td &= ~covered_mask
+        if covered0.size:
+            prefix = np.cumsum(live_td[table.order], axis=1)
+            d_count[:] = prefix[ap_of, rank_in_ap]
+        k_hat[ap0] -= covered0.size
+        dead = live & ((d_count <= 0) | (k_hat[ap_of] <= 0))
+        live_disk &= ~dead
+        docs.append({
+            "iter": len(docs) + 1,
+            "disk": [ap0 + 1, u0 + 1],
+            "ratio": e_star,
+            "covered": [int(u) + 1 for u in covered0],
+            "removed": [[int(i) // n + 1, int(i) % n + 1]
+                        for i in np.flatnonzero(removed_step | dead)],
+        })
+    sel = {a: make_disk(inst, a, i % n + 1) for a, i in sorted(selected.items())}
+    total = 0.0
+    for a in sorted(sel):
+        total += sel[a].power
+    coverage = {a: frozenset(covered_by[a]) for a in sorted(covered_by)}
+    return Solution(selected=sel, coverage=coverage, total_power=total), docs

@@ -75,15 +75,17 @@ def sweep500():
         inst = generate_instance(cfg, i)
 
         state = init_state(inst)
+        power = state.p_hat.copy()  # full disk powers in rank space
+        ranks = np.arange(inst.n)
         pick_bound = True
         residual = True
         while state.live_td.any():
-            i_star = select_min_ratio(state)
-            if state.d_count[i_star] > state.k_hat[state.ap_of[i_star]]:
+            a0, r = select_min_ratio(state)
+            if state.d[a0, r] > state.k_hat[a0]:
                 pick_bound = False
-            apply_selection(state, i_star)
-            live = state.live_disk
-            if not (state.p_hat[live] >= -1e-9 * state.powers[live]).all():
+            apply_selection(state, (a0, r))
+            live = ranks >= state.first_live[:, None]
+            if not (state.p_hat[live] >= -1e-9 * power[live]).all():
                 residual = False
         stepped = assemble_solution(state)
 

@@ -261,6 +261,17 @@ def test_overflowing_power_is_a_validation_error(tmp_path, capsys):
     assert "power" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", ["mlr", "nca"])
+def test_capacity_beyond_int64_solves(tmp_path, capsys, alg):
+    path = tmp_path / "big_k.json"
+    path.write_text('{"c": 1, "alpha": 2, "k": ' + str(10**30)
+                    + ', "aps": [[0, 0]], "tds": [[3, 4]]}')
+    code = run_cli("solve", "--alg", alg, "--in", str(path),
+                   "--out", str(tmp_path / "sol.json"))
+    assert code == cli.EXIT_OK
+    assert "total_power=25 " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("field, value", [("n", "5"), ("trials", 2.0), ("side", None),
                                           ("alpha", 10**400), ("algorithms", "mlr")],
                          ids=["n-string", "trials-real", "side-null", "alpha-huge",

@@ -153,6 +153,12 @@ def test_invalid_config_rejected():
         run_experiment(small_cfg(n=50, m=2, k=2))
     assert config_violations(small_cfg(n=50, m=2, k=2))
     assert config_violations(small_cfg(side=0.0))
+    # the instance validator's power-law limits, on the square's diagonal
+    assert config_violations(small_cfg(side=math.inf))
+    assert config_violations(small_cfg(power_c=0.0))
+    assert config_violations(small_cfg(power_alpha=-2.0))
+    assert config_violations(small_cfg(power_alpha=6.0))
+    assert config_violations(small_cfg(side=1e160))
     assert not config_violations(small_cfg())
 
 

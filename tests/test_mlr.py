@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,18 @@ from mpcc import (
     solve_mlr,
 )
 
-from oracles import mlr_reference, random_instance
+from oracles import mlr_flat_reference, mlr_reference, random_instance
 
 
-def disk_ids(state, i):
-    """(AP id, TD id) of the disk at flat state index i."""
-    ap0, u0 = divmod(int(i), state.inst.n)
-    return ap0 + 1, u0 + 1
+def disk_ids(state, pick):
+    """(AP id, TD id) of the disk at state position (AP index, rank)."""
+    a0, r = pick
+    return a0 + 1, int(state.table.order[a0, r]) + 1
+
+
+def live_mask(state):
+    """(m, n) bool: which rank-space entries are live disks."""
+    return np.arange(state.inst.n) >= state.first_live[:, None]
 
 
 def two_td_line():
@@ -58,12 +65,12 @@ def test_residual_power_update_after_first_round():
     e, covered, removed = apply_selection(state, i)
     assert e == 1.0
     assert covered == (1,)
-    assert removed == ((1, 1),)
+    assert removed.tolist() == [0]  # disk (1, 1)
     # the surviving larger disk was charged e * min(k_hat, d) = 1 * 2
-    assert state.p_hat[1] == 2.0
+    assert state.p_hat[0, 1] == 2.0
     assert state.k_hat[0] == 1
-    assert state.d_count[1] == 1
-    assert list(state.live_disk) == [False, True]
+    assert state.d[0, 1] == 1
+    assert live_mask(state).tolist() == [[False, True]]
 
 
 def test_full_capacity_pick_clears_the_center():
@@ -75,19 +82,20 @@ def test_full_capacity_pick_clears_the_center():
     state = init_state(inst)
     i = select_min_ratio(state)
     assert disk_ids(state, i)[0] == 1
-    assert state.d_count[i] == 2 == state.k_hat[0]
+    assert state.d[i] == 2 == state.k_hat[0]
     apply_selection(state, i)
-    assert not state.live_disk[: inst.n].any()
+    assert not live_mask(state)[0].any()
 
 
 def test_partial_pick_keeps_larger_disks_with_less_capacity():
-    inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (5, 0)], k=3)
+    # k <= n, so the residual capacity starts at k itself
+    inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (5, 0), (9, 0)], k=3)
     state = init_state(inst)
     i = select_min_ratio(state)
     assert disk_ids(state, i) == (1, 1)
-    assert state.d_count[i] == 1 < state.k_hat[0]
+    assert state.d[i] == 1 < state.k_hat[0]
     apply_selection(state, i)
-    assert list(state.live_disk) == [False, True]
+    assert live_mask(state).tolist() == [[False, True, True]]
     assert state.k_hat[0] == 2
 
 
@@ -140,24 +148,24 @@ def test_infeasible_without_validation_raises():
 def _step_through(inst):
     """Drive the solver loop op by op, asserting the state invariants."""
     state = init_state(inst)
+    power = state.p_hat.copy()  # full disk powers in rank space
     rounds = 0
     last_rank = {}
     while state.live_td.any():
-        assert state.live_disk.any()
+        live = live_mask(state)
+        assert live.any()
         rounds += 1
         assert rounds <= inst.n  # progress: every round covers a TD
-        live = np.flatnonzero(state.live_disk)
-        assert (state.d_count[live] >= 1).all()
-        assert (state.k_hat[state.ap_of[live]] >= 1).all()
-        i = select_min_ratio(state)
-        ap_id, _ = disk_ids(state, i)
-        assert state.d_count[i] <= state.k_hat[state.ap_of[i]]
-        if ap_id in last_rank:
-            assert last_rank[ap_id] < state.rank_in_ap[i]  # l_a only ever grows
-        last_rank[ap_id] = state.rank_in_ap[i]
-        apply_selection(state, i)
-        live = state.live_disk
-        slack = state.p_hat[live] + 1e-9 * state.powers[live]
+        assert (state.d[live] >= 1).all()
+        assert (np.broadcast_to(state.k_hat[:, None], live.shape)[live] >= 1).all()
+        a0, r = select_min_ratio(state)
+        assert state.d[a0, r] <= state.k_hat[a0]
+        if a0 in last_rank:
+            assert last_rank[a0] < r  # l_a only ever grows
+        last_rank[a0] = r
+        apply_selection(state, (a0, r))
+        live = live_mask(state)
+        slack = state.p_hat[live] + 1e-9 * power[live]
         assert (slack >= 0).all()  # residual powers stay non-negative
     return assemble_solution(state)
 
@@ -213,3 +221,50 @@ def test_matches_reference_transcription_under_exact_ties():
             k=k,
         )
         assert solve_mlr(inst) == mlr_reference(inst)
+
+
+def _solve_bytes(inst):
+    """Solution JSON and trace JSON of one traced MLR solve."""
+    trace = []
+    sol = solve_mlr(inst, trace=trace)
+    return solution_to_json(sol, inst), json.dumps([r.to_doc() for r in trace])
+
+
+def _differential_instances():
+    rng = np.random.default_rng(4242)
+    for i in range(520):
+        m = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 31))
+        # every third instance has k >= n; the rest sit within 3 of the
+        # smallest k with m*k >= n
+        lo = -(-n // m)
+        k = int(rng.integers(n, 2 * n + 1)) if i % 3 == 0 else int(rng.integers(lo, lo + 4))
+        params = dict(k=k, power_c=float(rng.choice([0.3, 1.0, 7.0])),
+                      power_alpha=float(rng.choice([1.0, 2.0, 2.5, 3.0, 3.7, 4.0])))
+        if i % 2:
+            # integer grids force coincident points and exact radius ties
+            yield Instance.from_coords(aps=rng.integers(0, 5, (m, 2)).tolist(),
+                                       tds=rng.integers(0, 5, (n, 2)).tolist(), **params)
+        else:
+            yield random_instance(rng, m=m, n=n, **params)
+    for n, m, k in ((300, 12, 25), (300, 12, 40), (280, 4, 300), (310, 13, 24)):
+        yield random_instance(rng, m=m, n=n, k=k)
+
+
+def test_matches_flat_array_reference_bytes():
+    count = 0
+    for inst in _differential_instances():
+        ref, docs = mlr_flat_reference(inst)
+        expected = (solution_to_json(ref, inst), json.dumps(docs))
+        assert _solve_bytes(inst) == expected, inst
+        count += 1
+    assert count >= 500
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_capacity_beyond_int64_matches_k_equals_n(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 15))
+    inst = random_instance(rng, m=int(rng.integers(1, 4)), n=n, k=n)
+    huge = Instance(aps=inst.aps, tds=inst.tds, k=10**30)
+    assert _solve_bytes(huge) == _solve_bytes(inst)

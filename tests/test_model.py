@@ -14,10 +14,11 @@ from mpcc import (
     distance_sq,
     make_disk,
     power_of,
+    solve_mlr,
     validate_instance,
 )
 
-from oracles import contains, disk_key
+from oracles import check_feasible_reference, contains, disk_key
 
 # Integer coordinates keep squared distances and translations exact in
 # floating point, so order and invariance properties can be asserted
@@ -335,3 +336,49 @@ def test_disk_order_equals_scalar_key_and_power_bits(alpha):
     table = disk_order(inst)
     expected = [power_of(r, 1.7, alpha) for r in table.rsq.ravel().tolist()]
     assert (table.power.ravel().view(np.uint64) == np.array(expected).view(np.uint64)).all()
+
+
+def _mutations(rng, inst, sol):
+    """Solutions derived from ``sol`` that break it in chosen ways."""
+    n = inst.n
+    # a TD moved between APs
+    for a, tds in sol.coverage.items():
+        for b in sol.selected:
+            if b != a and tds:
+                u = int(rng.choice(sorted(tds)))
+                cov = dict(sol.coverage)
+                cov[a], cov[b] = tds - {u}, cov.get(b, frozenset()) | {u}
+                yield Solution(sol.selected, cov, sol.total_power)
+    # a disk swapped for another of the same radius: a mirrored tie
+    for a, d in sol.selected.items():
+        for v in range(1, n + 1):
+            twin = make_disk(inst, a, v)
+            if v != d.td_id and twin.radius_sq == d.radius_sq:
+                yield Solution({**sol.selected, a: twin}, sol.coverage, sol.total_power)
+    # random disks and random owners
+    for _ in range(4):
+        selected = {a: make_disk(inst, a, int(rng.integers(1, n + 1)))
+                    for a in range(1, inst.m + 1)}
+        owner = rng.integers(1, inst.m + 1, n)
+        coverage = {a: frozenset(u + 1 for u in np.flatnonzero(owner == a).tolist())
+                    for a in selected}
+        total = 0.0
+        for a in sorted(selected):
+            total += selected[a].power
+        yield Solution(selected, coverage, total)
+
+
+def test_check_feasible_equals_pairwise_contains_checker():
+    rng = np.random.default_rng(77)
+    outside = 0
+    for trial in range(40):
+        aps, tds = _grid_instance(rng, m=3, n=12, span=4 if trial % 2 else 30)
+        inst = Instance.from_coords(aps=aps, tds=tds, k=len(tds),
+                                    power_alpha=float(rng.choice([1.0, 2.5, 4.0])))
+        sol = solve_mlr(inst)
+        assert check_feasible(sol, inst) == check_feasible_reference(sol, inst) == []
+        for broken in _mutations(rng, inst, sol):
+            expected = check_feasible_reference(broken, inst)
+            assert check_feasible(broken, inst) == expected
+            outside += any("outside" in v for v in expected)
+    assert outside >= 100  # the mutations reach the containment test
