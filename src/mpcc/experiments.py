@@ -28,6 +28,8 @@ from .mlr import solve_mlr
 
 __all__ = [
     "DEFAULT_SEED",
+    "MAX_DISKS",
+    "MAX_TRIALS",
     "ExperimentConfig",
     "TrialRow",
     "AlgorithmSummary",
@@ -49,6 +51,13 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
+
+# Upper bounds on a runnable config (see ``config_violations``).  Every
+# shape of 10**6 disks tried (n x m = 5000 x 200, 1000 x 1000, 10**5 x 10,
+# 10**6 x 1, 1 x 10**6) runs one mlr and nca trial in under a minute and
+# 1 GB on a 2-vCPU machine.
+MAX_DISKS = 10**6
+MAX_TRIALS = 10**6
 
 RESULT_COLUMNS = [
     "series",
@@ -118,11 +127,19 @@ class ExperimentReport:
 
 
 def config_violations(cfg: ExperimentConfig) -> list[str]:
+    """Every reason the config cannot run; empty list means it can.
+
+    Besides the instance invariants, m * n (the number of candidate disks
+    every solver tabulates) is at most ``MAX_DISKS`` and trials at most
+    ``MAX_TRIALS``.
+    """
     v = []
     if cfg.n < 1 or cfg.m < 1 or cfg.k < 1:
         v.append("n, m, and k must all be at least 1")
     elif cfg.m * cfg.k < cfg.n:
         v.append(f"total capacity m*k = {cfg.m * cfg.k} cannot cover n = {cfg.n} TDs")
+    if cfg.n * cfg.m > MAX_DISKS:
+        v.append(f"m*n = {cfg.m * cfg.n} candidate disks must be at most {MAX_DISKS}")
     if not (cfg.side > 0 and math.isfinite(cfg.side)):
         v.append(f"side length {cfg.side} must be positive and finite")
     else:
@@ -131,8 +148,8 @@ def config_violations(cfg: ExperimentConfig) -> list[str]:
         corner = Instance.from_coords(aps=[(0, 0)], tds=[(cfg.side, cfg.side)], k=1,
                                       power_c=cfg.power_c, power_alpha=cfg.power_alpha)
         v.extend(validate_instance(corner))
-    if cfg.trials < 1:
-        v.append("trials must be at least 1")
+    if not 1 <= cfg.trials <= MAX_TRIALS:
+        v.append(f"trials must be between 1 and {MAX_TRIALS}")
     if cfg.seed < 0:
         v.append("seed must be non-negative")
     unknown = [a for a in cfg.algorithms if a not in ("mlr", "nca", "exact")]

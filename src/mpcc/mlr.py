@@ -17,6 +17,31 @@ their pre-round k_hat and d, then retire the covered TDs, shrink the
 chosen AP's capacity, and drop disks left with d = 0 or k_hat = 0.  The
 residual-power charge must precede the TD retirement because it is
 defined on the pre-assignment state.
+
+Rounds work on a head window.  An AP's disks split, along its rank
+order, into a head where d < k_hat and a suffix where d >= k_hat, so
+that a suffix disk's divisor is k_hat itself; d grows along a rank row,
+so the suffix is a rank suffix.  The solver keeps one window width hi
+such that every rank >= hi of every live AP is in the suffix, and it
+computes d, the divisors, the ratios and the argmin on ranks < hi only.
+This is exact, tie-break included:
+
+* A disk never leaves the head.  At the chosen AP, every surviving disk
+  contains all the TDs just covered, so its d falls by exactly as much
+  as k_hat.  At every other AP, k_hat stays and d can only fall.
+* So hi only grows, and a disk at rank >= hi now has been in the suffix
+  for the whole solve.  Each round charged every such disk of an AP the
+  same ``e * k_hat``, and a rounded subtraction of one amount keeps the
+  order of its operands, so p_hat stays nondecreasing along the AP's
+  suffix as long as the disk powers are nondecreasing along rank.
+  ``init_state`` checks that; an AP order that breaks it starts the
+  window at full width.
+* So an AP's least suffix ratio sits at its first suffix disk, which the
+  window contains (hi is grown until rank hi - 1 is a suffix disk of
+  every live AP), and the window's row-major argmin is the full one.
+
+Ranks >= hi are still charged every round, with the AP's ``e * k_hat``:
+the same float as ``e * min(k_hat, d)`` there.
 """
 
 import math
@@ -46,6 +71,10 @@ __all__ = [
 ]
 
 
+# Tables with fewer disks run every round at full width (see init_state).
+_WINDOW_MIN_DISKS = 8192
+
+
 class MlrInvariantError(RuntimeError):
     """A solver-state invariant failed; indicates a bug, not bad input."""
 
@@ -54,27 +83,41 @@ class MlrInvariantError(RuntimeError):
 class SolverState:
     """Mutable working state of one solve call, in rank space.
 
-    Per-disk arrays are ``(m, n)``: column r of row a0 is disk
+    Per-disk arrays are indexed ``[a0, r]``: entry r of row a0 is disk
     (a0, order[a0, r]), the disk of rank r at AP a0 + 1.  AP a0's live
     disks are exactly its ranks r >= ``first_live[a0]`` (n once the AP is
     retired): step 2 retires a rank prefix or the whole AP, ``d`` never
     decreases along a row so step 5's d = 0 disks form a prefix, and
     k_hat = 0 retires the whole AP.  Retired entries of ``p_hat`` hold
-    +inf, so they never win a selection.  ``div`` is min(k_hat, d) as of
-    the latest ``select_min_ratio`` call; the charge reuses it.  A state is
-    private to its solve call and must not be shared across threads.
+    +inf, so they never win a selection.
+
+    Rounds work on the window of ranks below ``hi`` (see the module
+    docstring), so ``d`` and ``div`` cover the window only, and the
+    residual powers are split at hi into ``p_win`` and ``p_sfx``, each
+    contiguous.  ``div`` is min(k_hat, d) as of the latest
+    ``select_min_ratio`` call; the charge reuses it.  ``live_ap`` lists
+    the APs with live disks.  A state is private to its solve call and
+    must not be shared across threads.
     """
 
     inst: Instance
     table: DiskOrder         # the disk order, (m, n) arrays
     live_td: np.ndarray      # (n,) bool
-    d: np.ndarray            # (m, n) int64, live TDs contained per disk
     k_hat: np.ndarray        # (m,) int64, residual capacity per AP
-    p_hat: np.ndarray        # (m, n) float64, residual power per disk
     first_live: np.ndarray   # (m,) int64, lowest live rank per AP
-    div: np.ndarray          # (m, n) int64, min(k_hat, d) at the last pick
+    live_ap: np.ndarray      # (m_live,) int64, APs with live disks
+    hi: int                  # window width; ranks >= hi are suffix disks
+    d: np.ndarray            # (m, hi) int64, live TDs contained per disk
+    div: np.ndarray          # (m, hi) float64, min(k_hat, d) at the last pick
+    p_win: np.ndarray        # (m, hi) float64, residual power per disk
+    p_sfx: np.ndarray        # (m, n - hi) float64, the same beyond the window
     selected: dict[int, int]       # AP id -> TD id of its latest disk
     covered_by: dict[int, list[int]]  # AP id -> covered TD ids
+
+    @property
+    def p_hat(self) -> np.ndarray:
+        """(m, n) copy of every disk's residual power."""
+        return np.concatenate((self.p_win, self.p_sfx), axis=1)
 
 
 @dataclass(frozen=True)
@@ -102,22 +145,53 @@ def init_state(inst: Instance) -> SolverState:
     table = disk_order(inst)
     m, n = inst.m, inst.n
     # No AP can take more than the n TDs, and k itself may exceed int64.
-    k_hat = np.full(m, min(inst.k, n), dtype=np.int64)
-    # With every TD live, the disk of rank r contains r + 1 of them.
-    d = np.empty((m, n), dtype=np.int64)
-    d[:] = np.arange(1, n + 1)
+    k_cap = min(inst.k, n)
+    p_hat = table.power[np.arange(m)[:, None], table.order]
+    # With every TD live, the disk of rank r contains r + 1 of them, so
+    # ranks >= k_cap - 1 are suffix disks.  The window also needs powers
+    # nondecreasing along rank, which pow does not promise.  On a small
+    # table the window costs more upkeep than it saves.
+    hi = n
+    if m * n >= _WINDOW_MIN_DISKS and (p_hat[:, 1:] >= p_hat[:, :-1]).all():
+        hi = k_cap
+    d = np.empty((m, hi), dtype=np.int64)
+    d[:] = np.arange(1, hi + 1)
     return SolverState(
         inst=inst,
         table=table,
         live_td=np.ones(n, dtype=bool),
-        d=d,
-        k_hat=k_hat,
-        p_hat=table.power[np.arange(m)[:, None], table.order],
+        k_hat=np.full(m, k_cap, dtype=np.int64),
         first_live=np.zeros(m, dtype=np.int64),
-        div=np.minimum(k_hat[:, None], d),
+        live_ap=np.arange(m),
+        hi=hi,
+        d=d,
+        div=np.empty((m, hi)),
+        p_win=np.ascontiguousarray(p_hat[:, :hi]),
+        p_sfx=np.ascontiguousarray(p_hat[:, hi:]),
         selected={},
         covered_by={},
     )
+
+
+def _widen(state: SolverState) -> None:
+    """Grow the window by quarters until rank hi - 1 is a suffix disk of
+    every AP with live disks (a retired AP has k_hat = 0) or it spans
+    every rank, counting the live TDs of each rank it takes in."""
+    m, n, hi = state.inst.m, state.inst.n, state.hi
+    order, k_hat = state.table.order, state.k_hat
+    parts = [state.d]
+    new = hi
+    while new < n and (parts[-1][:, -1] < k_hat).any():
+        stop = min(new + max(new // 4, 1), n)
+        part = np.cumsum(state.live_td[order[:, new:stop]], axis=1)
+        part += parts[-1][:, -1:]
+        parts.append(part)
+        new = stop
+    state.hi = new
+    state.d = np.concatenate(parts, axis=1)
+    state.div = np.empty((m, new))
+    state.p_win = np.concatenate((state.p_win, state.p_sfx[:, : new - hi]), axis=1)
+    state.p_sfx = state.p_sfx[:, new - hi :].copy()
 
 
 def local_ratio(p_hat: float, k_hat: int, d: int) -> float:
@@ -133,17 +207,18 @@ def select_min_ratio(state: SolverState) -> tuple[int, int]:
 
     The row-major argmin breaks exact ratio ties to the lowest AP id, then
     the lowest disk rank.  The returned disk always satisfies d <= k_hat.
+    Only the window is searched; the module docstring shows that it holds
+    the full minimum.
     """
-    n = state.inst.n
     first = state.first_live
-    live_ap = np.flatnonzero(first < n)
+    live_ap = state.live_ap
     if live_ap.size == 0:
         raise MlrInvariantError("select_min_ratio called with no live disks")
     div = np.minimum(state.k_hat[:, None], state.d, out=state.div)
     # d grows along a row, so an AP's smallest divisor sits at first_live.
     if div[live_ap, first[live_ap]].min() < 1:
         raise MlrInvariantError("live disk with degenerate ratio divisor")
-    a0, r = divmod(int((state.p_hat / div).argmin()), n)
+    a0, r = divmod(int((state.p_win / div).argmin()), state.hi)
     if r < first[a0]:
         raise MlrInvariantError(f"selected retired disk of AP {a0 + 1}")
     if state.d[a0, r] > state.k_hat[a0]:
@@ -162,10 +237,10 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     the module docstring.
     """
     a0, r = pick
-    n = state.inst.n
+    m, n, hi = state.inst.m, state.inst.n, state.hi
     order = state.table.order
     d_star, k_star = int(state.d[a0, r]), int(state.k_hat[a0])
-    e_star = local_ratio(float(state.p_hat[a0, r]), k_star, d_star)
+    e_star = local_ratio(float(state.p_win[a0, r]), k_star, d_star)
     first = state.first_live
     removed = []
 
@@ -186,23 +261,47 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
 
     # 3. Charge survivors before any counts change: the subtraction uses
     # each disk's pre-assignment min(k_hat, d), the divisor the selection
-    # used.  Retired entries hold +inf and keep it.
-    state.p_hat -= e_star * state.div
+    # used, which is the AP's k_hat beyond the window.  Retired entries
+    # hold +inf and keep it.
+    state.p_win -= e_star * state.div
+    if hi < n:
+        state.p_sfx -= (e_star * state.k_hat)[:, None]
 
     # 4. Retire covered TDs everywhere and shrink the chosen AP's capacity
     # by the number just assigned.  A disk's live count is the number of
     # live TDs up to its rank in its AP's order.
+    c = covered0.size
     state.live_td[covered0] = False
-    np.cumsum(state.live_td[order], axis=1, out=state.d)
-    state.k_hat[a0] -= covered0.size
+    state.k_hat[a0] -= c
+    if hi == n:
+        np.cumsum(state.live_td[order], axis=1, out=state.d)
+    else:
+        # A cumsum costs several times more per cell than a repeat, but
+        # takes fewer calls, which wins on the small tables that run at
+        # full width.  In a narrow window subtract the covered TDs at or
+        # below each rank: each row's covered ranks, cut at hi and sorted
+        # between the bounds 0 and hi, split it into c + 1 runs of equal
+        # drop.
+        steps = np.empty((m, c + 2), dtype=np.int64)
+        steps[:, 0] = 0
+        steps[:, 1] = hi
+        np.minimum(state.table.rank[:, covered0], hi, out=steps[:, 2:])
+        steps.sort(axis=1)
+        runs = (steps[:, 1:] - steps[:, :-1]).ravel()
+        state.d -= np.repeat(np.arange(m * (c + 1)) % (c + 1), runs).reshape(m, hi)
+    if hi < n and (state.d[:, -1] < state.k_hat).any():
+        _widen(state)
 
     # 5. Drop disks that can no longer contribute: the whole chosen AP once
     # its capacity is spent, and every AP's new prefix of d = 0 disks.
     if state.k_hat[a0] <= 0:
         _retire(state, a0, n, removed)
     # A row of d never decreases, so only an AP whose first live disk now
-    # has d = 0 loses disks, and its zeros are a prefix of the row.
-    live_ap = np.flatnonzero(first < n)
+    # has d = 0 loses disks, and its zeros are a prefix of the row; they
+    # lie inside the window, since rank hi - 1 has d >= k_hat > 0.  Only
+    # a round that leaves no TD retires a whole row here, so ``live_ap``
+    # stays right for the next selection.
+    live_ap = state.live_ap = np.flatnonzero(first < n)
     for a in live_ap[state.d[live_ap, first[live_ap]] == 0]:
         _retire(state, a, int(np.searchsorted(state.d[a], 1)), removed)
     return e_star, tuple(covered_ids), np.concatenate(removed)
@@ -213,7 +312,9 @@ def _retire(state: SolverState, a0: int, stop: int, removed: list) -> None:
     indices ``a0 * n + u0`` to ``removed``."""
     start = state.first_live[a0]
     if stop > start:
-        state.p_hat[a0, start:stop] = math.inf
+        state.p_win[a0, start:stop] = math.inf
+        if stop > state.hi:  # the whole AP; its lower ranks are retired already
+            state.p_sfx[a0] = math.inf
         removed.append(state.table.order[a0, start:stop] + a0 * state.inst.n)
         state.first_live[a0] = stop
 

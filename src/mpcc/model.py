@@ -23,6 +23,7 @@ and the checker read containment from them.
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -182,17 +183,37 @@ def _key_fields(dx: np.ndarray, dy: np.ndarray):
     return rsq, cos, y_sign
 
 
+# Smallest table sorted by radius first (see ``_key_order``).
+_ARGSORT_MIN_DISKS = 192
+
+
+def _key_order(rsq, cos, y_sign, rows) -> np.ndarray:
+    """Every row's TDs in ascending key order."""
+    if rsq.size >= _ARGSORT_MIN_DISKS:
+        # Distinct radii decide the order alone, and a plain sort of them
+        # plus the tie check is faster than the full key sort from about
+        # this many disks on; below it the check's fixed cost dominates.
+        order = np.argsort(rsq, axis=-1)
+        ranked = rsq[rows, order]
+        if not (ranked[:, 1:] == ranked[:, :-1]).any():
+            return order
+    # np.lexsort is stable, so TD ids break the remaining ties.
+    return np.lexsort((y_sign, cos, rsq), axis=-1)
+
+
 def disk_order(inst: Instance) -> DiskOrder:
     """Build the key order of all m*n candidate disks at once."""
     rsq, cos, y_sign = _key_fields(*_boundary_vectors(inst))
-    # np.lexsort is stable, so TD ids break the remaining ties.
-    order = np.lexsort((y_sign, cos, rsq), axis=-1)
+    rows = np.arange(inst.m)[:, None]
+    order = _key_order(rsq, cos, y_sign, rows)
     rank = np.empty_like(order)
-    rank[np.arange(inst.m)[:, None], order] = np.arange(inst.n)
-    # Scalar ``**`` per element, as in ``power_of``: numpy's vectorised
+    rank[rows, order] = np.arange(inst.n)
+    # Scalar pow per element, as ``**`` in ``power_of``: numpy's vectorised
     # power may differ from it in the last bits for non-integer exponents.
     c, e = inst.power_c, inst.power_alpha / 2.0
-    power = np.array([c * r ** e for r in rsq.ravel().tolist()], dtype=np.float64)
+    power = np.fromiter(map(math.pow, rsq.ravel().tolist(), repeat(e)),
+                        dtype=np.float64, count=rsq.size)
+    power *= c
     return DiskOrder(rsq, cos, y_sign, power.reshape(rsq.shape), order, rank)
 
 

@@ -209,6 +209,15 @@ def test_bench_rejects_invalid_config(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "out")) == cli.EXIT_VALIDATION
 
 
+def test_bench_rejects_sizes_beyond_its_bounds(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps([{"n": 10**30, "m": 10**30, "k": 1, "side": 40,
+                                     "trials": 1}]))
+    assert run_cli("bench", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "out")) == cli.EXIT_VALIDATION
+    assert "at most" in capsys.readouterr().err
+
+
 def test_solution_files_match_library_checker(tmp_path):
     inst_path = gen_instance(tmp_path)
     sol_path = tmp_path / "solution.json"

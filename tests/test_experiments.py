@@ -17,7 +17,7 @@ from mpcc import (
     utilization_variance,
     validate_instance,
 )
-from mpcc.experiments import config_violations, run_sweep
+from mpcc.experiments import MAX_DISKS, MAX_TRIALS, config_violations, run_sweep
 
 
 def small_cfg(**overrides):
@@ -160,6 +160,24 @@ def test_invalid_config_rejected():
     assert config_violations(small_cfg(power_alpha=6.0))
     assert config_violations(small_cfg(side=1e160))
     assert not config_violations(small_cfg())
+
+
+def test_config_size_bounds():
+    assert config_violations(small_cfg(n=10**30, m=10**30, k=1))
+    assert config_violations(small_cfg(n=MAX_DISKS + 1, m=1, k=MAX_DISKS + 1))
+    assert config_violations(small_cfg(n=1, m=MAX_DISKS + 1))
+    assert config_violations(small_cfg(n=5001, m=200, k=40))
+    assert config_violations(small_cfg(trials=MAX_TRIALS + 1))
+    for n, m in ((5000, 200), (MAX_DISKS, 1), (1, MAX_DISKS)):
+        assert not config_violations(small_cfg(n=n, m=m, k=-(-n // m), trials=MAX_TRIALS))
+
+
+def test_config_at_the_disk_bound_runs():
+    # one of the largest accepted tables; mlr and nca take a few seconds
+    cfg = small_cfg(n=5000, m=200, k=40, trials=1)
+    assert cfg.n * cfg.m == MAX_DISKS and not config_violations(cfg)
+    report = run_experiment(cfg)
+    assert [s.completion_rate for s in report.summary.values()] == [1.0, 1.0]
 
 
 def test_preset_one_ties_ap_count_to_td_count():

@@ -6,18 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcc import (
+    ExperimentConfig,
     InfeasibleInstanceError,
     Instance,
     MlrInvariantError,
     apply_selection,
     assemble_solution,
     check_feasible,
+    generate_instance,
     init_state,
     local_ratio,
     select_min_ratio,
     solution_to_json,
     solve_mlr,
 )
+from mpcc import mlr
 
 from oracles import mlr_flat_reference, mlr_reference, random_instance
 
@@ -145,20 +148,42 @@ def test_infeasible_without_validation_raises():
         solve_mlr(inst)
 
 
+def _window_on_every_table(monkeypatch):
+    """Let tables of any size use the head window (see ``init_state``)."""
+    monkeypatch.setattr(mlr, "_WINDOW_MIN_DISKS", 0)
+
+
 def _step_through(inst):
     """Drive the solver loop op by op, asserting the state invariants."""
     state = init_state(inst)
     power = state.p_hat.copy()  # full disk powers in rank space
+    order = state.table.order
     rounds = 0
     last_rank = {}
+    last_hi = state.hi
     while state.live_td.any():
         live = live_mask(state)
         assert live.any()
         rounds += 1
         assert rounds <= inst.n  # progress: every round covers a TD
-        assert (state.d[live] >= 1).all()
+        d = np.cumsum(state.live_td[order], axis=1)  # full live counts
+        hi = state.hi
+        assert last_hi <= hi  # the window only grows
+        last_hi = hi
+        assert (state.d == d[:, :hi]).all()
+        assert (d[live] >= 1).all()
         assert (np.broadcast_to(state.k_hat[:, None], live.shape)[live] >= 1).all()
+        # From rank hi - 1 on (rank hi at full width), every live AP's
+        # disks are suffix disks, d >= k_hat, with p_hat nondecreasing.
+        live_ap = state.first_live < inst.n
+        lo = hi - 1 if hi < inst.n else hi
+        assert (d[live_ap, lo:] >= state.k_hat[live_ap, None]).all()
+        assert (np.diff(state.p_hat[live_ap, lo:], axis=1) >= 0).all()
+        # The window's pick is the full row-major argmin.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(live, state.p_hat / np.minimum(state.k_hat[:, None], d), np.inf)
         a0, r = select_min_ratio(state)
+        assert (a0, r) == divmod(int(ratio.argmin()), inst.n)
         assert state.d[a0, r] <= state.k_hat[a0]
         if a0 in last_rank:
             assert last_rank[a0] < r  # l_a only ever grows
@@ -183,9 +208,11 @@ def test_solver_invariants_on_random_instances(seed, m, n, k, alpha):
         n = m * k
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, m=m, n=n, k=k, power_alpha=alpha)
-    sol = _step_through(inst)
+    with pytest.MonkeyPatch.context() as mp:
+        _window_on_every_table(mp)
+        sol = _step_through(inst)
     assert check_feasible(sol, inst) == []
-    assert sol == solve_mlr(inst)
+    assert sol == solve_mlr(inst)  # at full width: tables this small skip the window
 
 
 def test_coverage_never_exceeds_capacity_on_tight_instances():
@@ -268,3 +295,70 @@ def test_capacity_beyond_int64_matches_k_equals_n(seed):
     inst = random_instance(rng, m=int(rng.integers(1, 4)), n=n, k=n)
     huge = Instance(aps=inst.aps, tds=inst.tds, k=10**30)
     assert _solve_bytes(huge) == _solve_bytes(inst)
+
+
+def _window_widths(inst):
+    """The window width ``hi`` at the start of every round of a solve."""
+    state = init_state(inst)
+    widths = []
+    while state.live_td.any():
+        widths.append(state.hi)
+        apply_selection(state, select_min_ratio(state))
+    return widths
+
+
+def _narrow_window_instances():
+    rng = np.random.default_rng(5150)
+    for i in range(20):
+        n = int(rng.integers(150, 601))
+        k = int(rng.integers(8, 26))
+        m = -(-n // k) + int(rng.integers(0, 4))
+        params = dict(k=k, power_alpha=float((1.0, 2.5, 3.7)[i % 3]))
+        if i % 2:
+            # integer grids force coincident points and exact radius ties
+            yield Instance.from_coords(aps=rng.integers(0, 12, (m, 2)).tolist(),
+                                       tds=rng.integers(0, 12, (n, 2)).tolist(), **params)
+        else:
+            yield random_instance(rng, m=m, n=n, **params)
+
+
+def test_narrow_window_matches_flat_array_reference_bytes(monkeypatch):
+    _window_on_every_table(monkeypatch)
+    rounds = narrow = 0
+    for i, inst in enumerate(_narrow_window_instances()):
+        ref, docs = mlr_flat_reference(inst)
+        expected = (solution_to_json(ref, inst), json.dumps(docs))
+        assert _solve_bytes(inst) == expected, inst
+        widths = _window_widths(inst)
+        rounds += len(widths)
+        narrow += sum(w < inst.n for w in widths)
+        if i < 4:
+            assert _step_through(inst) == ref
+    # the window is narrower than n in most rounds, so the test reaches it
+    assert narrow > rounds / 2
+
+
+def test_non_monotone_power_row_starts_at_full_width(monkeypatch):
+    # pow is not promised monotone; a row whose powers fall along rank
+    # must turn the window off and leave the output unchanged
+    inst = random_instance(np.random.default_rng(99), m=6, n=120, k=25)
+    table = mlr.disk_order(inst)
+    power = table.power.copy()
+    first, second = table.order[2, :2]
+    power[2, second] = 0.5 * power[2, first]
+    patched = table._replace(power=power)
+    assert power[2, second] < power[2, first]
+    monkeypatch.setattr(mlr, "disk_order", lambda _: patched)
+    monkeypatch.setattr("oracles.disk_order", lambda _: patched)
+    _window_on_every_table(monkeypatch)
+    assert init_state(inst).hi == inst.n
+    ref, docs = mlr_flat_reference(inst)
+    assert _solve_bytes(inst) == (solution_to_json(ref, inst), json.dumps(docs))
+
+
+def test_window_stays_narrow_on_the_solve_large_instance():
+    # the benchmark's n=1000, m=40 instance; a silent fall-back to
+    # full-width rounds would read 1
+    inst = generate_instance(ExperimentConfig(n=1000, m=40, k=40, side=40.0, seed=1729), 0)
+    widths = _window_widths(inst)
+    assert np.mean(widths) / inst.n < 0.5

@@ -338,6 +338,22 @@ def test_disk_order_equals_scalar_key_and_power_bits(alpha):
     assert (table.power.ravel().view(np.uint64) == np.array(expected).view(np.uint64)).all()
 
 
+@pytest.mark.parametrize("n", [5, 48, 300])
+def test_disk_order_with_distinct_radii_equals_scalar_key_order(n):
+    # no radius repeats within a row, so from 4 * 48 disks on the order
+    # comes from the radii alone; one mirrored TD then forces the full
+    # key sort
+    rng = np.random.default_rng(n)
+    aps = (rng.random((4, 2)) * 40).tolist()
+    tds = (rng.random((n, 2)) * 40).tolist()
+    for extra in ([], [[2 * aps[1][0] - tds[0][0], tds[0][1]]]):
+        inst = Instance.from_coords(aps=aps, tds=tds + extra, k=n + 1)
+        table = disk_order(inst)
+        for a in range(1, inst.m + 1):
+            keys = [disk_key(inst, a, u) for u in range(1, inst.n + 1)]
+            assert table.order[a - 1].tolist() == sorted(range(inst.n), key=keys.__getitem__)
+
+
 def _mutations(rng, inst, sol):
     """Solutions derived from ``sol`` that break it in chosen ways."""
     n = inst.n
