@@ -62,6 +62,7 @@ from .model import (
     disk_order,
     distance_sq,
     make_disk,
+    pair_order,
     power_of,
     validate_instance,
 )

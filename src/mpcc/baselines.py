@@ -12,8 +12,6 @@ that pass ``check_feasible``.
 from dataclasses import dataclass
 from time import perf_counter
 
-import numpy as np
-
 from .model import (
     Disk,
     Instance,
@@ -21,6 +19,7 @@ from .model import (
     Solution,
     disk_order,
     make_disk,
+    pair_order,
 )
 
 __all__ = [
@@ -41,25 +40,23 @@ STATUS_BUDGET_EXCEEDED = "budget_exceeded"
 def solve_nca(inst: Instance) -> Solution:
     """Nearest-capable-access greedy.
 
-    Pairs are ranked by the candidate disk's key (so equal distances
-    reuse the deterministic disk order) with the AP id as the final tie
-    break.  Scanning the pairs once in that order is equivalent to
-    repeatedly taking the closest available pair, because a pair skipped
-    for a covered TD or a full AP never becomes available again.
+    Pairs are ranked by the candidate disk's key, then the TD id, then
+    the AP id (``pair_order``).  Scanning the pairs once in that order is
+    equivalent to repeatedly taking the closest available pair, because a
+    pair skipped for a covered TD or a full AP never becomes available
+    again.  Restricted to one AP, this order is the AP's disk order (key,
+    then TD id), so the last TD assigned to an AP is the boundary TD of
+    the largest-keyed disk among its assigned TDs.
     """
-    table = disk_order(inst)
     m, n = inst.m, inst.n
-    ap_index, td_index = np.divmod(np.arange(m * n), n)
-    # np.lexsort sorts by its last key first: the disk key, then the AP.
-    keys = (ap_index, td_index, table.y_sign.ravel(), table.cos.ravel(), table.rsq.ravel())
     spare = [inst.k] * m
     covered = [False] * n
     assigned: dict[int, list[int]] = {}
     remaining = n
-    for i in np.lexsort(keys).tolist():
+    for i in pair_order(inst).tolist():
         if remaining == 0:
             break
-        a0, u0 = divmod(i, n)
+        u0, a0 = divmod(i, m)
         if covered[u0] or spare[a0] == 0:
             continue
         covered[u0] = True
@@ -77,8 +74,7 @@ def solve_nca(inst: Instance) -> Solution:
     total = 0.0
     for ap_id in sorted(assigned):
         tds = assigned[ap_id]
-        largest = max(tds, key=lambda u: table.rank[ap_id - 1, u - 1])
-        d = make_disk(inst, ap_id, largest)
+        d = make_disk(inst, ap_id, tds[-1])
         selected[ap_id] = d
         coverage[ap_id] = frozenset(tds)
         total += d.power

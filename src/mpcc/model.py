@@ -17,8 +17,9 @@ contains TD v exactly when v's own disk at the same center does not rank
 above D.  Equal-radius boundary ties therefore resolve deterministically,
 and of two same-radius disks at one AP the greater-keyed one contains
 both boundary TDs while the lesser contains only its own.  ``disk_order``
-builds this order for every AP at once as rank tables, and every solver
-and the checker read containment from them.
+builds this order for every AP at once as rank tables, from which MLR
+and the exact solver read containment; ``pair_order`` sorts all (AP, TD)
+pairs by the same key for NCA.
 """
 
 import math
@@ -39,6 +40,7 @@ __all__ = [
     "power_of",
     "make_disk",
     "disk_order",
+    "pair_order",
     "validate_instance",
     "check_feasible",
 ]
@@ -188,7 +190,8 @@ _ARGSORT_MIN_DISKS = 192
 
 
 def _key_order(rsq, cos, y_sign, rows) -> np.ndarray:
-    """Every row's TDs in ascending key order."""
+    """Each row's column indices in ascending key order: one AP's TDs per
+    row in ``disk_order``, all (TD, AP) pairs as one row in ``pair_order``."""
     if rsq.size >= _ARGSORT_MIN_DISKS:
         # Distinct radii decide the order alone, and a plain sort of them
         # plus the tie check is faster than the full key sort from about
@@ -197,7 +200,7 @@ def _key_order(rsq, cos, y_sign, rows) -> np.ndarray:
         ranked = rsq[rows, order]
         if not (ranked[:, 1:] == ranked[:, :-1]).any():
             return order
-    # np.lexsort is stable, so TD ids break the remaining ties.
+    # np.lexsort is stable, so column indices break the remaining ties.
     return np.lexsort((y_sign, cos, rsq), axis=-1)
 
 
@@ -215,6 +218,17 @@ def disk_order(inst: Instance) -> DiskOrder:
                         dtype=np.float64, count=rsq.size)
     power *= c
     return DiskOrder(rsq, cos, y_sign, power.reshape(rsq.shape), order, rank)
+
+
+def pair_order(inst: Instance) -> np.ndarray:
+    """All m*n (AP, TD) pairs in ascending (disk key, TD id, AP id) order.
+
+    Pair (a0, u0) is the flat index ``u0 * m + a0``, so the stable key
+    sort breaks disk-key ties by TD, then AP.
+    """
+    dx, dy = _boundary_vectors(inst)
+    rsq, cos, y_sign = _key_fields(dx.T.reshape(1, -1), dy.T.reshape(1, -1))
+    return _key_order(rsq, cos, y_sign, np.zeros((1, 1), dtype=np.intp))[0]
 
 
 def validate_instance(inst: Instance) -> list[str]:

@@ -12,7 +12,14 @@ import math
 
 import numpy as np
 
-from mpcc import Instance, Solution, disk_order, distance_sq, make_disk
+from mpcc import (
+    InfeasibleInstanceError,
+    Instance,
+    Solution,
+    disk_order,
+    distance_sq,
+    make_disk,
+)
 
 
 def disk_key(inst, ap_id, td_id) -> tuple[float, float, int, int]:
@@ -306,3 +313,48 @@ def mlr_flat_reference(inst):
         total += sel[a].power
     coverage = {a: frozenset(covered_by[a]) for a in sorted(covered_by)}
     return Solution(selected=sel, coverage=coverage, total_power=total), docs
+
+
+def nca_reference(inst):
+    """The nearest-capable-access greedy over the full disk order.
+
+    The NCA solver as it stood before it sorted the (TD, AP) pairs on its
+    own: a five-key ``np.lexsort`` of the ``disk_order`` fields, then TD,
+    then AP, and each AP's disk the assigned TD of largest rank.
+    """
+    table = disk_order(inst)
+    m, n = inst.m, inst.n
+    ap_index, td_index = np.divmod(np.arange(m * n), n)
+    # np.lexsort sorts by its last key first: the disk key, then the AP.
+    keys = (ap_index, td_index, table.y_sign.ravel(), table.cos.ravel(), table.rsq.ravel())
+    spare = [inst.k] * m
+    covered = [False] * n
+    assigned: dict[int, list[int]] = {}
+    remaining = n
+    for i in np.lexsort(keys).tolist():
+        if remaining == 0:
+            break
+        a0, u0 = divmod(i, n)
+        if covered[u0] or spare[a0] == 0:
+            continue
+        covered[u0] = True
+        spare[a0] -= 1
+        assigned.setdefault(a0 + 1, []).append(u0 + 1)
+        remaining -= 1
+    if remaining:
+        raise InfeasibleInstanceError(
+            "NCA exhausted all capacity with TDs uncovered; "
+            "the instance violates m*k >= n"
+        )
+
+    selected = {}
+    coverage = {}
+    total = 0.0
+    for ap_id in sorted(assigned):
+        tds = assigned[ap_id]
+        largest = max(tds, key=lambda u: table.rank[ap_id - 1, u - 1])
+        d = make_disk(inst, ap_id, largest)
+        selected[ap_id] = d
+        coverage[ap_id] = frozenset(tds)
+        total += d.power
+    return Solution(selected=selected, coverage=coverage, total_power=total)

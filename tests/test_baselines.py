@@ -16,11 +16,14 @@ from mpcc import (
     solve_exact,
     solve_mlr,
     solve_nca,
+    solution_to_json,
 )
+from mpcc.model import _ARGSORT_MIN_DISKS
 
 from oracles import (
     enumerate_optimal_total,
     feasible_small_config,
+    nca_reference,
     product_assignment_exists,
     random_instance,
 )
@@ -60,6 +63,72 @@ def test_nca_infeasible_without_validation():
     inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (2, 0)], k=1)
     with pytest.raises(InfeasibleInstanceError):
         solve_nca(inst)
+
+
+def test_nca_breaks_key_ties_by_td_then_ap():
+    # TD 4 is nearest; the other pairs all tie on the disk key (coincident
+    # APs, coincident TDs), so only the TD-then-AP order places them.
+    inst = Instance.from_coords(aps=[(0, 0), (0, 0)],
+                                tds=[(3, 4), (3, 4), (3, 4), (1, 0)], k=2)
+    sol = solve_nca(inst)
+    assert sol.coverage == {1: frozenset({1, 4}), 2: frozenset({2, 3})}
+    assert {a: d.td_id for a, d in sol.selected.items()} == {1: 1, 2: 3}
+    assert sol.total_power == 50
+
+
+def test_nca_does_not_build_the_disk_order(monkeypatch):
+    def refuse(inst):
+        raise AssertionError("solve_nca built the full disk order")
+
+    monkeypatch.setattr("mpcc.baselines.disk_order", refuse)
+    inst = random_instance(np.random.default_rng(8), m=5, n=60, k=12)
+    assert check_feasible(solve_nca(inst), inst) == []
+
+
+def _nca_differential_instances():
+    rng = np.random.default_rng(6174)
+    for i in range(480):
+        m = int(rng.integers(1, 9))
+        if i % 3 == 0:
+            n = int(rng.integers(1, 41))
+            k = int(rng.integers(n, 2 * n + 1))
+        elif i % 3 == 1:
+            k = int(rng.integers(1, 6))
+            n = m * k
+        else:
+            n = int(rng.integers(1, 41))
+            lo = -(-n // m)
+            k = int(rng.integers(lo, lo + 4))
+        params = dict(k=k, power_c=float(rng.choice([0.3, 1.0, 7.0])),
+                      power_alpha=float(rng.choice([1.0, 2.0, 2.5, 3.7, 4.0])))
+        if i % 2:
+            # integer grids force coincident points and exact radius ties
+            aps = rng.integers(0, 5, (m, 2)).tolist()
+            tds = rng.integers(0, 5, (n, 2)).tolist()
+        else:
+            aps = (rng.random((m, 2)) * 40).tolist()
+            tds = (rng.random((n, 2)) * 40).tolist()
+        if i % 5 == 0:
+            # coincident APs, coincident TDs and an AP on a TD, also in floats
+            aps[-1] = aps[0]
+            tds[-1] = tds[0]
+            tds[n // 2] = aps[m // 2]
+        yield Instance.from_coords(aps=aps, tds=tds, **params)
+    for n, m, k in ((300, 12, 25), (300, 12, 40), (280, 4, 300), (310, 13, 24)):
+        yield random_instance(rng, m=m, n=n, k=k)
+        yield Instance.from_coords(aps=rng.integers(0, 12, (m, 2)).tolist(),
+                                   tds=rng.integers(0, 12, (n, 2)).tolist(), k=k)
+
+
+def test_nca_matches_disk_order_reference_bytes():
+    sizes = []
+    for inst in _nca_differential_instances():
+        expected = solution_to_json(nca_reference(inst), inst)
+        assert solution_to_json(solve_nca(inst), inst) == expected, inst
+        sizes.append(inst.m * inst.n)
+    assert len(sizes) >= 480
+    assert min(sizes) < _ARGSORT_MIN_DISKS <= max(sizes)
+    assert sum(s >= _ARGSORT_MIN_DISKS for s in sizes) >= 50
 
 
 # ---------------------------------------------------------------------------
