@@ -56,11 +56,9 @@ from .model import (
     DiskOrder,
     InfeasibleInstanceError,
     Instance,
-    Point,
     Solution,
     check_feasible,
     disk_order,
-    distance_sq,
     make_disk,
     pair_order,
     power_of,

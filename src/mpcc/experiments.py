@@ -166,13 +166,7 @@ def generate_instance(cfg: ExperimentConfig, trial_index: int) -> Instance:
     )
     ap_xy = gen.random((cfg.m, 2)) * cfg.side
     td_xy = gen.random((cfg.n, 2)) * cfg.side
-    return Instance.from_coords(
-        aps=ap_xy.tolist(),
-        tds=td_xy.tolist(),
-        k=cfg.k,
-        power_c=cfg.power_c,
-        power_alpha=cfg.power_alpha,
-    )
+    return Instance.from_coords(ap_xy, td_xy, cfg.k, cfg.power_c, cfg.power_alpha)
 
 
 def utilization_variance(sol: Solution, inst: Instance) -> float:

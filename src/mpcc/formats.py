@@ -65,8 +65,8 @@ def instance_to_json(inst: Instance) -> str:
         "c": float(inst.power_c),
         "alpha": float(inst.power_alpha),
         "k": int(inst.k),
-        "aps": [[p.x, p.y] for p in inst.aps],
-        "tds": [[p.x, p.y] for p in inst.tds],
+        "aps": inst.ap_xy.tolist(),
+        "tds": inst.td_xy.tolist(),
     }
     return _dump(doc) + "\n"
 

@@ -1,12 +1,14 @@
 """Core model: plane geometry, the candidate disk family, and feasibility.
 
 An instance places m access points (APs) and n terminal devices (TDs) in
-the plane.  Every AP has the same integer service capacity k, and serving
-out to radius r costs ``power_c * r ** power_alpha``.  Each (AP, TD) pair
-induces one candidate disk centered at the AP with that TD on its
-boundary, so an instance has exactly m*n candidate disks.  A solution
-selects at most one disk per AP and assigns every TD to exactly one AP
-whose selected disk contains it, minimising the total selected power.
+the plane, held as two read-only float64 coordinate arrays ``ap_xy``
+``(m, 2)`` and ``td_xy`` ``(n, 2)`` whose row i is id i + 1.  Every AP
+has the same integer service capacity k, and serving out to radius r
+costs ``power_c * r ** power_alpha``.  Each (AP, TD) pair induces one
+candidate disk centered at the AP with that TD on its boundary, so an
+instance has exactly m*n candidate disks.  A solution selects at most
+one disk per AP and assigns every TD to exactly one AP whose selected
+disk contains it, minimising the total selected power.
 
 Disks sharing a center are strictly totally ordered by their key: radius
 first, then the cosine of the angle between the boundary vector and the
@@ -30,13 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "Point",
     "Instance",
     "Disk",
     "DiskOrder",
     "Solution",
     "InfeasibleInstanceError",
-    "distance_sq",
     "power_of",
     "make_disk",
     "disk_order",
@@ -54,51 +54,55 @@ class InfeasibleInstanceError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
+def _xy(points) -> np.ndarray:
+    """A read-only float64 copy of ``points`` with shape ``(N, 2)``."""
+    xy = np.array(points, dtype=np.float64)
+    if xy.shape == (0,):
+        xy = xy.reshape(0, 2)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"expected a list of (x, y) points, got shape {xy.shape}")
+    xy.flags.writeable = False
+    return xy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A capacitated coverage instance.
 
-    APs and TDs carry 1-based ids matching their position in ``aps`` /
-    ``tds``.  All APs share the capacity ``k``; coverage power follows
-    ``power_c * r ** power_alpha`` for service radius r.  Instances are
-    immutable and safe to share across threads.
+    Row i of the read-only float64 arrays ``ap_xy`` ``(m, 2)`` and
+    ``td_xy`` ``(n, 2)`` holds AP (TD) id i + 1.  All APs share the
+    capacity ``k``; coverage power follows ``power_c * r ** power_alpha``
+    for service radius r.  Build instances with ``from_coords``, which
+    copies its input.  Instances are immutable and safe to share across
+    threads.  Two are equal when k, the power law and both arrays are
+    equal; like their arrays, instances are unhashable.
     """
 
-    aps: tuple[Point, ...]
-    tds: tuple[Point, ...]
+    ap_xy: np.ndarray
+    td_xy: np.ndarray
     k: int
     power_c: float = 1.0
     power_alpha: float = 2.0
 
     @property
     def m(self) -> int:
-        return len(self.aps)
+        return len(self.ap_xy)
 
     @property
     def n(self) -> int:
-        return len(self.tds)
+        return len(self.td_xy)
 
-    def ap(self, ap_id: int) -> Point:
-        return self.aps[ap_id - 1]
-
-    def td(self, td_id: int) -> Point:
-        return self.tds[td_id - 1]
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (self.k == other.k and self.power_c == other.power_c
+                and self.power_alpha == other.power_alpha
+                and np.array_equal(self.ap_xy, other.ap_xy)
+                and np.array_equal(self.td_xy, other.td_xy))
 
     @classmethod
     def from_coords(cls, aps, tds, k, power_c=1.0, power_alpha=2.0) -> "Instance":
-        return cls(
-            aps=tuple(Point(float(x), float(y)) for x, y in aps),
-            tds=tuple(Point(float(x), float(y)) for x, y in tds),
-            k=int(k),
-            power_c=float(power_c),
-            power_alpha=float(power_alpha),
-        )
+        return cls(_xy(aps), _xy(tds), int(k), float(power_c), float(power_alpha))
 
 
 @dataclass(frozen=True)
@@ -114,17 +118,12 @@ class Disk:
 class DiskOrder(NamedTuple):
     """The disk order of every AP as ``(m, n)`` arrays.
 
-    Row ``a0`` belongs to AP ``a0 + 1`` and column ``u0`` to TD ``u0 + 1``.
-    ``rsq``, ``cos`` and ``y_sign`` are the key fields of disk (a0, u0)
-    (``y_sign`` is 0 for boundary vectors with y >= 0, 1 otherwise) and
-    ``power`` its power.  ``order[a0]`` lists AP a0's TDs in ascending key
-    order and ``rank`` is its inverse, so disk (a0, u0) contains TD v0
-    exactly when ``rank[a0, v0] <= rank[a0, u0]``.
+    Row ``a0`` belongs to AP ``a0 + 1`` and column ``u0`` to TD ``u0 + 1``;
+    ``power`` is the power of disk (a0, u0).  ``order[a0]`` lists AP a0's
+    TDs in ascending key order and ``rank`` is its inverse, so disk
+    (a0, u0) contains TD v0 exactly when ``rank[a0, v0] <= rank[a0, u0]``.
     """
 
-    rsq: np.ndarray
-    cos: np.ndarray
-    y_sign: np.ndarray
     power: np.ndarray
     order: np.ndarray
     rank: np.ndarray
@@ -144,12 +143,6 @@ class Solution:
     total_power: float
 
 
-def distance_sq(p: Point, q: Point) -> float:
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return dx * dx + dy * dy
-
-
 def power_of(radius_sq: float, c: float, alpha: float) -> float:
     """Power needed for a disk of squared radius ``radius_sq``.
 
@@ -160,14 +153,17 @@ def power_of(radius_sq: float, c: float, alpha: float) -> float:
 
 
 def make_disk(inst: Instance, ap_id: int, td_id: int) -> Disk:
-    rsq = distance_sq(inst.ap(ap_id), inst.td(td_id))
+    # ``item`` yields Python floats, so the power is the scalar ``**``.
+    a, u = ap_id - 1, td_id - 1
+    dx = inst.ap_xy.item(a, 0) - inst.td_xy.item(u, 0)
+    dy = inst.ap_xy.item(a, 1) - inst.td_xy.item(u, 1)
+    rsq = dx * dx + dy * dy
     return Disk(ap_id, td_id, rsq, power_of(rsq, inst.power_c, inst.power_alpha))
 
 
 def _boundary_vectors(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """``(dx, dy)`` of every AP-to-TD vector as ``(m, n)`` arrays."""
-    xy = np.array([(p.x, p.y) for p in inst.aps + inst.tds], dtype=np.float64)
-    ap, td = xy.reshape(-1, 2)[: inst.m], xy.reshape(-1, 2)[inst.m :]
+    ap, td = inst.ap_xy, inst.td_xy
     return td[:, 0] - ap[:, 0, None], td[:, 1] - ap[:, 1, None]
 
 
@@ -217,7 +213,7 @@ def disk_order(inst: Instance) -> DiskOrder:
     power = np.fromiter(map(math.pow, rsq.ravel().tolist(), repeat(e)),
                         dtype=np.float64, count=rsq.size)
     power *= c
-    return DiskOrder(rsq, cos, y_sign, power.reshape(rsq.shape), order, rank)
+    return DiskOrder(power.reshape(rsq.shape), order, rank)
 
 
 def pair_order(inst: Instance) -> np.ndarray:
@@ -244,10 +240,11 @@ def validate_instance(inst: Instance) -> list[str]:
         v.append(
             f"total capacity m*k = {inst.m * inst.k} cannot cover n = {inst.n} TDs"
         )
-    for label, pts in (("AP", inst.aps), ("TD", inst.tds)):
-        for i, p in enumerate(pts, start=1):
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                v.append(f"{label} {i} has non-finite coordinates")
+    for label, xy in (("AP", inst.ap_xy), ("TD", inst.td_xy)):
+        finite = np.isfinite(xy)
+        if not finite.all():
+            bad = np.flatnonzero(~finite.all(axis=1)) + 1
+            v.extend(f"{label} {i} has non-finite coordinates" for i in bad.tolist())
     if not (inst.power_c > 0 and math.isfinite(inst.power_c)):
         v.append(f"power constant c={inst.power_c} must be positive and finite")
     if not (1.0 <= inst.power_alpha <= 5.0):
@@ -274,8 +271,8 @@ def _outside(inst: Instance, claims) -> set[tuple[int, int]]:
     if not claims:
         return set()
     ends = [(a, u) for a, u, _ in claims] + [(a, b) for a, _, b in claims]
-    vec = np.array([(inst.td(u).x - inst.ap(a).x, inst.td(u).y - inst.ap(a).y)
-                    for a, u in ends])
+    idx = np.array(ends) - 1
+    vec = inst.td_xy[idx[:, 1]] - inst.ap_xy[idx[:, 0]]
     rsq, cos, y_sign = _key_fields(vec[:, 0], vec[:, 1])
     keys = list(zip(rsq.tolist(), cos.tolist(), y_sign.tolist(), (u for _, u in ends)))
     c = len(claims)

@@ -17,9 +17,9 @@ from mpcc import (
     Instance,
     Solution,
     disk_order,
-    distance_sq,
     make_disk,
 )
+from mpcc import model
 
 
 def disk_key(inst, ap_id, td_id) -> tuple[float, float, int, int]:
@@ -30,19 +30,25 @@ def disk_key(inst, ap_id, td_id) -> tuple[float, float, int, int]:
     x-axis; ``y_sign_rank`` is 0 for boundary vectors with y >= 0 and 1
     otherwise, and the TD id breaks the remaining ties.
     """
-    a = inst.ap(ap_id)
-    u = inst.td(td_id)
-    rsq = distance_sq(a, u)
+    ax, ay = inst.ap_xy[ap_id - 1].tolist()
+    ux, uy = inst.td_xy[td_id - 1].tolist()
+    dx = ux - ax
+    dy = uy - ay
+    rsq = dx * dx + dy * dy
     if rsq == 0.0:
         # Degenerate boundary vector; direction fields take a fixed value
         # and coincident TDs are ordered by id alone.
         return (0.0, 1.0, 0, td_id)
-    dx = u.x - a.x
-    dy = u.y - a.y
     cos = dx / math.sqrt(rsq)
     # sqrt rounding can push the quotient a hair past 1 in magnitude.
     cos = max(-1.0, min(1.0, cos))
     return (rsq, cos, 0 if dy >= 0.0 else 1, td_id)
+
+
+def key_fields(inst):
+    """The package's vectorised key fields ``(rsq, cos, y_sign)`` of every
+    disk as ``(m, n)`` arrays, the ones ``disk_order`` sorts by."""
+    return model._key_fields(*model._boundary_vectors(inst))
 
 
 def contains(d, td_id, inst) -> bool:
@@ -110,7 +116,7 @@ def check_feasible_reference(sol, inst) -> list[str]:
 def random_instance(rng, m, n, k, side=40.0, power_c=1.0, power_alpha=2.0) -> Instance:
     aps = rng.random((m, 2)) * side
     tds = rng.random((n, 2)) * side
-    return Instance.from_coords(aps=aps.tolist(), tds=tds.tolist(), k=k,
+    return Instance.from_coords(aps=aps, tds=tds, k=k,
                                 power_c=power_c, power_alpha=power_alpha)
 
 
@@ -323,10 +329,11 @@ def nca_reference(inst):
     then AP, and each AP's disk the assigned TD of largest rank.
     """
     table = disk_order(inst)
+    rsq, cos, y_sign = key_fields(inst)
     m, n = inst.m, inst.n
     ap_index, td_index = np.divmod(np.arange(m * n), n)
     # np.lexsort sorts by its last key first: the disk key, then the AP.
-    keys = (ap_index, td_index, table.y_sign.ravel(), table.cos.ravel(), table.rsq.ravel())
+    keys = (ap_index, td_index, y_sign.ravel(), cos.ravel(), rsq.ravel())
     spare = [inst.k] * m
     covered = [False] * n
     assigned: dict[int, list[int]] = {}

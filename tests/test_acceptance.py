@@ -35,7 +35,7 @@ from mpcc import (
 )
 from mpcc.baselines import STATUS_OPTIMAL
 
-from oracles import disk_key, product_assignment_exists, random_instance
+from oracles import disk_key, key_fields, product_assignment_exists, random_instance
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -281,8 +281,8 @@ def test_criterion_7_property_suite():
         base_total = solve_mlr(inst).total_power
         for t in (0.5, 3.0):
             scaled = Instance.from_coords(
-                aps=[(p.x * t, p.y * t) for p in inst.aps],
-                tds=[(p.x * t, p.y * t) for p in inst.tds],
+                aps=inst.ap_xy * t,
+                tds=inst.td_xy * t,
                 k=inst.k, power_c=inst.power_c, power_alpha=alpha,
             )
             if _selection_sequence(scaled) != base_seq:
@@ -298,8 +298,8 @@ def test_criterion_7_property_suite():
     base_seq = _selection_sequence(inst)
     for sx, sy in ((13.25, -6.5), (1.2345678, 98.7654321)):
         moved = Instance.from_coords(
-            aps=[(p.x + sx, p.y + sy) for p in inst.aps],
-            tds=[(p.x + sx, p.y + sy) for p in inst.tds],
+            aps=inst.ap_xy + (sx, sy),
+            tds=inst.td_xy + (sx, sy),
             k=inst.k,
         )
         if _selection_sequence(moved) != base_seq:
@@ -345,7 +345,7 @@ def test_criterion_7_property_suite():
                 problems.append(f"rank order contradicts the key order for {a} vs {b}")
         if r1 == r2:
             problems.append(f"distinct TDs share a rank: {k1}, {k2}")
-        rsq, cos = table.rsq[0], table.cos[0]
+        rsq, cos, _ = (f[0] for f in key_fields(inst2))
         if rsq[0] == rsq[1] and cos[0] != cos[1]:
             if (cos[0] > cos[1]) != (r1 > r2):
                 problems.append("equal-radius order contradicts the cosine rule")

@@ -232,15 +232,15 @@ def test_exact_is_label_invariant():
     base = solve_exact(inst).solution.total_power
     for perm in itertools.islice(itertools.permutations(range(inst.n)), 5):
         shuffled = Instance.from_coords(
-            aps=[(p.x, p.y) for p in inst.aps],
-            tds=[(inst.tds[i].x, inst.tds[i].y) for i in perm],
+            aps=inst.ap_xy,
+            tds=inst.td_xy[list(perm)],
             k=inst.k,
         )
         assert math.isclose(solve_exact(shuffled).solution.total_power, base,
                             rel_tol=1e-12)
     ap_flip = Instance.from_coords(
-        aps=[(p.x, p.y) for p in reversed(inst.aps)],
-        tds=[(p.x, p.y) for p in inst.tds],
+        aps=inst.ap_xy[::-1],
+        tds=inst.td_xy,
         k=inst.k,
     )
     assert math.isclose(solve_exact(ap_flip).solution.total_power, base, rel_tol=1e-12)

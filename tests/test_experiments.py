@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -44,8 +45,21 @@ def test_generated_coordinates_stay_in_the_square():
     cfg = small_cfg(side=15.0)
     for trial in range(5):
         inst = generate_instance(cfg, trial)
-        for p in (*inst.aps, *inst.tds):
-            assert 0 <= p.x <= 15 and 0 <= p.y <= 15
+        for xy in (inst.ap_xy, inst.td_xy):
+            assert ((0 <= xy) & (xy <= 15)).all()
+
+
+def test_generated_instance_memory_is_two_coordinate_arrays():
+    # 200 000 TDs take 3.2 MB as a float64 array; per-point objects took
+    # about 49 MB here.  The bound leaves room for the draw's temporaries.
+    cfg = ExperimentConfig(n=200_000, m=1, k=200_000, side=40.0, trials=1)
+    tracemalloc.start()
+    try:
+        generate_instance(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def _solution_with_sizes(inst, sizes):

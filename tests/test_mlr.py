@@ -293,7 +293,7 @@ def test_capacity_beyond_int64_matches_k_equals_n(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 15))
     inst = random_instance(rng, m=int(rng.integers(1, 4)), n=n, k=n)
-    huge = Instance(aps=inst.aps, tds=inst.tds, k=10**30)
+    huge = Instance.from_coords(aps=inst.ap_xy, tds=inst.td_xy, k=10**30)
     assert _solve_bytes(huge) == _solve_bytes(inst)
 
 

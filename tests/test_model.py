@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 
 from mpcc import (
     Instance,
-    Point,
     Solution,
     check_feasible,
     disk_order,
-    distance_sq,
     make_disk,
     power_of,
     solve_mlr,
     validate_instance,
 )
 
-from oracles import check_feasible_reference, contains, disk_key
+from oracles import check_feasible_reference, contains, disk_key, key_fields
 
 # Integer coordinates keep squared distances and translations exact in
 # floating point, so order and invariance properties can be asserted
@@ -33,9 +31,12 @@ def inst_around(ap, tds, k=100, power_c=1.0, power_alpha=2.0):
 
 
 def test_distance_sq_examples():
-    assert distance_sq(Point(0, 0), Point(3, 4)) == 25
-    assert distance_sq(Point(1, 1), Point(1, 1)) == 0
-    assert distance_sq(Point(0, 0), Point(1, 1)) == 2
+    def rsq(p, q):
+        return make_disk(Instance.from_coords(aps=[p], tds=[q], k=1), 1, 1).radius_sq
+
+    assert rsq((0, 0), (3, 4)) == 25
+    assert rsq((1, 1), (1, 1)) == 0
+    assert rsq((0, 0), (1, 1)) == 2
 
 
 def test_power_of_examples():
@@ -55,13 +56,14 @@ def test_family_size_and_order():
         aps=[(0, 0), (5, 5)], tds=[(1, 0), (2, 2), (3, 1)], k=3
     )
     table = disk_order(inst)
-    for arr in table:
+    rsq = key_fields(inst)[0]
+    for arr in (*table, rsq):
         assert arr.shape == (2, 3)
     for a in (1, 2):
         assert sorted(table.order[a - 1]) == [0, 1, 2]
         for u in (1, 2, 3):
             # row a - 1, column u - 1 is disk (a, u)
-            assert table.rsq[a - 1, u - 1] == distance_sq(inst.ap(a), inst.td(u))
+            assert rsq[a - 1, u - 1] == make_disk(inst, a, u).radius_sq
             assert table.power[a - 1, u - 1] == make_disk(inst, a, u).power
             assert table.order[a - 1, table.rank[a - 1, u - 1]] == u - 1
 
@@ -70,15 +72,16 @@ def test_single_pair_disk_power():
     inst = Instance.from_coords(aps=[(0, 0)], tds=[(3, 4)], k=1)
     table = disk_order(inst)
     assert table.power[0, 0] == 25
-    assert table.rsq[0, 0] == 25
+    assert key_fields(inst)[0][0, 0] == 25
 
 
 def test_mirror_x_pair_gets_distinct_keys():
     inst = inst_around((0, 0), [(1, 0), (-1, 0)])
     table = disk_order(inst)
-    assert table.rsq[0, 0] == table.rsq[0, 1] == 1
-    assert table.cos[0, 0] == 1.0
-    assert table.cos[0, 1] == -1.0
+    rsq, cos, _ = key_fields(inst)
+    assert rsq[0, 0] == rsq[0, 1] == 1
+    assert cos[0, 0] == 1.0
+    assert cos[0, 1] == -1.0
     assert table.rank[0, 1] < table.rank[0, 0]
 
 
@@ -108,8 +111,8 @@ def test_validate_reports_capacity_shortfall():
 
 
 def test_validate_reports_empty_sets_and_bad_constants():
-    inst = Instance(aps=(Point(0.0, 0.0),), tds=(), k=0, power_c=-1.0,
-                    power_alpha=9.0)
+    inst = Instance.from_coords(aps=[(0.0, 0.0)], tds=[], k=0, power_c=-1.0,
+                                power_alpha=9.0)
     violations = validate_instance(inst)
     assert any("no TDs" in v for v in violations)
     assert any("k=0" in v for v in violations)
@@ -118,8 +121,77 @@ def test_validate_reports_empty_sets_and_bad_constants():
 
 
 def test_validate_reports_nonfinite_coordinates():
-    inst = Instance(aps=(Point(math.nan, 0.0),), tds=(Point(0.0, 0.0),), k=1)
+    inst = Instance.from_coords(aps=[(math.nan, 0.0)], tds=[(0.0, 0.0)], k=1)
     assert any("non-finite" in v for v in validate_instance(inst))
+
+
+def test_validate_lists_nonfinite_points_aps_first_in_id_order():
+    inst = Instance.from_coords(aps=[(0.0, 0.0), (math.nan, 1.0)],
+                                tds=[(math.inf, 0.0), (1.0, 1.0), (2.0, -math.inf)],
+                                k=2)
+    assert validate_instance(inst) == [
+        "AP 2 has non-finite coordinates",
+        "TD 1 has non-finite coordinates",
+        "TD 3 has non-finite coordinates",
+    ]
+
+
+def test_instance_coordinates_are_read_only_float64_rows():
+    inst = Instance.from_coords(aps=[(0, 1)], tds=[(2, 3), (4, 5)], k=2)
+    assert inst.ap_xy.dtype == inst.td_xy.dtype == np.float64
+    assert inst.ap_xy.tolist() == [[0.0, 1.0]]
+    assert inst.td_xy.tolist() == [[2.0, 3.0], [4.0, 5.0]]
+    with pytest.raises(ValueError):
+        inst.ap_xy[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        inst.td_xy[1] = (9.0, 9.0)
+
+
+def test_from_coords_copies_its_input():
+    aps = np.array([[0.0, 1.0]])
+    tds = np.array([[2.0, 3.0]])
+    inst = Instance.from_coords(aps=aps, tds=tds, k=1)
+    aps[0, 0] = tds[0, 1] = 99.0
+    assert inst == Instance.from_coords(aps=[(0, 1)], tds=[(2, 3)], k=1)
+
+
+@pytest.mark.parametrize("points", [
+    [(1, 2, 3)],
+    [(1, 2, 3, 4)],
+    [(1,), (2,)],
+    [(1, 2), (3,)],
+    [1, 2],
+])
+def test_from_coords_rejects_anything_but_xy_pairs(points):
+    with pytest.raises(ValueError):
+        Instance.from_coords(aps=points, tds=[(0, 0)], k=1)
+    with pytest.raises(ValueError):
+        Instance.from_coords(aps=[(0, 0)], tds=points, k=1)
+
+
+def test_from_coords_empty_list_has_no_rows():
+    inst = Instance.from_coords(aps=[], tds=[], k=1)
+    assert inst.ap_xy.shape == inst.td_xy.shape == (0, 2)
+    assert inst.m == inst.n == 0
+
+
+@pytest.mark.parametrize("x", [2**53 + 1, 2**63, 2**64 + 12345, 10**30, -2**63 - 5])
+def test_from_coords_converts_huge_integers_as_float(x):
+    inst = Instance.from_coords(aps=[(x, 0)], tds=[(0, x)], k=1)
+    assert inst.ap_xy[0, 0] == inst.td_xy[0, 1] == float(x)
+
+
+def test_instance_equality_compares_values_and_instances_are_unhashable():
+    a = Instance.from_coords(aps=[(0, 1)], tds=[(2, 3)], k=1)
+    assert a == Instance.from_coords(aps=[(0.0, 1.0)], tds=[(2.0, 3.0)], k=1)
+    assert a != Instance.from_coords(aps=[(0, 1)], tds=[(2, 4)], k=1)
+    assert a != Instance.from_coords(aps=[(0, 1)], tds=[(2, 3), (2, 3)], k=1)
+    assert a != Instance.from_coords(aps=[(0, 1)], tds=[(2, 3)], k=2)
+    assert a != Instance.from_coords(aps=[(0, 1)], tds=[(2, 3)], k=1, power_c=2.0)
+    assert a != Instance.from_coords(aps=[(0, 1)], tds=[(2, 3)], k=1, power_alpha=3.0)
+    assert a != "instance"
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def _valid_two_ap_solution():
@@ -225,9 +297,11 @@ def test_mirrored_pairs_order_by_y_sign(ap, td):
     if uy == ay:
         return
     mirrored = (ux, 2 * ay - uy)
-    table = disk_order(inst_around(ap, [td, mirrored]))
-    assert table.rsq[0, 0] == table.rsq[0, 1]
-    assert table.cos[0, 0] == table.cos[0, 1]
+    inst = inst_around(ap, [td, mirrored])
+    table = disk_order(inst)
+    rsq, cos, _ = key_fields(inst)
+    assert rsq[0, 0] == rsq[0, 1]
+    assert cos[0, 0] == cos[0, 1]
     if uy > ay:
         assert table.rank[0, 0] < table.rank[0, 1]  # non-negative y ranks below negative y
     else:
@@ -275,12 +349,11 @@ def test_scaling_preserves_order_and_scales_power(ap, tds, t, alpha):
 )
 def test_translation_leaves_keys_unchanged(ap, tds, shift):
     sx, sy = shift
-    table = disk_order(inst_around(ap, tds))
-    moved = disk_order(
-        inst_around((ap[0] + sx, ap[1] + sy), [(x + sx, y + sy) for x, y in tds])
-    )
-    for field in ("rsq", "cos", "y_sign", "rank"):
-        assert (getattr(table, field) == getattr(moved, field)).all()
+    inst = inst_around(ap, tds)
+    moved = inst_around((ap[0] + sx, ap[1] + sy), [(x + sx, y + sy) for x, y in tds])
+    for f, g in zip(key_fields(inst), key_fields(moved)):
+        assert (f == g).all()
+    assert (disk_order(inst).rank == disk_order(moved).rank).all()
 
 
 @settings(max_examples=30)
@@ -321,10 +394,10 @@ def test_disk_order_equals_scalar_key_and_power_bits(alpha):
         inst = Instance.from_coords(aps=aps, tds=tds, k=len(tds),
                                     power_c=1.7, power_alpha=alpha)
         table = disk_order(inst)
+        row = key_fields(inst)
         for a in range(1, inst.m + 1):
             keys = [disk_key(inst, a, u) for u in range(1, inst.n + 1)]
             for u0, key in enumerate(keys):
-                row = (table.rsq, table.cos, table.y_sign)
                 assert tuple(f[a - 1, u0] for f in row) + (u0 + 1,) == key
             by_key = sorted(range(inst.n), key=keys.__getitem__)
             assert table.order[a - 1].tolist() == by_key
@@ -334,7 +407,7 @@ def test_disk_order_equals_scalar_key_and_power_bits(alpha):
     inst = Instance.from_coords(aps=[(0.0, 0.0)], tds=tds.tolist(), k=1,
                                 power_c=1.7, power_alpha=alpha)
     table = disk_order(inst)
-    expected = [power_of(r, 1.7, alpha) for r in table.rsq.ravel().tolist()]
+    expected = [power_of(r, 1.7, alpha) for r in key_fields(inst)[0].ravel().tolist()]
     assert (table.power.ravel().view(np.uint64) == np.array(expected).view(np.uint64)).all()
 
 
