@@ -20,6 +20,9 @@ deterministic: equal values produce byte-identical documents.
 import json
 import math
 from collections import Counter
+from itertools import chain
+
+import numpy as np
 
 from .model import Disk, Instance, Solution, check_feasible, make_disk
 
@@ -56,6 +59,8 @@ def _dump(value) -> str:
     if isinstance(value, dict):
         return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= {int}:  # id lists: no per-element dispatch
+            return "[" + ", ".join(map(str, value)) + "]"
         return "[" + ", ".join(_dump(v) for v in value) + "]"
     raise FormatError(f"cannot serialize {type(value).__name__}")
 
@@ -86,10 +91,20 @@ def _real(value, what: str) -> float:
         raise FormatError(f"{what} is beyond the float range") from None
 
 
-def _point_list(doc, field: str) -> list[tuple[float, float]]:
+def _point_list(doc, field: str):
+    """The ``[x, y]`` pairs of ``doc[field]`` as coordinates for ``Instance.from_coords``."""
     pts = doc.get(field)
     if not isinstance(pts, list):
         raise FormatError(f"'{field}' must be a list of [x, y] pairs")
+    # JSON gives exact types, and bool is a type of its own.  np.array
+    # converts ints as float() does, OverflowError included.
+    if (set(map(type, pts)) <= {list} and set(map(len, pts)) <= {2}
+            and set(map(type, chain.from_iterable(pts))) <= {float, int}):
+        try:
+            return np.array(pts, dtype=np.float64)
+        except OverflowError:
+            pass
+    # Some point is bad: name the first one.
     out = []
     for i, p in enumerate(pts):
         if (
@@ -133,7 +148,7 @@ def solution_to_json(sol: Solution, inst: Instance) -> str:
                 "disk_td": int(d.td_id),
                 "radius": math.sqrt(d.radius_sq),
                 "power": float(d.power),
-                "covered": sorted(int(u) for u in sol.coverage.get(ap_id, ())),
+                "covered": sorted(map(int, sol.coverage.get(ap_id, ()))),
             }
         )
     doc = {"total_power": float(sol.total_power), "assignments": assignments}
@@ -165,9 +180,7 @@ def _solution_parts(text: str):
         ap, td, covered = entry["ap"], entry["disk_td"], entry["covered"]
         if not isinstance(ap, int) or not isinstance(td, int) or isinstance(ap, bool):
             raise FormatError(f"assignment {i} ids must be integers")
-        if not isinstance(covered, list) or not all(
-            isinstance(u, int) and not isinstance(u, bool) for u in covered
-        ):
+        if not isinstance(covered, list) or not set(map(type, covered)) <= {int}:
             raise FormatError(f"assignment {i} 'covered' must be a list of integers")
         triples.append((ap, td, covered))
     return _real(total, "'total_power'"), triples

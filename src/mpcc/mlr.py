@@ -302,8 +302,11 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     # a round that leaves no TD retires a whole row here, so ``live_ap``
     # stays right for the next selection.
     live_ap = state.live_ap = np.flatnonzero(first < n)
-    for a in live_ap[state.d[live_ap, first[live_ap]] == 0]:
-        _retire(state, a, int(np.searchsorted(state.d[a], 1)), removed)
+    zero = live_ap[state.d[live_ap, first[live_ap]] == 0]
+    if zero.size:
+        stops = (state.d[zero] == 0).sum(axis=1)
+        for a, stop in zip(zero, stops):
+            _retire(state, a, stop, removed)
     return e_star, tuple(covered_ids), np.concatenate(removed)
 
 

@@ -25,8 +25,9 @@ pairs by the same key for NCA.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -210,6 +211,8 @@ def disk_order(inst: Instance) -> DiskOrder:
     # Scalar pow per element, as ``**`` in ``power_of``: numpy's vectorised
     # power may differ from it in the last bits for non-integer exponents.
     c, e = inst.power_c, inst.power_alpha / 2.0
+    if e == 1.0:  # pow(x, 1) is x exactly
+        return DiskOrder(rsq * c, order, rank)
     power = np.fromiter(map(math.pow, rsq.ravel().tolist(), repeat(e)),
                         dtype=np.float64, count=rsq.size)
     power *= c
@@ -265,18 +268,33 @@ def validate_instance(inst: Instance) -> list[str]:
 
 
 def _outside(inst: Instance, claims) -> set[tuple[int, int]]:
-    """The ``(ap_id, td_id)`` of each ``(ap_id, td_id, disk_td_id)`` claim
-    whose TD ranks above the disk's boundary TD in that AP's disk order,
-    i.e. lies outside the disk."""
-    if not claims:
+    """The ``(ap_id, td_id)`` pairs, among the claims ``(ap_id, disk_td_id,
+    td_ids)`` of each AP, whose TD ranks above the disk's boundary TD in
+    that AP's disk order, i.e. lies outside the disk."""
+    sizes = [len(tds) for _, _, tds in claims]
+    c = sum(sizes)
+    if not c:
         return set()
-    ends = [(a, u) for a, u, _ in claims] + [(a, b) for a, _, b in claims]
-    idx = np.array(ends) - 1
-    vec = inst.td_xy[idx[:, 1]] - inst.ap_xy[idx[:, 0]]
-    rsq, cos, y_sign = _key_fields(vec[:, 0], vec[:, 1])
-    keys = list(zip(rsq.tolist(), cos.tolist(), y_sign.tolist(), (u for _, u in ends)))
-    c = len(claims)
-    return {(a, u) for (a, u, _), ku, kb in zip(claims, keys[:c], keys[c:]) if ku > kb}
+    # One column per claim, one row each for the claimed TD, the boundary
+    # TD of its AP's disk and the AP.
+    rows = (chain.from_iterable(tds for _, _, tds in claims),
+            chain.from_iterable(repeat(b, s) for (_, b, _), s in zip(claims, sizes)),
+            chain.from_iterable(repeat(a, s) for (a, _, _), s in zip(claims, sizes)))
+    idx = np.fromiter(chain(*rows), dtype=np.int64, count=3 * c).reshape(3, c) - 1
+    ends, ap = idx[:2], idx[2]
+    vec = inst.td_xy[ends] - inst.ap_xy[ap]
+    dx, dy = vec[..., 0], vec[..., 1]
+    rsq = dx * dx + dy * dy  # as in _key_fields
+    # Keys compare as (rsq, cos, y_sign, TD id), so only equal radii of
+    # two distinct TDs need the fields after the first.
+    out = rsq[0] > rsq[1]
+    tie = np.flatnonzero((rsq[0] == rsq[1]) & (ends[0] != ends[1]))
+    if tie.size:
+        _, (cu, cb), (yu, yb) = _key_fields(dx[:, tie], dy[:, tie])
+        tu, tb = ends[:, tie]
+        out[tie] = (cu > cb) | (cu == cb) & ((yu > yb) | (yu == yb) & (tu > tb))
+    hit = np.flatnonzero(out)
+    return set(zip((ap[hit] + 1).tolist(), (ends[0, hit] + 1).tolist()))
 
 
 def check_feasible(sol: Solution, inst: Instance) -> list[str]:
@@ -304,15 +322,14 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
         if d.ap_id == ap_id and 1 <= d.td_id <= n:
             valid.add(ap_id)
 
+    covered = {ap_id: sorted(sol.coverage[ap_id]) for ap_id in sorted(sol.coverage)}
     # Only the containments actually claimed need their disks' keys.
     outside = _outside(inst, [
-        (ap_id, u, sol.selected[ap_id].td_id)
-        for ap_id in sorted(sol.coverage) if ap_id in valid
-        for u in sorted(sol.coverage[ap_id]) if 1 <= u <= n
+        (ap_id, sol.selected[ap_id].td_id, tds[bisect_left(tds, 1):bisect_right(tds, n)])
+        for ap_id, tds in covered.items() if ap_id in valid
     ])
     owner: dict[int, int] = {}
-    for ap_id in sorted(sol.coverage):
-        tds = sol.coverage[ap_id]
+    for ap_id, tds in covered.items():
         if not 1 <= ap_id <= m:
             v.append(f"coverage references unknown AP {ap_id}")
             continue
@@ -320,7 +337,7 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
             v.append(f"AP {ap_id} covers TDs but selected no disk")
         if len(tds) > k:
             v.append(f"AP {ap_id} covers {len(tds)} TDs, capacity is {k}")
-        for u in sorted(tds):
+        for u in tds:
             if not 1 <= u <= n:
                 v.append(f"coverage of AP {ap_id} references unknown TD {u}")
                 continue

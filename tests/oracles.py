@@ -8,6 +8,7 @@ which the package's array-built ``disk_order`` is tested.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from mpcc import (
     make_disk,
 )
 from mpcc import model
+from mpcc.formats import FormatError, _fmt_real, _real
 
 
 def disk_key(inst, ap_id, td_id) -> tuple[float, float, int, int]:
@@ -111,6 +113,42 @@ def check_feasible_reference(sol, inst) -> list[str]:
         v.append(f"stated total_power {sol.total_power!r} disagrees with "
                  f"selected disks ({derived!r})")
     return v
+
+
+def point_list_reference(doc, field: str) -> list[tuple[float, float]]:
+    """The instance parser's point list, checked and converted one point
+    at a time: the first bad point raises."""
+    pts = doc.get(field)
+    if not isinstance(pts, list):
+        raise FormatError(f"'{field}' must be a list of [x, y] pairs")
+    out = []
+    for i, p in enumerate(pts):
+        if (
+            not isinstance(p, list)
+            or len(p) != 2
+            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
+        ):
+            raise FormatError(f"'{field}'[{i}] is not an [x, y] pair of numbers")
+        out.append((_real(p[0], f"'{field}'[{i}]"), _real(p[1], f"'{field}'[{i}]")))
+    return out
+
+
+def dump_reference(value) -> str:
+    """The document writer with one type dispatch per element."""
+    if isinstance(value, bool):
+        raise FormatError("no boolean fields in these formats")
+    if isinstance(value, float):
+        return _fmt_real(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(
+            f"{json.dumps(k)}: {dump_reference(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(dump_reference(v) for v in value) + "]"
+    raise FormatError(f"cannot serialize {type(value).__name__}")
 
 
 def random_instance(rng, m, n, k, side=40.0, power_c=1.0, power_alpha=2.0) -> Instance:

@@ -8,16 +8,22 @@ from hypothesis import strategies as st
 from mpcc import (
     FormatError,
     Instance,
+    generate_instance,
     instance_from_json,
     instance_to_json,
     solution_from_json,
     solution_to_json,
     solution_violations,
     solve_mlr,
+    solve_nca,
     trace_to_jsonl,
 )
+from mpcc import formats
+from mpcc.experiments import override_configs, preset
+from oracles import dump_reference, point_list_reference
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
+HUGE = [2**53 + 1, 2**63, 2**64 + 12345, 10**30, -2**63 - 5]
 
 
 @given(
@@ -33,12 +39,91 @@ def test_instance_round_trip_is_exact(aps, tds, k, c, alpha):
     assert again == inst
 
 
-@pytest.mark.parametrize("x", [2**53 + 1, 2**63, 2**64 + 12345, 10**30, -2**63 - 5])
+@pytest.mark.parametrize("x", HUGE)
 def test_huge_integer_coordinates_parse_as_float(x):
     text = f'{{"c": 1, "alpha": 2, "k": 1, "aps": [[{x}, 0]], "tds": [[0, {x}]]}}'
     inst = instance_from_json(text)
     assert inst.ap_xy[0, 0] == inst.td_xy[0, 1] == float(x)
     assert inst == Instance.from_coords(aps=[(x, 0)], tds=[(0, x)], k=1)
+
+
+def _parse(text):
+    """``instance_from_json`` as its result or its FormatError text."""
+    try:
+        return instance_from_json(text)
+    except FormatError as exc:
+        return str(exc)
+
+
+def _parse_reference(text):
+    """The same through the point-at-a-time parser."""
+    doc = json.loads(text)
+    try:
+        aps, tds = point_list_reference(doc, "aps"), point_list_reference(doc, "tds")
+    except FormatError as exc:
+        return str(exc)
+    return Instance.from_coords(aps=aps, tds=tds, k=doc["k"],
+                                power_c=doc["c"], power_alpha=doc["alpha"])
+
+
+BAD_POINTS = ["true", '"1"', "null", "[1]", "[1, 2, 3]", "[[1, 2], 3]", "[1, [2]]",
+              '{"x": 1, "y": 2}', "[true, 1]", "[1, false]", "[1, null]", '[1, "2"]',
+              "[]", "5", "[10" + "0" * 400 + ", 1]", "[1, -1" + "0" * 309 + "]"]
+
+
+def test_parse_matches_point_at_a_time_reference():
+    for field, other in (("aps", "tds"), ("tds", "aps")):
+        for bad in BAD_POINTS + [f"[{x}, 1]" for x in HUGE]:
+            for at in (0, 7, 9):
+                pts = [f"[{i}, {i + 0.5}]" for i in range(10)]
+                pts[at] = bad
+                text = (f'{{"c": 1, "alpha": 2, "k": 3, "{field}": [{", ".join(pts)}], '
+                        f'"{other}": [[1, 2], [0.25, -3]]}}')
+                assert _parse(text) == _parse_reference(text), text
+
+
+point = st.one_of(
+    st.tuples(finite, finite).map(list),
+    st.tuples(st.integers(-(2**1100), 2**1100), st.integers(-(2**70), 2**70)).map(list),
+    st.sampled_from([True, None, "x", [1], [1, 2, 3], [[1, 2], 3], {"x": 1}, [1, False]]),
+)
+
+
+@given(aps=st.lists(point, max_size=5), tds=st.lists(point, max_size=12))
+def test_parse_matches_reference_on_random_points(aps, tds):
+    text = json.dumps({"c": 1.5, "alpha": 2, "k": 2, "aps": aps, "tds": tds})
+    got, want = _parse(text), _parse_reference(text)
+    assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("value", [[], [1, 2, -3], (4, 5), [1, True], [True], [1, 2.5],
+                                   [1, "a"], [[1, 2], [3]], {"covered": [7, 1]}, [2**70]])
+def test_dump_matches_per_element_reference(value):
+    def dumped(dump):
+        try:
+            return dump(value)
+        except FormatError as exc:
+            return f"FormatError: {exc}"
+
+    assert dumped(formats._dump) == dumped(dump_reference)
+
+
+def test_serialisation_matches_per_element_reference(monkeypatch):
+    cases = []
+    for cfg in override_configs(preset(3), trials=10):
+        for t in range(cfg.trials):
+            inst = generate_instance(cfg, t)
+            trace = []
+            cases.append((inst, solve_mlr(inst, trace), solve_nca(inst), trace))
+
+    def write():
+        return [(instance_to_json(inst), solution_to_json(mlr, inst),
+                 solution_to_json(nca, inst), trace_to_jsonl(trace))
+                for inst, mlr, nca, trace in cases]
+
+    got = write()
+    monkeypatch.setattr(formats, "_dump", dump_reference)
+    assert got == write()
 
 
 def test_round_trip_keeps_value_equality_not_hashability():
@@ -102,6 +187,16 @@ def test_solution_parse_errors():
         solution_from_json(
             '{"total_power": 1, "assignments": [{"ap": 1, "covered": []}]}', inst
         )
+
+
+@pytest.mark.parametrize("covered", ["[1, true]", "[false]", "[1, 2.0]", "[1, null]", '"1"',
+                                     "[[1]]"])
+def test_covered_must_be_a_list_of_integers(covered):
+    inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0)], k=1)
+    text = ('{"total_power": 1, "assignments": [{"ap": 1, "disk_td": 1, "covered": '
+            + covered + "}]}")
+    with pytest.raises(FormatError, match="'covered' must be a list of integers"):
+        solution_violations(text, inst)
 
 
 def test_duplicate_ap_is_a_violation_not_a_parse_error():
