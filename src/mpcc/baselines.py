@@ -18,7 +18,6 @@ from .model import (
     InfeasibleInstanceError,
     Solution,
     disk_order,
-    make_disk,
     pair_order,
 )
 
@@ -68,17 +67,9 @@ def solve_nca(inst: Instance) -> Solution:
             "NCA exhausted all capacity with TDs uncovered; "
             "the instance violates m*k >= n"
         )
-
-    selected = {}
-    coverage = {}
-    total = 0.0
-    for ap_id in sorted(assigned):
-        tds = assigned[ap_id]
-        d = make_disk(inst, ap_id, tds[-1])
-        selected[ap_id] = d
-        coverage[ap_id] = frozenset(tds)
-        total += d.power
-    return Solution(selected=selected, coverage=coverage, total_power=total)
+    return Solution.from_picks(
+        inst, {ap_id: tds[-1] for ap_id, tds in assigned.items()}, assigned
+    )
 
 
 class FlowNetwork:
@@ -212,7 +203,6 @@ class ExactResult:
     status: str
     solution: Solution | None
     nodes_explored: int
-    elapsed_seconds: float
 
 
 class _BudgetHit(Exception):
@@ -225,57 +215,58 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
     Each AP independently picks one of its n disks or none; choice lists
     are explored in ascending power order (no disk first) and branches
     are pruned once the partial power reaches the incumbent.  Coverage
-    feasibility of complete choice vectors is decided by max flow.  The
-    optimum is over exactly-once coverings, matching ``check_feasible``.
+    feasibility of complete choice vectors is decided by max flow, whose
+    assignment the incumbent keeps.  The optimum is over exactly-once
+    coverings, matching ``check_feasible``.
     """
     if budget is None:
         budget = ExactBudget()
     t0 = perf_counter()
     table = disk_order(inst)
     m, n = inst.m, inst.n
-    powers = table.power.ravel().tolist()
-    ranks = table.rank.ravel().tolist()
+    powers = table.power.tolist()
+    ranks = table.rank.tolist()
 
-    # Disk (a0, u0) is index a0 * n + u0 below.
-    contained_tds = [
-        _contained(row, u0) for row in table.rank.tolist() for u0 in range(n)
+    # Disk (a0, u0) is AP a0's u0 entry below; a choice is a u0 or None.
+    contained_tds = [[_contained(row, u0) for u0 in range(n)] for row in ranks]
+    choice_lists: list[list[int | None]] = [
+        [None, *sorted(range(n), key=lambda u0: (p[u0], r[u0]))]
+        for p, r in zip(powers, ranks)
     ]
-    choice_lists: list[list[int | None]] = []
-    for base in range(0, m * n, n):
-        ordered = sorted(range(base, base + n), key=lambda i: (powers[i], ranks[i]))
-        choice_lists.append([None, *ordered])
 
-    best_total = [float("inf")]
-    best_choice: list[tuple[int | None, ...] | None] = [None]
-    nodes = [0]
+    best_total = float("inf")
+    best: Solution | None = None
+    nodes = 0
 
     def tick():
-        nodes[0] += 1
-        if nodes[0] > budget.max_nodes:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget.max_nodes:
             raise _BudgetHit
-        if nodes[0] % 256 == 0 and perf_counter() - t0 > budget.max_seconds:
+        if nodes % 256 == 0 and perf_counter() - t0 > budget.max_seconds:
             raise _BudgetHit
 
     chosen: list[int | None] = [None] * m
 
-    def assign(choice) -> dict[int, set[int]] | None:
-        aps = [a0 + 1 for a0, i in enumerate(choice) if i is not None]
-        return _flow_assign(aps, [contained_tds[choice[a - 1]] for a in aps], inst.k, n)
-
     def descend(a0: int, partial: float):
+        nonlocal best_total, best
         tick()
         if a0 == m:
-            if assign(chosen) is not None:
-                best_total[0] = partial
-                best_choice[0] = tuple(chosen)
+            picks = {a + 1: u0 + 1 for a, u0 in enumerate(chosen) if u0 is not None}
+            contained = [contained_tds[a - 1][u - 1] for a, u in picks.items()]
+            assignment = _flow_assign(list(picks), contained, inst.k, n)
+            if assignment is not None:
+                best_total = partial
+                coverage = {a: tds for a, tds in assignment.items() if tds}
+                best = Solution.from_picks(inst, picks, coverage)
             return
-        for i in choice_lists[a0]:
-            s = partial if i is None else partial + powers[i]
-            if s >= best_total[0]:
-                if i is not None:
+        for u0 in choice_lists[a0]:
+            s = partial if u0 is None else partial + powers[a0][u0]
+            if s >= best_total:
+                if u0 is not None:
                     break  # ascending power: later choices prune too
                 continue
-            chosen[a0] = i
+            chosen[a0] = u0
             descend(a0 + 1, s)
             chosen[a0] = None
 
@@ -284,31 +275,9 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
         descend(0, 0.0)
     except _BudgetHit:
         status = STATUS_BUDGET_EXCEEDED
-
-    solution = None
-    if best_choice[0] is not None:
-        picks = {
-            a0 + 1: make_disk(inst, a0 + 1, i % n + 1)
-            for a0, i in enumerate(best_choice[0]) if i is not None
-        }
-        assignment = assign(best_choice[0])
-        if assignment is None:
-            raise RuntimeError("incumbent lost feasibility; solver bug")
-        coverage = {
-            a: frozenset(tds) for a, tds in sorted(assignment.items()) if tds
-        }
-        total = 0.0
-        for a in sorted(picks):
-            total += picks[a].power
-        solution = Solution(selected=picks, coverage=coverage, total_power=total)
-    elif status == STATUS_OPTIMAL:
+    if best is None and status == STATUS_OPTIMAL:
         raise InfeasibleInstanceError(
             "exhaustive search found no feasible covering; "
             "the instance violates m*k >= n"
         )
-    return ExactResult(
-        status=status,
-        solution=solution,
-        nodes_explored=nodes[0],
-        elapsed_seconds=perf_counter() - t0,
-    )
+    return ExactResult(status=status, solution=best, nodes_explored=nodes)

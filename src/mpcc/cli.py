@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="instance JSON path")
 
     solve = sub.add_parser("solve", help="solve an instance file")
-    solve.add_argument("--alg", choices=("mlr", "nca", "exact"), required=True)
+    solve.add_argument("--alg", choices=experiments.ALGORITHMS, required=True)
     solve.add_argument("--in", dest="instance", required=True, help="instance JSON path")
     solve.add_argument("--out", required=True, help="solution JSON path")
     solve.add_argument("--trace", help="write the mlr iteration trace (JSON lines)")
@@ -110,6 +110,8 @@ def _cmd_gen(args) -> int:
         power_c=args.c, power_alpha=args.alpha, trials=1, seed=args.seed,
     )
     problems = experiments.config_violations(cfg)
+    if args.trial < 0:
+        problems.append("trial must be non-negative")
     if problems:
         return _error(EXIT_VALIDATION, *problems)
     inst = experiments.generate_instance(cfg, args.trial)
@@ -176,8 +178,10 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _check_config_types(i: int, entry: dict) -> None:
-    """Raise FormatError for a config field of the wrong JSON type."""
+def _config_fields(i: int, entry: dict) -> dict:
+    """The ExperimentConfig fields a config entry sets, so that absent ones
+    keep their defaults; FormatError for a field of the wrong JSON type."""
+    fields = {}
     for f, value in entry.items():
         if f in ("n", "m", "k", "trials", "seed"):
             ok = type(value) is int
@@ -189,6 +193,9 @@ def _check_config_types(i: int, entry: dict) -> None:
             continue
         if not ok:
             raise FormatError(f"config {i} field '{f}' has the wrong type or value")
+        name = {"c": "power_c", "alpha": "power_alpha"}.get(f, f)
+        fields[name] = tuple(value) if f == "algorithms" else value
+    return fields
 
 
 def _parse_config_file(path: str) -> list[experiments.ExperimentConfig]:
@@ -202,23 +209,11 @@ def _parse_config_file(path: str) -> list[experiments.ExperimentConfig]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
             raise FormatError(f"config {i} is not an object")
-        _check_config_types(i, entry)
-        try:
-            configs.append(
-                experiments.ExperimentConfig(
-                    n=entry["n"],
-                    m=entry["m"],
-                    k=entry["k"],
-                    side=entry["side"],
-                    power_c=entry.get("c", 1.0),
-                    power_alpha=entry.get("alpha", 2.0),
-                    trials=entry.get("trials", 50),
-                    seed=entry.get("seed", experiments.DEFAULT_SEED),
-                    algorithms=tuple(entry.get("algorithms", ("mlr", "nca"))),
-                )
-            )
-        except KeyError as exc:
-            raise FormatError(f"config {i} missing field {exc}") from exc
+        fields = _config_fields(i, entry)
+        for f in ("n", "m", "k", "side"):
+            if f not in fields:
+                raise FormatError(f"config {i} missing field '{f}'")
+        configs.append(experiments.ExperimentConfig(**fields))
     return configs
 
 

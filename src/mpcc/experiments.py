@@ -27,6 +27,7 @@ from .model import Instance, Solution, check_feasible, validate_instance
 from .mlr import solve_mlr
 
 __all__ = [
+    "ALGORITHMS",
     "DEFAULT_SEED",
     "MAX_DISKS",
     "MAX_TRIALS",
@@ -50,6 +51,7 @@ __all__ = [
     "RESULT_COLUMNS",
 ]
 
+ALGORITHMS = ("mlr", "nca", "exact")
 DEFAULT_SEED = 1729
 
 # Upper bounds on a runnable config (see ``config_violations``).  Every
@@ -152,7 +154,7 @@ def config_violations(cfg: ExperimentConfig) -> list[str]:
         v.append(f"trials must be between 1 and {MAX_TRIALS}")
     if cfg.seed < 0:
         v.append("seed must be non-negative")
-    unknown = [a for a in cfg.algorithms if a not in ("mlr", "nca", "exact")]
+    unknown = [a for a in cfg.algorithms if a not in ALGORITHMS]
     if unknown:
         v.append(f"unknown algorithms {unknown}")
     return v
@@ -195,7 +197,7 @@ def solve_timed(
     ``(None, wall_ms, "budget_exceeded")``.  ``trace`` collects MLR's
     iteration records and is ignored by the other solvers.
     """
-    if algorithm not in ("mlr", "nca", "exact"):
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     t0 = perf_counter()
     if algorithm == "mlr":

@@ -20,11 +20,12 @@ deterministic: equal values produce byte-identical documents.
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
 
-from .model import Disk, Instance, Solution, check_feasible, make_disk
+from .model import Instance, Solution, check_feasible
 
 __all__ = [
     "FormatError",
@@ -178,7 +179,7 @@ def _solution_parts(text: str):
             if f not in entry:
                 raise FormatError(f"assignment {i} missing '{f}'")
         ap, td, covered = entry["ap"], entry["disk_td"], entry["covered"]
-        if not isinstance(ap, int) or not isinstance(td, int) or isinstance(ap, bool):
+        if type(ap) is not int or type(td) is not int:
             raise FormatError(f"assignment {i} ids must be integers")
         if not isinstance(covered, list) or not set(map(type, covered)) <= {int}:
             raise FormatError(f"assignment {i} 'covered' must be a list of integers")
@@ -189,16 +190,15 @@ def _solution_parts(text: str):
 def solution_from_json(text: str, inst: Instance) -> Solution:
     """Strict parse used for round-trips; disks are rebuilt from the ids."""
     total, triples = _solution_parts(text)
-    selected: dict[int, Disk] = {}
-    coverage: dict[int, frozenset[int]] = {}
-    for ap, td, covered in triples:
-        if ap in selected:
+    picks = {}
+    for ap, td, _ in triples:
+        if ap in picks:
             raise FormatError(f"duplicate assignment for AP {ap}")
         if not 1 <= ap <= inst.m or not 1 <= td <= inst.n:
             raise FormatError(f"assignment ids ({ap}, {td}) outside the instance")
-        selected[ap] = make_disk(inst, ap, td)
-        coverage[ap] = frozenset(covered)
-    return Solution(selected=selected, coverage=coverage, total_power=total)
+        picks[ap] = td
+    coverage = {ap: covered for ap, _, covered in triples}
+    return replace(Solution.from_picks(inst, picks, coverage), total_power=total)
 
 
 def solution_violations(text: str, inst: Instance) -> list[str]:
@@ -225,10 +225,9 @@ def solution_violations(text: str, inst: Instance) -> list[str]:
             violations.append(f"assignment of AP {ap} references unknown TD {td}")
     if violations:
         return violations
-    selected = {ap: make_disk(inst, ap, td) for ap, td, _ in triples}
-    coverage = {ap: frozenset(covered) for ap, _, covered in triples}
-    sol = Solution(selected=selected, coverage=coverage, total_power=total)
-    return check_feasible(sol, inst)
+    sol = Solution.from_picks(inst, {ap: td for ap, td, _ in triples},
+                              {ap: covered for ap, _, covered in triples})
+    return check_feasible(replace(sol, total_power=total), inst)
 
 
 def trace_to_jsonl(records) -> str:

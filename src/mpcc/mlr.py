@@ -55,7 +55,6 @@ from .model import (
     InfeasibleInstanceError,
     Solution,
     disk_order,
-    make_disk,
 )
 
 __all__ = [
@@ -323,15 +322,7 @@ def _retire(state: SolverState, a0: int, stop: int, removed: list) -> None:
 
 
 def assemble_solution(state: SolverState) -> Solution:
-    selected = {}
-    coverage = {}
-    total = 0.0
-    for ap_id in sorted(state.selected):
-        d = make_disk(state.inst, ap_id, state.selected[ap_id])
-        selected[ap_id] = d
-        coverage[ap_id] = frozenset(state.covered_by[ap_id])
-        total += d.power
-    return Solution(selected=selected, coverage=coverage, total_power=total)
+    return Solution.from_picks(state.inst, state.selected, state.covered_by)
 
 
 def solve_mlr(inst: Instance, trace: list[IterationRecord] | None = None) -> Solution:

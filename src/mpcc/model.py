@@ -143,6 +143,20 @@ class Solution:
     coverage: dict[int, frozenset[int]]
     total_power: float
 
+    @classmethod
+    def from_picks(cls, inst: Instance, picks, coverage) -> "Solution":
+        """The solution in which AP a powers the disk with boundary TD
+        ``picks[a]`` and serves the TD ids ``coverage[a]``.
+
+        Both maps are rebuilt in ascending AP order, and the total power
+        is summed in that order.
+        """
+        selected = {a: make_disk(inst, a, picks[a]) for a in sorted(picks)}
+        total = 0.0
+        for d in selected.values():
+            total += d.power
+        return cls(selected, {a: frozenset(coverage[a]) for a in sorted(coverage)}, total)
+
 
 def power_of(radius_sq: float, c: float, alpha: float) -> float:
     """Power needed for a disk of squared radius ``radius_sq``.

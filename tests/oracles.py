@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's max-flow and branch-and-bound
 code: feasibility is decided by raw enumeration or per-TD backtracking,
-so they can serve as oracles for the production paths.  The disk order is
+so they can serve as oracles for the production paths.  The exceptions
+are the earlier forms of rewritten solvers, kept for differential tests:
+``exact_reference`` shares the package's max flow.  The disk order is
 specified here one pair at a time by the scalar ``disk_key``, against
 which the package's array-built ``disk_order`` is tested.
 """
@@ -10,6 +12,7 @@ which the package's array-built ``disk_order`` is tested.
 import itertools
 import json
 import math
+from time import perf_counter
 
 import numpy as np
 
@@ -21,6 +24,15 @@ from mpcc import (
     make_disk,
 )
 from mpcc import model
+from mpcc.baselines import (
+    STATUS_BUDGET_EXCEEDED,
+    STATUS_OPTIMAL,
+    ExactBudget,
+    ExactResult,
+    _BudgetHit,
+    _contained,
+    _flow_assign,
+)
 from mpcc.formats import FormatError, _fmt_real, _real
 
 
@@ -403,3 +415,102 @@ def nca_reference(inst):
         coverage[ap_id] = frozenset(tds)
         total += d.power
     return Solution(selected=selected, coverage=coverage, total_power=total)
+
+
+def exact_reference(inst: Instance, budget: ExactBudget | None = None) -> ExactResult:
+    """Minimum-total-power solution by exhaustive disk-choice search.
+
+    The exact solver as it stood before it kept the flow assignment of
+    its improving leaf: it reruns max flow on the final incumbent to
+    rebuild the assignment, and indexes disks as ``a0 * n + u0``.  Only
+    the dropped ``elapsed_seconds`` field differs from that form.
+
+    Each AP independently picks one of its n disks or none; choice lists
+    are explored in ascending power order (no disk first) and branches
+    are pruned once the partial power reaches the incumbent.  Coverage
+    feasibility of complete choice vectors is decided by max flow.  The
+    optimum is over exactly-once coverings, matching ``check_feasible``.
+    """
+    if budget is None:
+        budget = ExactBudget()
+    t0 = perf_counter()
+    table = disk_order(inst)
+    m, n = inst.m, inst.n
+    powers = table.power.ravel().tolist()
+    ranks = table.rank.ravel().tolist()
+
+    # Disk (a0, u0) is index a0 * n + u0 below.
+    contained_tds = [
+        _contained(row, u0) for row in table.rank.tolist() for u0 in range(n)
+    ]
+    choice_lists: list[list[int | None]] = []
+    for base in range(0, m * n, n):
+        ordered = sorted(range(base, base + n), key=lambda i: (powers[i], ranks[i]))
+        choice_lists.append([None, *ordered])
+
+    best_total = [float("inf")]
+    best_choice: list[tuple[int | None, ...] | None] = [None]
+    nodes = [0]
+
+    def tick():
+        nodes[0] += 1
+        if nodes[0] > budget.max_nodes:
+            raise _BudgetHit
+        if nodes[0] % 256 == 0 and perf_counter() - t0 > budget.max_seconds:
+            raise _BudgetHit
+
+    chosen: list[int | None] = [None] * m
+
+    def assign(choice) -> dict[int, set[int]] | None:
+        aps = [a0 + 1 for a0, i in enumerate(choice) if i is not None]
+        return _flow_assign(aps, [contained_tds[choice[a - 1]] for a in aps], inst.k, n)
+
+    def descend(a0: int, partial: float):
+        tick()
+        if a0 == m:
+            if assign(chosen) is not None:
+                best_total[0] = partial
+                best_choice[0] = tuple(chosen)
+            return
+        for i in choice_lists[a0]:
+            s = partial if i is None else partial + powers[i]
+            if s >= best_total[0]:
+                if i is not None:
+                    break  # ascending power: later choices prune too
+                continue
+            chosen[a0] = i
+            descend(a0 + 1, s)
+            chosen[a0] = None
+
+    status = STATUS_OPTIMAL
+    try:
+        descend(0, 0.0)
+    except _BudgetHit:
+        status = STATUS_BUDGET_EXCEEDED
+
+    solution = None
+    if best_choice[0] is not None:
+        picks = {
+            a0 + 1: make_disk(inst, a0 + 1, i % n + 1)
+            for a0, i in enumerate(best_choice[0]) if i is not None
+        }
+        assignment = assign(best_choice[0])
+        if assignment is None:
+            raise RuntimeError("incumbent lost feasibility; solver bug")
+        coverage = {
+            a: frozenset(tds) for a, tds in sorted(assignment.items()) if tds
+        }
+        total = 0.0
+        for a in sorted(picks):
+            total += picks[a].power
+        solution = Solution(selected=picks, coverage=coverage, total_power=total)
+    elif status == STATUS_OPTIMAL:
+        raise InfeasibleInstanceError(
+            "exhaustive search found no feasible covering; "
+            "the instance violates m*k >= n"
+        )
+    return ExactResult(
+        status=status,
+        solution=solution,
+        nodes_explored=nodes[0],
+    )

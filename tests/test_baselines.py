@@ -22,6 +22,7 @@ from mpcc.model import _ARGSORT_MIN_DISKS
 
 from oracles import (
     enumerate_optimal_total,
+    exact_reference,
     feasible_small_config,
     nca_reference,
     product_assignment_exists,
@@ -244,6 +245,63 @@ def test_exact_is_label_invariant():
         k=inst.k,
     )
     assert math.isclose(solve_exact(ap_flip).solution.total_power, base, rel_tol=1e-12)
+
+
+def _exact_differential_instances():
+    rng = np.random.default_rng(1597)
+    for i in range(330):
+        m = int(rng.integers(1, 5))
+        if i % 3 == 0:
+            n = int(rng.integers(1, 7))
+            k = int(rng.integers(n, n + 3))
+        elif i % 3 == 1:
+            k = int(rng.integers(1, 6 // m + 1))
+            n = m * k
+        else:
+            n = int(rng.integers(1, 7))
+            lo = -(-n // m)
+            k = int(rng.integers(lo, lo + 2))
+        params = dict(k=k, power_c=float(rng.choice([0.3, 1.0, 7.0])),
+                      power_alpha=float(rng.choice([1.0, 2.0, 2.5, 4.0])))
+        if i % 2:
+            # integer grids force coincident points and exact radius ties
+            aps = rng.integers(0, 4, (m, 2)).tolist()
+            tds = rng.integers(0, 4, (n, 2)).tolist()
+        else:
+            aps = (rng.random((m, 2)) * 40).tolist()
+            tds = (rng.random((n, 2)) * 40).tolist()
+        if i % 5 == 0:
+            tds[-1] = tds[0]
+            tds[n // 2] = aps[m // 2]
+        yield Instance.from_coords(aps=aps, tds=tds, **params)
+
+
+def _exact_outcome(res, inst):
+    sol = None if res.solution is None else solution_to_json(res.solution, inst)
+    return res.status, res.nodes_explored, sol
+
+
+def test_exact_matches_rerun_reference_bytes():
+    shapes = set()
+    incumbents = 0
+    for i, inst in enumerate(_exact_differential_instances()):
+        expected = _exact_outcome(exact_reference(inst), inst)
+        assert _exact_outcome(solve_exact(inst), inst) == expected, inst
+        assert expected[0] == STATUS_OPTIMAL
+        shapes.add((inst.k >= inst.n, inst.m * inst.k == inst.n))
+        if i % 3:
+            continue
+        # Budget hits midway and one node short of the end keep whatever
+        # incumbent the search had reached.
+        for max_nodes in (expected[1] // 2, expected[1] - 1):
+            budget = ExactBudget(max_nodes=max_nodes, max_seconds=600)
+            hit = _exact_outcome(exact_reference(inst, budget), inst)
+            assert _exact_outcome(solve_exact(inst, budget), inst) == hit, inst
+            assert hit[0] == STATUS_BUDGET_EXCEEDED
+            incumbents += hit[2] is not None
+    assert i + 1 >= 300
+    assert {(True, False), (False, True), (False, False)} <= shapes
+    assert incumbents >= 50
 
 
 def test_exact_node_budget_is_reported_not_silent():

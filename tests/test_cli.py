@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mpcc import cli, instance_from_json, solution_violations
+from mpcc import cli, experiments, instance_from_json, solution_violations
 
 
 def run_cli(*argv):
@@ -319,3 +319,39 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     )
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert instance_from_json(out.read_text()).n == 4
+
+
+def test_gen_rejects_negative_trial(tmp_path, capsys):
+    code = run_cli("gen", "--n", "5", "--m", "2", "--k", "3", "--trial", "-1",
+                   "--out", str(tmp_path / "x.json"))
+    assert code == cli.EXIT_VALIDATION
+    assert "error: trial must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_check_rejects_boolean_disk_td(tmp_path, capsys):
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(
+        {"c": 1, "alpha": 2, "k": 1, "aps": [[0, 0]], "tds": [[3, 4]]}))
+    sol_path = tmp_path / "solution.json"
+    sol_path.write_text(json.dumps({"total_power": 25, "assignments": [
+        {"ap": 1, "disk_td": True, "covered": [1]}]}))
+    assert run_cli("check", "--instance", str(inst_path),
+                   "--solution", str(sol_path)) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "ids must be integers" in captured.err and "ok" not in captured.out
+
+
+def test_config_entry_keeps_dataclass_defaults(tmp_path):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps([{"n": 10, "m": 2, "k": 6, "side": 40}]))
+    assert cli._parse_config_file(str(cfg_path)) == [
+        experiments.ExperimentConfig(10, 2, 6, 40)]
+
+
+def test_config_entry_missing_side_is_a_parse_error(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps([{"n": 10, "m": 2, "k": 6}]))
+    assert run_cli("bench", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "out")) == cli.EXIT_PARSE
+    assert "config 0 missing field 'side'" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 import csv
 import math
 import tracemalloc
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -244,3 +246,36 @@ def test_run_sweep_writes_csvs(tmp_path):
             plot_rows = list(csv.reader(fh))
         assert plot_rows[0] == ["config_id", "mlr", "nca"]
         assert len(plot_rows) == 3
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's bindings
+#
+# ``perfbench/tracing.py`` binds mpcc functions by name and reports a
+# binding it cannot resolve as an absent metric rather than an error, so a
+# renamed function would otherwise only show up as a missing per-layer
+# figure.  The tracer is run from its source and never modified.
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# Bindings to functions that no longer exist under these names; the
+# tracer reports their spans as absent.
+DEAD_BINDINGS = {
+    ("mpcc.cli", "solve_mlr"),
+    ("mpcc.cli", "solve_nca"),
+    ("mpcc.cli", "solve_exact"),
+    ("mpcc.mlr", "build_disk_family"),
+    ("mpcc.baselines", "build_disk_family"),
+    ("mpcc.mlr", "disk_order_tables"),
+}
+
+
+def test_every_live_benchmark_binding_resolves():
+    tracing = types.ModuleType("perfbench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), tracing.__dict__)
+    bindings = [(mod, attr) for mod, attr, _ in tracing.BINDINGS
+                if mod.split(".")[0] == "mpcc"]
+    assert len(bindings) > len(DEAD_BINDINGS)
+    missing = [b for b in bindings
+               if b not in DEAD_BINDINGS and tracing._resolve(*b) is None]
+    assert missing == []

@@ -199,6 +199,28 @@ def test_covered_must_be_a_list_of_integers(covered):
         solution_violations(text, inst)
 
 
+@pytest.mark.parametrize("ap, td", [("true", "1"), ("1", "true"), ("1", "1.0")])
+def test_assignment_ids_must_be_exact_integers(ap, td):
+    inst = Instance.from_coords(aps=[(0, 0)], tds=[(3, 4)], k=1)
+    text = ('{"total_power": 25, "assignments": [{"ap": ' + ap + ', "disk_td": '
+            + td + ', "covered": [1]}]}')
+    for parse in (solution_from_json, solution_violations):
+        with pytest.raises(FormatError, match="ids must be integers"):
+            parse(text, inst)
+
+
+def test_solution_from_json_keeps_stated_total_in_ap_order():
+    inst = Instance.from_coords(aps=[(0, 0), (10, 0)], tds=[(1, 0), (9, 0)], k=1)
+    text = ('{"total_power": 7.5, "assignments": ['
+            '{"ap": 2, "disk_td": 2, "covered": [2]},'
+            '{"ap": 1, "disk_td": 1, "covered": [1]}]}')
+    sol = solution_from_json(text, inst)
+    assert list(sol.selected) == list(sol.coverage) == [1, 2]
+    assert sol.coverage == {1: frozenset({1}), 2: frozenset({2})}
+    assert sol.total_power == 7.5
+    assert any("stated total_power 7.5" in v for v in solution_violations(text, inst))
+
+
 def test_duplicate_ap_is_a_violation_not_a_parse_error():
     inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0)], k=2)
     text = (

@@ -208,6 +208,20 @@ def _valid_two_ap_solution():
     return inst, sol
 
 
+def test_from_picks_builds_in_ascending_ap_order():
+    inst = Instance.from_coords(aps=[(0, 0), (10, 0), (0.1, 0.2)],
+                                tds=[(1, 0), (9, 0), (0.3, 0.1)], k=1)
+    sol = Solution.from_picks(inst, {3: 3, 2: 2, 1: 1}, {2: [2], 3: (3,), 1: {1}})
+    assert list(sol.selected) == list(sol.coverage) == [1, 2, 3]
+    assert sol.selected == {a: make_disk(inst, a, a) for a in (1, 2, 3)}
+    assert sol.coverage == {a: frozenset({a}) for a in (1, 2, 3)}
+    total = 0.0
+    for a in (1, 2, 3):
+        total += make_disk(inst, a, a).power
+    assert sol.total_power == total
+    assert check_feasible(sol, inst) == []
+
+
 def test_check_feasible_accepts_valid_solution():
     inst, sol = _valid_two_ap_solution()
     assert check_feasible(sol, inst) == []
