@@ -38,10 +38,9 @@ from .formats import (
     solution_from_json,
     solution_to_json,
     solution_violations,
-    trace_to_jsonl,
+    trace_line,
 )
 from .mlr import (
-    IterationRecord,
     MlrInvariantError,
     SolverState,
     apply_selection,

@@ -263,9 +263,7 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
         for u0 in choice_lists[a0]:
             s = partial if u0 is None else partial + powers[a0][u0]
             if s >= best_total:
-                if u0 is not None:
-                    break  # ascending power: later choices prune too
-                continue
+                break  # ascending power: later choices prune too
             chosen[a0] = u0
             descend(a0 + 1, s)
             chosen[a0] = None

@@ -8,6 +8,7 @@ solution, 6 exact-solver budget exceeded, 1 other runtime failure.
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import experiments
@@ -18,7 +19,7 @@ from .formats import (
     instance_to_json,
     solution_to_json,
     solution_violations,
-    trace_to_jsonl,
+    trace_line,
 )
 from .model import validate_instance
 
@@ -135,20 +136,23 @@ def _cmd_solve(args) -> int:
     except FormatError as exc:
         return _error(EXIT_PARSE, exc)
     problems = validate_instance(inst)
+    for flag, value in (("--max-nodes", args.max_nodes), ("--max-seconds", args.max_seconds)):
+        if not value >= 0:  # refuses nan too; an inf --max-seconds means no limit
+            problems.append(f"{flag} must be non-negative, not {value}")
     if problems:
         return _error(EXIT_VALIDATION, *problems)
 
-    trace = [] if args.trace else None
     budget = ExactBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
-    sol, wall_ms, _ = experiments.solve_timed(args.alg, inst, budget, trace)
-    if sol is None:
-        print(f"budget exceeded after {wall_ms / 1e3:.3f}s; no solution written",
-              file=sys.stderr)
-        return EXIT_BUDGET
     try:
+        # Each round's line is written as the round ends; no rounds are kept.
+        with open(args.trace, "w") if args.trace else nullcontext() as fh:
+            trace = None if fh is None else (lambda doc: fh.write(trace_line(doc)))
+            sol, wall_ms, _ = experiments.solve_timed(args.alg, inst, budget, trace)
+        if sol is None:
+            print(f"budget exceeded after {wall_ms / 1e3:.3f}s; no solution written",
+                  file=sys.stderr)
+            return EXIT_BUDGET
         Path(args.out).write_text(solution_to_json(sol, inst))
-        if trace is not None:
-            Path(args.trace).write_text(trace_to_jsonl(trace))
     except OSError as exc:
         return _error(EXIT_FAILURE, f"cannot write: {exc}")
     variance = experiments.utilization_variance(sol, inst)
@@ -180,7 +184,7 @@ def _cmd_check(args) -> int:
 
 def _config_fields(i: int, entry: dict) -> dict:
     """The ExperimentConfig fields a config entry sets, so that absent ones
-    keep their defaults; FormatError for a field of the wrong JSON type."""
+    keep their defaults; FormatError for an unknown or mistyped field."""
     fields = {}
     for f, value in entry.items():
         if f in ("n", "m", "k", "trials", "seed"):
@@ -190,7 +194,7 @@ def _config_fields(i: int, entry: dict) -> dict:
         elif f == "algorithms":
             ok = isinstance(value, list) and all(isinstance(a, str) for a in value)
         else:
-            continue
+            raise FormatError(f"config {i} has unknown field '{f}'")
         if not ok:
             raise FormatError(f"config {i} field '{f}' has the wrong type or value")
         name = {"c": "power_c", "alpha": "power_alpha"}.get(f, f)

@@ -10,6 +10,7 @@ and averages total power, wall time, and the coverage-balance variance
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -157,6 +158,8 @@ def config_violations(cfg: ExperimentConfig) -> list[str]:
     unknown = [a for a in cfg.algorithms if a not in ALGORITHMS]
     if unknown:
         v.append(f"unknown algorithms {unknown}")
+    if not cfg.algorithms or len(set(cfg.algorithms)) < len(cfg.algorithms):
+        v.append(f"algorithms {list(cfg.algorithms)} must be one or more distinct solvers")
     return v
 
 
@@ -189,13 +192,13 @@ def solve_timed(
     algorithm: str,
     inst: Instance,
     budget: ExactBudget,
-    trace: list | None = None,
+    trace: Callable[[dict], object] | None = None,
 ):
     """Run one solver by name; returns (solution_or_None, wall_ms, status).
 
     ``budget`` bounds the exact solver, whose budget miss comes back as
-    ``(None, wall_ms, "budget_exceeded")``.  ``trace`` collects MLR's
-    iteration records and is ignored by the other solvers.
+    ``(None, wall_ms, "budget_exceeded")``.  ``trace`` is MLR's round sink
+    (see ``solve_mlr``), called inside the timed call; other solvers ignore it.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -10,6 +10,13 @@ Solution document::
      "assignments": [{"ap": id, "disk_td": id, "radius": real,
                       "power": real, "covered": [id, ...]}, ...]}
 
+Trace line, one per MLR round in round order::
+
+    {"iter": int, "disk": [ap, td], "ratio": real,
+     "covered": [id, ...], "removed": [[ap, td], ...]}
+
+``covered`` (the TDs assigned) and ``removed`` (the disks retired) ascend.
+
 Ids are 1-based positions in the instance arrays.  Reals are written with
 up to 17 significant digits so parsing recovers the exact double; the
 ``radius`` and ``power`` fields of an assignment are informational on
@@ -34,7 +41,7 @@ __all__ = [
     "solution_to_json",
     "solution_from_json",
     "solution_violations",
-    "trace_to_jsonl",
+    "trace_line",
 ]
 
 
@@ -60,8 +67,11 @@ def _dump(value) -> str:
     if isinstance(value, dict):
         return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
-        if set(map(type, value)) <= {int}:  # id lists: no per-element dispatch
+        types = set(map(type, value))
+        if types <= {int}:  # id lists: no per-element dispatch
             return "[" + ", ".join(map(str, value)) + "]"
+        if types <= {list, tuple} and set(map(type, chain.from_iterable(value))) <= {int}:
+            return json.dumps(value)  # id-pair lists; json's default separators match
         return "[" + ", ".join(_dump(v) for v in value) + "]"
     raise FormatError(f"cannot serialize {type(value).__name__}")
 
@@ -230,6 +240,6 @@ def solution_violations(text: str, inst: Instance) -> list[str]:
     return check_feasible(replace(sol, total_power=total), inst)
 
 
-def trace_to_jsonl(records) -> str:
-    """Line-delimited JSON, one solver round per line."""
-    return "".join(_dump(r.to_doc()) + "\n" for r in records)
+def trace_line(doc: dict) -> str:
+    """One trace document as one line, newline included."""
+    return _dump(doc) + "\n"

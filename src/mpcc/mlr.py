@@ -45,6 +45,7 @@ the same float as ``e * min(k_hat, d)`` there.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,6 @@ from .model import (
 
 __all__ = [
     "SolverState",
-    "IterationRecord",
     "MlrInvariantError",
     "init_state",
     "local_ratio",
@@ -117,27 +117,6 @@ class SolverState:
     def p_hat(self) -> np.ndarray:
         """(m, n) copy of every disk's residual power."""
         return np.concatenate((self.p_win, self.p_sfx), axis=1)
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """One solver round: the chosen disk, its ratio, and what changed."""
-
-    iteration: int
-    ap_id: int
-    td_id: int
-    ratio: float
-    covered: tuple[int, ...]
-    removed: tuple[tuple[int, int], ...]
-
-    def to_doc(self) -> dict:
-        return {
-            "iter": self.iteration,
-            "disk": [self.ap_id, self.td_id],
-            "ratio": self.ratio,
-            "covered": list(self.covered),
-            "removed": [list(p) for p in self.removed],
-        }
 
 
 def init_state(inst: Instance) -> SolverState:
@@ -325,11 +304,12 @@ def assemble_solution(state: SolverState) -> Solution:
     return Solution.from_picks(state.inst, state.selected, state.covered_by)
 
 
-def solve_mlr(inst: Instance, trace: list[IterationRecord] | None = None) -> Solution:
+def solve_mlr(inst: Instance, trace: Callable[[dict], object] | None = None) -> Solution:
     """Run the minimum-local-ratio solver on a valid instance.
 
-    Deterministic for a fixed instance.  When ``trace`` is given, one
-    ``IterationRecord`` per round is appended to it.
+    Deterministic for a fixed instance.  When ``trace`` is given, it is
+    called with each round's trace document (see ``formats``) as the
+    round ends.
     """
     state = init_state(inst)
     n = inst.n
@@ -344,21 +324,16 @@ def solve_mlr(inst: Instance, trace: list[IterationRecord] | None = None) -> Sol
         if iteration > n:
             raise MlrInvariantError("more rounds than TDs")
         a0, r = select_min_ratio(state)
-        td_id = int(state.table.order[a0, r]) + 1
         e_star, covered, removed = apply_selection(state, (a0, r))
         if trace is not None:
-            trace.append(
-                IterationRecord(
-                    iteration=iteration,
-                    ap_id=a0 + 1,
-                    td_id=td_id,
-                    ratio=e_star,
-                    covered=covered,
-                    removed=tuple(
-                        (int(i) // n + 1, int(i) % n + 1) for i in np.sort(removed)
-                    ),
-                )
-            )
+            ap0, u0 = np.divmod(np.sort(removed), n)
+            trace({
+                "iter": iteration,
+                "disk": [a0 + 1, int(state.table.order[a0, r]) + 1],
+                "ratio": e_star,
+                "covered": list(covered),
+                "removed": list(zip((ap0 + 1).tolist(), (u0 + 1).tolist())),
+            })
     solution = assemble_solution(state)
     if not math.isfinite(solution.total_power):
         raise MlrInvariantError("non-finite total power")

@@ -265,8 +265,8 @@ def test_criterion_6_runtime_bound():
 
 def _selection_sequence(inst):
     trace = []
-    solve_mlr(inst, trace=trace)
-    return [(r.ap_id, r.td_id) for r in trace]
+    solve_mlr(inst, trace=trace.append)
+    return [tuple(doc["disk"]) for doc in trace]
 
 
 def test_criterion_7_property_suite():

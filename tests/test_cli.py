@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mpcc import cli, experiments, instance_from_json, solution_violations
+from mpcc import cli, experiments, instance_from_json, mlr, solution_violations
 
 
 def run_cli(*argv):
@@ -355,3 +355,122 @@ def test_config_entry_missing_side_is_a_parse_error(tmp_path, capsys):
     assert run_cli("bench", "--config", str(cfg_path),
                    "--out-dir", str(tmp_path / "out")) == cli.EXIT_PARSE
     assert "config 0 missing field 'side'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--max-nodes", "-5"), ("--max-seconds", "nan"),
+                                         ("--max-seconds", "-1")],
+                         ids=["nodes-negative", "seconds-nan", "seconds-negative"])
+def test_solve_rejects_bad_exact_budget(tmp_path, capsys, flag, value):
+    inst_path = gen_instance(tmp_path, n=5, m=2, k=3)
+    code = run_cli("solve", "--alg", "exact", "--in", str(inst_path),
+                   "--out", str(tmp_path / "sol.json"), flag, value)
+    assert code == cli.EXIT_VALIDATION
+    assert f"error: {flag} must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "sol.json").exists()
+
+
+def test_solve_accepts_unbounded_exact_seconds(tmp_path, capsys):
+    inst_path = gen_instance(tmp_path, n=5, m=2, k=3)
+    code = run_cli("solve", "--alg", "exact", "--in", str(inst_path),
+                   "--out", str(tmp_path / "sol.json"), "--max-seconds", "inf")
+    assert code == cli.EXIT_OK
+
+
+def test_trace_into_missing_directory_is_reported_without_traceback(tmp_path, capsys):
+    inst_path = gen_instance(tmp_path)
+    capsys.readouterr()
+    code = run_cli("solve", "--alg", "mlr", "--in", str(inst_path),
+                   "--out", str(tmp_path / "sol.json"),
+                   "--trace", str(tmp_path / "no-such-dir" / "trace.jsonl"))
+    assert code == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
+def test_trace_lines_are_written_as_the_rounds_end(tmp_path, monkeypatch):
+    inst_path = gen_instance(tmp_path, n=40, m=4, k=12)
+    written, lines_before_round = [], []
+
+    def line(doc, real=cli.trace_line):
+        written.append(real(doc))
+        return written[-1]
+
+    def select(state, real=mlr.select_min_ratio):
+        lines_before_round.append(len(written))
+        return real(state)
+
+    monkeypatch.setattr(cli, "trace_line", line)
+    monkeypatch.setattr(mlr, "select_min_ratio", select)
+    trace_path = tmp_path / "trace.jsonl"
+    code = run_cli("solve", "--alg", "mlr", "--in", str(inst_path),
+                   "--out", str(tmp_path / "sol.json"), "--trace", str(trace_path))
+    assert code == cli.EXIT_OK
+    # round i starts once the lines of the i rounds before it are written
+    assert lines_before_round == list(range(len(written))) and len(written) > 1
+    assert trace_path.read_text() == "".join(written)
+
+
+def test_solve_missing_instance_file_is_a_parse_error(tmp_path, capsys):
+    code = run_cli("solve", "--alg", "mlr", "--in", str(tmp_path / "absent.json"),
+                   "--out", str(tmp_path / "sol.json"))
+    assert code == cli.EXIT_PARSE
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_bench_config_that_is_not_json_is_a_parse_error(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text("[{n: 5}]")
+    assert run_cli("bench", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "out")) == cli.EXIT_PARSE
+    assert "invalid config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"total_power": "25", "assignments": []}, "'total_power' must be a number"),
+    ({"total_power": 25, "assignments": {"ap": 1}}, "'assignments' must be a list"),
+    ({"total_power": 25, "assignments": [1]}, "assignment 0 is not an object"),
+], ids=["total-string", "assignments-object", "assignment-number"])
+def test_check_rejects_malformed_solution_shape(tmp_path, capsys, doc, message):
+    inst_path = gen_instance(tmp_path)
+    sol_path = tmp_path / "solution.json"
+    sol_path.write_text(json.dumps(doc))
+    assert run_cli("check", "--instance", str(inst_path),
+                   "--solution", str(sol_path)) == cli.EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
+def test_check_flags_covered_td_beyond_the_instance(tmp_path, capsys):
+    inst_path = gen_instance(tmp_path)
+    sol_path = tmp_path / "solution.json"
+    run_cli("solve", "--alg", "mlr", "--in", str(inst_path), "--out", str(sol_path))
+    doc = json.loads(sol_path.read_text())
+    doc["assignments"][0]["covered"].append(11)
+    sol_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run_cli("check", "--instance", str(inst_path), "--solution", str(sol_path))
+    assert code == cli.EXIT_INFEASIBLE
+    assert "references unknown TD 11" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [("n", 0), ("seed", -1), ("algorithms", ["foo"]),
+                                          ("algorithms", []), ("algorithms", ["mlr", "mlr"])],
+                         ids=["n-zero", "seed-negative", "algorithms-unknown",
+                              "algorithms-empty", "algorithms-repeated"])
+def test_bench_rejects_config_that_cannot_run(tmp_path, capsys, field, value):
+    entry = {"n": 5, "m": 2, "k": 3, "side": 40, "trials": 2}
+    entry[field] = value
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps([entry]))
+    out = tmp_path / "out"
+    assert run_cli("bench", "--config", str(cfg_path), "--out-dir", str(out)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "results.csv").exists()
+
+
+def test_bench_rejects_unknown_config_field(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps([{"n": 5, "m": 2, "k": 3, "side": 40, "trails": 2}]))
+    out = tmp_path / "out"
+    assert run_cli("bench", "--config", str(cfg_path), "--out-dir", str(out)) == cli.EXIT_PARSE
+    assert "config 0 has unknown field 'trails'" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()

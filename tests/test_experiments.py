@@ -164,6 +164,23 @@ def test_exact_budget_misses_tracked_in_completion_rate():
                for r in report.rows if r.algorithm == "exact")
 
 
+def test_budget_missed_exact_rows_have_empty_power_and_variance(tmp_path):
+    from mpcc import ExactBudget
+
+    cfg = small_cfg(n=10, m=3, k=4, trials=2, algorithms=("exact", "nca"),
+                    exact_budget=ExactBudget(max_nodes=3, max_seconds=600))
+    run_sweep([cfg], "custom", tmp_path)
+    with open(tmp_path / "results.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    missed = [r for r in rows if r["algorithm"] == "exact"]
+    assert len(missed) == 2
+    for r in missed:
+        assert r["status"] == "budget_exceeded"
+        assert r["total_power"] == r["variance"] == ""
+        assert float(r["wall_ms"]) >= 0
+    assert all(r["total_power"] and r["variance"] for r in rows if r["algorithm"] == "nca")
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ExperimentError):
         run_experiment(small_cfg(n=50, m=2, k=2))
@@ -175,6 +192,8 @@ def test_invalid_config_rejected():
     assert config_violations(small_cfg(power_alpha=-2.0))
     assert config_violations(small_cfg(power_alpha=6.0))
     assert config_violations(small_cfg(side=1e160))
+    assert config_violations(small_cfg(algorithms=()))
+    assert config_violations(small_cfg(algorithms=("mlr", "nca", "mlr")))
     assert not config_violations(small_cfg())
 
 

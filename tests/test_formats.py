@@ -16,7 +16,7 @@ from mpcc import (
     solution_violations,
     solve_mlr,
     solve_nca,
-    trace_to_jsonl,
+    trace_line,
 )
 from mpcc import formats
 from mpcc.experiments import override_configs, preset
@@ -97,7 +97,9 @@ def test_parse_matches_reference_on_random_points(aps, tds):
 
 
 @pytest.mark.parametrize("value", [[], [1, 2, -3], (4, 5), [1, True], [True], [1, 2.5],
-                                   [1, "a"], [[1, 2], [3]], {"covered": [7, 1]}, [2**70]])
+                                   [1, "a"], [[1, 2], [3]], {"covered": [7, 1]}, [2**70],
+                                   [(1, 2), [3, 2**70]], [(1, True)], [(1, 2.5)], [[], (7,)],
+                                   [(1, 2), 3], {"removed": [(4, 1), (4, 3)]}])
 def test_dump_matches_per_element_reference(value):
     def dumped(dump):
         try:
@@ -114,11 +116,11 @@ def test_serialisation_matches_per_element_reference(monkeypatch):
         for t in range(cfg.trials):
             inst = generate_instance(cfg, t)
             trace = []
-            cases.append((inst, solve_mlr(inst, trace), solve_nca(inst), trace))
+            cases.append((inst, solve_mlr(inst, trace.append), solve_nca(inst), trace))
 
     def write():
         return [(instance_to_json(inst), solution_to_json(mlr, inst),
-                 solution_to_json(nca, inst), trace_to_jsonl(trace))
+                 solution_to_json(nca, inst), "".join(map(trace_line, trace)))
                 for inst, mlr, nca, trace in cases]
 
     got = write()
@@ -256,8 +258,8 @@ def test_dropped_td_is_reported():
 def test_trace_jsonl_parses_line_by_line():
     inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (2, 0)], k=2)
     trace = []
-    solve_mlr(inst, trace=trace)
-    lines = trace_to_jsonl(trace).splitlines()
+    solve_mlr(inst, trace=trace.append)
+    lines = "".join(map(trace_line, trace)).splitlines()
     assert len(lines) == len(trace) == 2
     first = json.loads(lines[0])
     assert first["disk"] == [1, 1]
