@@ -5,8 +5,10 @@ APs with spare capacity; an AP's final disk is the largest-keyed disk of
 its assigned TDs.  The exact solver enumerates one disk choice (or none)
 per AP with branch-and-bound pruning on partial power sums and decides
 coverage feasibility of a choice vector with a unit-capacity flow
-network, so it is only practical at small scale.  Both produce solutions
-that pass ``check_feasible``.
+network, so it is only practical at small scale.  Leaves are first
+screened by TD bitmasks (the union of the chosen disks and the sum of
+their servable counts); the set-up holds O(m·n) masks.  Both produce
+solutions that pass ``check_feasible``.
 """
 
 from dataclasses import dataclass
@@ -140,6 +142,29 @@ def _contained(rank_row: list[int], u0: int) -> list[int]:
     return [v + 1 for v, r in enumerate(rank_row) if r <= rank_row[u0]]
 
 
+def _choice_list(
+    power_row: list[float], rank_row: list[int], order_row: list[int], k: int
+) -> list[tuple[int | None, float, int, int]]:
+    """One AP's disk choices for the exact search, no disk first.
+
+    Each choice is the TD index u0 of the disk (None for no disk), its
+    power, its TD bitmask (bit v0 set for each TD index v0 inside) and its
+    servable count ``min(k, rank + 1)``.  Disks follow in ascending power.
+    The masks come from one prefix-OR walk along the AP's disk order, as
+    the disk of rank r holds exactly the TDs of ranks 0..r.
+    """
+    masks = [0] * len(order_row)
+    acc = 0
+    for v0 in order_row:
+        acc |= 1 << v0
+        masks[v0] = acc
+    by_power = sorted(range(len(order_row)), key=lambda u0: (power_row[u0], rank_row[u0]))
+    return [
+        (None, 0.0, 0, 0),
+        *((u0, power_row[u0], masks[u0], min(k, rank_row[u0] + 1)) for u0 in by_power),
+    ]
+
+
 def _flow_assign(
     chosen_aps: list[int], contained: list[list[int]], k: int, n: int
 ) -> dict[int, set[int]] | None:
@@ -216,23 +241,25 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
     are explored in ascending power order (no disk first) and branches
     are pruned once the partial power reaches the incumbent.  Coverage
     feasibility of complete choice vectors is decided by max flow, whose
-    assignment the incumbent keeps.  The optimum is over exactly-once
-    coverings, matching ``check_feasible``.
+    assignment the incumbent keeps.  Before the flow, a leaf is screened
+    by TD bitmasks: it is skipped unless the chosen disks' union holds
+    every TD and their servable counts ``min(k, rank + 1)`` sum to at
+    least n, both necessary for a full flow.  The set-up holds one mask
+    per disk, O(m·n) masks.  The optimum is over exactly-once coverings,
+    matching ``check_feasible``.
     """
     if budget is None:
         budget = ExactBudget()
     t0 = perf_counter()
     table = disk_order(inst)
-    m, n = inst.m, inst.n
-    powers = table.power.tolist()
+    m, n, k = inst.m, inst.n, inst.k
     ranks = table.rank.tolist()
 
-    # Disk (a0, u0) is AP a0's u0 entry below; a choice is a u0 or None.
-    contained_tds = [[_contained(row, u0) for u0 in range(n)] for row in ranks]
-    choice_lists: list[list[int | None]] = [
-        [None, *sorted(range(n), key=lambda u0: (p[u0], r[u0]))]
-        for p, r in zip(powers, ranks)
+    choice_lists = [
+        _choice_list(p, r, o, k)
+        for p, r, o in zip(table.power.tolist(), ranks, table.order.tolist())
     ]
+    all_tds = (1 << n) - 1
 
     best_total = float("inf")
     best: Solution | None = None
@@ -248,29 +275,33 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
 
     chosen: list[int | None] = [None] * m
 
-    def descend(a0: int, partial: float):
+    def descend(a0: int, partial: float, union: int, cap: int):
         nonlocal best_total, best
         tick()
         if a0 == m:
+            # Without every TD in the union and n servable slots, no flow
+            # can cover; only the remaining leaves build the network.
+            if union != all_tds or cap < n:
+                return
             picks = {a + 1: u0 + 1 for a, u0 in enumerate(chosen) if u0 is not None}
-            contained = [contained_tds[a - 1][u - 1] for a, u in picks.items()]
-            assignment = _flow_assign(list(picks), contained, inst.k, n)
+            contained = [_contained(ranks[a - 1], u - 1) for a, u in picks.items()]
+            assignment = _flow_assign(list(picks), contained, k, n)
             if assignment is not None:
                 best_total = partial
                 coverage = {a: tds for a, tds in assignment.items() if tds}
                 best = Solution.from_picks(inst, picks, coverage)
             return
-        for u0 in choice_lists[a0]:
-            s = partial if u0 is None else partial + powers[a0][u0]
+        for u0, power, mask, servable in choice_lists[a0]:
+            s = partial + power
             if s >= best_total:
                 break  # ascending power: later choices prune too
             chosen[a0] = u0
-            descend(a0 + 1, s)
+            descend(a0 + 1, s, union | mask, cap + servable)
             chosen[a0] = None
 
     status = STATUS_OPTIMAL
     try:
-        descend(0, 0.0)
+        descend(0, 0.0, 0, 0)
     except _BudgetHit:
         status = STATUS_BUDGET_EXCEEDED
     if best is None and status == STATUS_OPTIMAL:

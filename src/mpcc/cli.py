@@ -147,10 +147,10 @@ def _cmd_solve(args) -> int:
         # Each round's line is written as the round ends; no rounds are kept.
         with open(args.trace, "w") if args.trace else nullcontext() as fh:
             trace = None if fh is None else (lambda doc: fh.write(trace_line(doc)))
-            sol, wall_ms, _ = experiments.solve_timed(args.alg, inst, budget, trace)
+            sol, wall_ms, _, nodes = experiments.solve_timed(args.alg, inst, budget, trace)
         if sol is None:
-            print(f"budget exceeded after {wall_ms / 1e3:.3f}s; no solution written",
-                  file=sys.stderr)
+            print(f"budget exceeded after {wall_ms / 1e3:.3f}s and {nodes} nodes; "
+                  "no solution written", file=sys.stderr)
             return EXIT_BUDGET
         Path(args.out).write_text(solution_to_json(sol, inst))
     except OSError as exc:

@@ -194,15 +194,18 @@ def solve_timed(
     budget: ExactBudget,
     trace: Callable[[dict], object] | None = None,
 ):
-    """Run one solver by name; returns (solution_or_None, wall_ms, status).
+    """Run one solver by name; returns (solution_or_None, wall_ms, status, nodes).
 
     ``budget`` bounds the exact solver, whose budget miss comes back as
-    ``(None, wall_ms, "budget_exceeded")``.  ``trace`` is MLR's round sink
-    (see ``solve_mlr``), called inside the timed call; other solvers ignore it.
+    ``(None, wall_ms, "budget_exceeded", nodes)``.  ``nodes`` is the exact
+    search's node count, None for the other solvers.  ``trace`` is MLR's
+    round sink (see ``solve_mlr``), called inside the timed call; other
+    solvers ignore it.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     t0 = perf_counter()
+    nodes = None
     if algorithm == "mlr":
         sol = solve_mlr(inst, trace=trace)
     elif algorithm == "nca":
@@ -210,8 +213,9 @@ def solve_timed(
     else:
         res = solve_exact(inst, budget)
         sol = res.solution if res.status == STATUS_OPTIMAL else None
+        nodes = res.nodes_explored
     wall_ms = (perf_counter() - t0) * 1e3
-    return sol, wall_ms, "ok" if sol is not None else STATUS_BUDGET_EXCEEDED
+    return sol, wall_ms, "ok" if sol is not None else STATUS_BUDGET_EXCEEDED, nodes
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -228,7 +232,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for trial in range(cfg.trials):
         inst = generate_instance(cfg, trial)
         for algorithm in cfg.algorithms:
-            sol, wall_ms, status = solve_timed(algorithm, inst, cfg.exact_budget)
+            sol, wall_ms, status, _ = solve_timed(algorithm, inst, cfg.exact_budget)
             if sol is None:
                 rows.append(TrialRow(trial, algorithm, None, wall_ms, None, status))
                 continue

@@ -1,23 +1,28 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mpcc import (
     ExactBudget,
+    ExperimentConfig,
     InfeasibleInstanceError,
     Instance,
     STATUS_BUDGET_EXCEEDED,
     STATUS_OPTIMAL,
     assignment_feasible,
     check_feasible,
+    disk_order,
+    generate_instance,
     make_disk,
     solve_exact,
     solve_mlr,
     solve_nca,
     solution_to_json,
 )
+from mpcc.baselines import _choice_list, _contained, _flow_assign
 from mpcc.model import _ARGSORT_MIN_DISKS
 
 from oracles import (
@@ -302,6 +307,62 @@ def test_exact_matches_rerun_reference_bytes():
     assert i + 1 >= 300
     assert {(True, False), (False, True), (False, False)} <= shapes
     assert incumbents >= 50
+
+
+def test_exact_mask_screen_rejects_only_flow_infeasible_leaves():
+    # solve_exact skips a leaf's max flow when its disks' TD masks miss a
+    # TD or their servable counts sum below n.  Random choice vectors on
+    # the differential shapes: a rejected vector must be flow-infeasible,
+    # and a passed one goes to the same flow as assignment_feasible.
+    rng = np.random.default_rng(2024)
+    rejected = passed = passed_feasible = tight_feasible = 0
+    for inst in _exact_differential_instances():
+        m, n, k = inst.m, inst.n, inst.k
+        table = disk_order(inst)
+        ranks = table.rank.tolist()
+        choices = [
+            {u0: (mask, servable) for u0, _, mask, servable in _choice_list(p, r, o, k)}
+            for p, r, o in zip(table.power.tolist(), ranks, table.order.tolist())
+        ]
+        for a0 in range(m):
+            for u0 in range(n):
+                inside = sum(1 << (v - 1) for v in _contained(ranks[a0], u0))
+                assert choices[a0][u0][0] == inside
+        for _ in range(6):
+            vector = [None if rng.random() < 0.2 else int(rng.integers(n)) for _ in range(m)]
+            union = cap = 0
+            for a0, u0 in enumerate(vector):
+                union |= choices[a0][u0][0]
+                cap += choices[a0][u0][1]
+            aps = [a0 + 1 for a0, u0 in enumerate(vector) if u0 is not None]
+            contained = [_contained(ranks[a - 1], vector[a - 1]) for a in aps]
+            flow = _flow_assign(aps, contained, k, n)
+            if union != (1 << n) - 1 or cap < n:
+                rejected += 1
+                assert flow is None, (inst, vector)
+                continue
+            passed += 1
+            chosen = {a: make_disk(inst, a, vector[a - 1] + 1) for a in aps}
+            assert flow == assignment_feasible(chosen, inst), (inst, vector)
+            passed_feasible += flow is not None
+            tight_feasible += flow is not None and cap == n
+    assert rejected >= 100 and passed >= 100
+    assert passed_feasible >= 50 and tight_feasible >= 10
+
+
+def test_exact_setup_memory_is_linear_in_disks():
+    # The search holds one TD bitmask per disk, not a TD id list per disk
+    # (about 33 MB at this size); one node is enough to measure the set-up.
+    cfg = ExperimentConfig(n=400, m=20, k=40, side=40.0, seed=1729)
+    inst = generate_instance(cfg, 0)
+    tracemalloc.start()
+    try:
+        res = solve_exact(inst, ExactBudget(max_nodes=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == STATUS_BUDGET_EXCEEDED
+    assert peak <= 4e6
 
 
 def test_exact_node_budget_is_reported_not_silent():

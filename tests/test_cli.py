@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,10 +111,15 @@ def test_solve_validation_exit_code(tmp_path, capsys):
 
 def test_exact_budget_exit_code(tmp_path, capsys):
     inst_path = gen_instance(tmp_path, n=12, m=3, k=4)
+    capsys.readouterr()
     code = run_cli("solve", "--alg", "exact", "--in", str(inst_path),
                    "--out", str(tmp_path / "sol.json"), "--max-nodes", "4")
     assert code == cli.EXIT_BUDGET
-    assert "budget exceeded" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    # The fifth node exceeds a budget of four.
+    assert re.fullmatch(r"budget exceeded after \d+\.\d{3}s and 5 nodes; "
+                        r"no solution written\n", captured.err)
+    assert captured.out == ""
     assert not (tmp_path / "sol.json").exists()
 
 
