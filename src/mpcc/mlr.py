@@ -41,7 +41,16 @@ This is exact, tie-break included:
   every live AP), and the window's row-major argmin is the full one.
 
 Ranks >= hi are still charged every round, with the AP's ``e * k_hat``:
-the same float as ``e * min(k_hat, d)`` there.
+the same float as ``e * min(k_hat, d)`` there.  At full width d is
+recounted each round by one int64 ``np.add.accumulate`` of the live TDs
+along each AP's order; in a narrower window the covered TDs are
+subtracted as runs.
+
+On small tables a round costs more in numpy calls than in array work, so
+the loop keeps what it knows as Python ints: ``solve_mlr`` counts the
+uncovered TDs down by each round's covered list, scalars are read with
+``.item()``, and the list of APs with live disks is recomputed only in a
+round in which the chosen AP retires wholly.
 """
 
 import math
@@ -95,7 +104,10 @@ class SolverState:
     residual powers are split at hi into ``p_win`` and ``p_sfx``, each
     contiguous.  ``div`` is min(k_hat, d) as of the latest
     ``select_min_ratio`` call; the charge reuses it.  ``live_ap`` lists
-    the APs with live disks.  A state is private to its solve call and
+    the APs with live disks while TDs remain; ``apply_selection``
+    recomputes it only when the chosen AP retires wholly, the one whole
+    retirement that can happen before the last TD is covered.  A state
+    is private to its solve call and
     must not be shared across threads.
     """
 
@@ -196,13 +208,12 @@ def select_min_ratio(state: SolverState) -> tuple[int, int]:
     # d grows along a row, so an AP's smallest divisor sits at first_live.
     if div[live_ap, first[live_ap]].min() < 1:
         raise MlrInvariantError("live disk with degenerate ratio divisor")
-    a0, r = divmod(int((state.p_win / div).argmin()), state.hi)
-    if r < first[a0]:
+    a0, r = divmod((state.p_win / div).argmin().item(), state.hi)
+    if r < first.item(a0):
         raise MlrInvariantError(f"selected retired disk of AP {a0 + 1}")
-    if state.d[a0, r] > state.k_hat[a0]:
-        raise MlrInvariantError(
-            f"selected disk has d={state.d[a0, r]} above k_hat={state.k_hat[a0]}"
-        )
+    d, k = state.d.item(a0, r), state.k_hat.item(a0)
+    if d > k:
+        raise MlrInvariantError(f"selected disk has d={d} above k_hat={k}")
     return a0, r
 
 
@@ -217,8 +228,8 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     a0, r = pick
     m, n, hi = state.inst.m, state.inst.n, state.hi
     order = state.table.order
-    d_star, k_star = int(state.d[a0, r]), int(state.k_hat[a0])
-    e_star = local_ratio(float(state.p_win[a0, r]), k_star, d_star)
+    d_star, k_star = state.d.item(a0, r), state.k_hat.item(a0)
+    e_star = local_ratio(state.p_win.item(a0, r), k_star, d_star)
     first = state.first_live
     removed = []
 
@@ -229,7 +240,7 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     # 1. Assignment: the chosen AP now answers for these TDs, and its
     # latest disk strictly grows in key order.
     ap_id = a0 + 1
-    state.selected[ap_id] = int(order[a0, r]) + 1
+    state.selected[ap_id] = order.item(a0, r) + 1
     state.covered_by.setdefault(ap_id, []).extend(covered_ids)
 
     # 2. Retire disks at the chosen AP.  A pick that exactly fills the
@@ -250,11 +261,11 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     # live TDs up to its rank in its AP's order.
     c = covered0.size
     state.live_td[covered0] = False
-    state.k_hat[a0] -= c
+    state.k_hat[a0] = k_star - c
     if hi == n:
-        np.cumsum(state.live_td[order], axis=1, out=state.d)
+        np.add.accumulate(state.live_td[order], axis=1, dtype=np.int64, out=state.d)
     else:
-        # A cumsum costs several times more per cell than a repeat, but
+        # A prefix sum costs several times more per cell than a repeat, but
         # takes fewer calls, which wins on the small tables that run at
         # full width.  In a narrow window subtract the covered TDs at or
         # below each rank: each row's covered ranks, cut at hi and sorted
@@ -272,18 +283,22 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
 
     # 5. Drop disks that can no longer contribute: the whole chosen AP once
     # its capacity is spent, and every AP's new prefix of d = 0 disks.
-    if state.k_hat[a0] <= 0:
+    if k_star <= c:
         _retire(state, a0, n, removed)
+    # So far this round only the chosen AP can have retired wholly (here,
+    # or in step 2 by its largest disk); only then is ``live_ap`` refreshed.
+    if first.item(a0) == n:
+        state.live_ap = np.flatnonzero(first < n)
     # A row of d never decreases, so only an AP whose first live disk now
     # has d = 0 loses disks, and its zeros are a prefix of the row; they
     # lie inside the window, since rank hi - 1 has d >= k_hat > 0.  Only
     # a round that leaves no TD retires a whole row here, so ``live_ap``
     # stays right for the next selection.
-    live_ap = state.live_ap = np.flatnonzero(first < n)
+    live_ap = state.live_ap
     zero = live_ap[state.d[live_ap, first[live_ap]] == 0]
     if zero.size:
         stops = (state.d[zero] == 0).sum(axis=1)
-        for a, stop in zip(zero, stops):
+        for a, stop in zip(zero.tolist(), stops.tolist()):
             _retire(state, a, stop, removed)
     return e_star, tuple(covered_ids), np.concatenate(removed)
 
@@ -291,7 +306,7 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
 def _retire(state: SolverState, a0: int, stop: int, removed: list) -> None:
     """Retire AP a0's live disks of rank below ``stop``, appending their
     indices ``a0 * n + u0`` to ``removed``."""
-    start = state.first_live[a0]
+    start = state.first_live.item(a0)
     if stop > start:
         state.p_win[a0, start:stop] = math.inf
         if stop > state.hi:  # the whole AP; its lower ranks are retired already
@@ -312,10 +327,10 @@ def solve_mlr(inst: Instance, trace: Callable[[dict], object] | None = None) -> 
     round ends.
     """
     state = init_state(inst)
-    n = inst.n
+    n = left = inst.n  # left counts the uncovered TDs
     iteration = 0
-    while state.live_td.any():
-        if (state.first_live >= n).all():
+    while left:
+        if state.live_ap.size == 0:
             raise InfeasibleInstanceError(
                 "uncovered TDs remain but no candidate disks are live; "
                 "the instance violates m*k >= n"
@@ -325,11 +340,12 @@ def solve_mlr(inst: Instance, trace: Callable[[dict], object] | None = None) -> 
             raise MlrInvariantError("more rounds than TDs")
         a0, r = select_min_ratio(state)
         e_star, covered, removed = apply_selection(state, (a0, r))
+        left -= len(covered)
         if trace is not None:
             ap0, u0 = np.divmod(np.sort(removed), n)
             trace({
                 "iter": iteration,
-                "disk": [a0 + 1, int(state.table.order[a0, r]) + 1],
+                "disk": [a0 + 1, state.table.order.item(a0, r) + 1],
                 "ratio": e_star,
                 "covered": list(covered),
                 "removed": list(zip((ap0 + 1).tolist(), (u0 + 1).tolist())),

@@ -182,9 +182,9 @@ def _boundary_vectors(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     return td[:, 0] - ap[:, 0, None], td[:, 1] - ap[:, 1, None]
 
 
-def _key_fields(dx: np.ndarray, dy: np.ndarray):
-    """Key fields ``(rsq, cos, y_sign)`` of boundary vectors, elementwise."""
-    rsq = dx * dx + dy * dy
+def _key_fields(dx: np.ndarray, dy: np.ndarray, rsq: np.ndarray):
+    """Key fields ``(cos, y_sign)`` after the squared radius ``rsq`` of
+    boundary vectors, elementwise."""
     # A zero-length boundary vector takes a fixed direction (cos 1, y sign
     # 0), so coincident TDs are ordered by id alone.
     degenerate = rsq == 0.0
@@ -193,33 +193,29 @@ def _key_fields(dx: np.ndarray, dy: np.ndarray):
     # sqrt rounding can push the quotient a hair past 1 in magnitude.
     cos = np.minimum(1.0, np.maximum(-1.0, cos))
     y_sign = ((dy < 0.0) & ~degenerate).astype(np.int64)
-    return rsq, cos, y_sign
+    return cos, y_sign
 
 
-# Smallest table sorted by radius first (see ``_key_order``).
-_ARGSORT_MIN_DISKS = 192
-
-
-def _key_order(rsq, cos, y_sign, rows) -> np.ndarray:
-    """Each row's column indices in ascending key order: one AP's TDs per
-    row in ``disk_order``, all (TD, AP) pairs as one row in ``pair_order``."""
-    if rsq.size >= _ARGSORT_MIN_DISKS:
-        # Distinct radii decide the order alone, and a plain sort of them
-        # plus the tie check is faster than the full key sort from about
-        # this many disks on; below it the check's fixed cost dominates.
-        order = np.argsort(rsq, axis=-1)
-        ranked = rsq[rows, order]
-        if not (ranked[:, 1:] == ranked[:, :-1]).any():
-            return order
+def _key_order(dx, dy) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, rsq)`` of boundary vectors: each row's column indices in
+    ascending key order, and the squared radii.  A row holds one AP's TDs
+    in ``disk_order`` and all (TD, AP) pairs in ``pair_order``."""
+    rsq = dx * dx + dy * dy
+    # Distinct radii decide the order alone; the other key fields are
+    # computed only for a table that repeats a radius.
+    order = np.argsort(rsq, axis=-1)
+    ranked = rsq[np.arange(rsq.shape[0])[:, None], order]
+    if not (ranked[:, 1:] == ranked[:, :-1]).any():
+        return order, rsq
     # np.lexsort is stable, so column indices break the remaining ties.
-    return np.lexsort((y_sign, cos, rsq), axis=-1)
+    cos, y_sign = _key_fields(dx, dy, rsq)
+    return np.lexsort((y_sign, cos, rsq), axis=-1), rsq
 
 
 def disk_order(inst: Instance) -> DiskOrder:
     """Build the key order of all m*n candidate disks at once."""
-    rsq, cos, y_sign = _key_fields(*_boundary_vectors(inst))
+    order, rsq = _key_order(*_boundary_vectors(inst))
     rows = np.arange(inst.m)[:, None]
-    order = _key_order(rsq, cos, y_sign, rows)
     rank = np.empty_like(order)
     rank[rows, order] = np.arange(inst.n)
     # Scalar pow per element, as ``**`` in ``power_of``: numpy's vectorised
@@ -240,8 +236,8 @@ def pair_order(inst: Instance) -> np.ndarray:
     sort breaks disk-key ties by TD, then AP.
     """
     dx, dy = _boundary_vectors(inst)
-    rsq, cos, y_sign = _key_fields(dx.T.reshape(1, -1), dy.T.reshape(1, -1))
-    return _key_order(rsq, cos, y_sign, np.zeros((1, 1), dtype=np.intp))[0]
+    order, _ = _key_order(dx.T.reshape(1, -1), dy.T.reshape(1, -1))
+    return order[0]
 
 
 def validate_instance(inst: Instance) -> list[str]:
@@ -298,13 +294,13 @@ def _outside(inst: Instance, claims) -> set[tuple[int, int]]:
     ends, ap = idx[:2], idx[2]
     vec = inst.td_xy[ends] - inst.ap_xy[ap]
     dx, dy = vec[..., 0], vec[..., 1]
-    rsq = dx * dx + dy * dy  # as in _key_fields
+    rsq = dx * dx + dy * dy  # as in _key_order
     # Keys compare as (rsq, cos, y_sign, TD id), so only equal radii of
     # two distinct TDs need the fields after the first.
     out = rsq[0] > rsq[1]
     tie = np.flatnonzero((rsq[0] == rsq[1]) & (ends[0] != ends[1]))
     if tie.size:
-        _, (cu, cb), (yu, yb) = _key_fields(dx[:, tie], dy[:, tie])
+        (cu, cb), (yu, yb) = _key_fields(dx[:, tie], dy[:, tie], rsq[:, tie])
         tu, tb = ends[:, tie]
         out[tie] = (cu > cb) | (cu == cb) & ((yu > yb) | (yu == yb) & (tu > tb))
     hit = np.flatnonzero(out)

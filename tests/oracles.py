@@ -62,7 +62,9 @@ def disk_key(inst, ap_id, td_id) -> tuple[float, float, int, int]:
 def key_fields(inst):
     """The package's vectorised key fields ``(rsq, cos, y_sign)`` of every
     disk as ``(m, n)`` arrays, the ones ``disk_order`` sorts by."""
-    return model._key_fields(*model._boundary_vectors(inst))
+    dx, dy = model._boundary_vectors(inst)
+    rsq = dx * dx + dy * dy
+    return (rsq, *model._key_fields(dx, dy, rsq))
 
 
 def contains(d, td_id, inst) -> bool:

@@ -23,12 +23,12 @@ from mpcc import (
     solution_to_json,
 )
 from mpcc.baselines import _choice_list, _contained, _flow_assign
-from mpcc.model import _ARGSORT_MIN_DISKS
 
 from oracles import (
     enumerate_optimal_total,
     exact_reference,
     feasible_small_config,
+    key_fields,
     nca_reference,
     product_assignment_exists,
     random_instance,
@@ -127,14 +127,16 @@ def _nca_differential_instances():
 
 
 def test_nca_matches_disk_order_reference_bytes():
-    sizes = []
+    ties = []
     for inst in _nca_differential_instances():
         expected = solution_to_json(nca_reference(inst), inst)
         assert solution_to_json(solve_nca(inst), inst) == expected, inst
-        sizes.append(inst.m * inst.n)
-    assert len(sizes) >= 480
-    assert min(sizes) < _ARGSORT_MIN_DISKS <= max(sizes)
-    assert sum(s >= _ARGSORT_MIN_DISKS for s in sizes) >= 50
+        rsq = key_fields(inst)[0]
+        ties.append(np.unique(rsq).size < rsq.size)
+    assert len(ties) >= 480
+    # both branches of the pair sort: radii alone, and the tie fallback
+    assert len(ties) - sum(ties) >= 50
+    assert sum(ties) >= 50
 
 
 # ---------------------------------------------------------------------------

@@ -147,11 +147,54 @@ def test_infeasible_without_validation_raises():
     inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (2, 0), (3, 0)], k=1)
     with pytest.raises(InfeasibleInstanceError):
         solve_mlr(inst)
+    # each AP spends its capacity on its near TD in its own round, so the
+    # live APs run out mid-solve with the middle TD still uncovered
+    inst = Instance.from_coords(aps=[(0, 0), (10, 0)], tds=[(1, 0), (9, 0), (5, 0)], k=1)
+    with pytest.raises(InfeasibleInstanceError):
+        solve_mlr(inst)
 
 
 def _window_on_every_table(monkeypatch):
     """Let tables of any size use the head window (see ``init_state``)."""
     monkeypatch.setattr(mlr, "_WINDOW_MIN_DISKS", 0)
+
+
+def _bookkeeping_instances():
+    rng = np.random.default_rng(31)
+    for i in range(60):
+        m = int(rng.integers(1, 6))
+        k = int(rng.integers(1, 8))
+        n = m * k if i % 2 else int(rng.integers(1, m * k + 1))
+        if i % 3:
+            yield random_instance(rng, m=m, n=n, k=k)
+        else:
+            # integer grids force coincident points and exact radius ties
+            yield Instance.from_coords(aps=rng.integers(0, 5, (m, 2)).tolist(),
+                                       tds=rng.integers(0, 5, (n, 2)).tolist(), k=k)
+
+
+@pytest.mark.parametrize("window", [False, True], ids=["full", "window"])
+def test_live_aps_and_uncovered_count_track_the_state(monkeypatch, window):
+    # solve_mlr counts the uncovered TDs from each round's covered list,
+    # and apply_selection refreshes live_ap only when an AP retires wholly
+    if window:
+        _window_on_every_table(monkeypatch)
+    narrow = shrank = 0
+    for inst in _bookkeeping_instances():
+        state = init_state(inst)
+        n = left = inst.n
+        narrow += state.hi < n
+        while left:
+            live = state.live_ap.size
+            _, covered, _ = apply_selection(state, select_min_ratio(state))
+            left -= len(covered)
+            assert left == state.live_td.sum()
+            if left:
+                assert np.array_equal(state.live_ap, np.flatnonzero(state.first_live < n))
+                shrank += state.live_ap.size < live
+    # APs retire wholly while TDs remain, so the refresh is exercised
+    assert shrank >= 20
+    assert (narrow >= 20) if window else narrow == 0
 
 
 def _step_through(inst):
