@@ -59,7 +59,6 @@ from .model import (
     check_feasible,
     disk_order,
     make_disk,
-    pair_order,
     power_of,
     validate_instance,
 )

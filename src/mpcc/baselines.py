@@ -20,7 +20,7 @@ from .model import (
     InfeasibleInstanceError,
     Solution,
     disk_order,
-    pair_order,
+    pair_runs,
 )
 
 __all__ = [
@@ -42,28 +42,30 @@ def solve_nca(inst: Instance) -> Solution:
     """Nearest-capable-access greedy.
 
     Pairs are ranked by the candidate disk's key, then the TD id, then
-    the AP id (``pair_order``).  Scanning the pairs once in that order is
+    the AP id (``pair_runs``).  Scanning the pairs once in that order is
     equivalent to repeatedly taking the closest available pair, because a
     pair skipped for a covered TD or a full AP never becomes available
     again.  Restricted to one AP, this order is the AP's disk order (key,
     then TD id), so the last TD assigned to an AP is the boundary TD of
-    the largest-keyed disk among its assigned TDs.
+    the largest-keyed disk among its assigned TDs.  The scan draws runs
+    of the order only until every TD is covered.
     """
-    m, n = inst.m, inst.n
-    spare = [inst.k] * m
-    covered = [False] * n
+    spare = [inst.k] * inst.m
+    covered = [False] * inst.n
     assigned: dict[int, list[int]] = {}
-    remaining = n
-    for i in pair_order(inst).tolist():
+    remaining = inst.n
+    for u0s, a0s in pair_runs(inst):
+        for u0, a0 in zip(u0s, a0s):
+            if covered[u0] or spare[a0] == 0:
+                continue
+            covered[u0] = True
+            spare[a0] -= 1
+            assigned.setdefault(a0 + 1, []).append(u0 + 1)
+            remaining -= 1
+            if remaining == 0:
+                break
         if remaining == 0:
-            break
-        u0, a0 = divmod(i, m)
-        if covered[u0] or spare[a0] == 0:
-            continue
-        covered[u0] = True
-        spare[a0] -= 1
-        assigned.setdefault(a0 + 1, []).append(u0 + 1)
-        remaining -= 1
+            break  # draw no further run
     if remaining:
         raise InfeasibleInstanceError(
             "NCA exhausted all capacity with TDs uncovered; "

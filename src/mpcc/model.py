@@ -20,15 +20,15 @@ above D.  Equal-radius boundary ties therefore resolve deterministically,
 and of two same-radius disks at one AP the greater-keyed one contains
 both boundary TDs while the lesser contains only its own.  ``disk_order``
 builds this order for every AP at once as rank tables, from which MLR
-and the exact solver read containment; ``pair_order`` sorts all (AP, TD)
-pairs by the same key for NCA.
+and the exact solver read containment; ``pair_runs`` yields all (AP, TD)
+pairs in the same key order for NCA, in runs sorted only when drawn.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ __all__ = [
     "power_of",
     "make_disk",
     "disk_order",
-    "pair_order",
+    "pair_runs",
     "validate_instance",
     "check_feasible",
 ]
@@ -196,25 +196,26 @@ def _key_fields(dx: np.ndarray, dy: np.ndarray, rsq: np.ndarray):
     return cos, y_sign
 
 
-def _key_order(dx, dy) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, rsq)`` of boundary vectors: each row's column indices in
-    ascending key order, and the squared radii.  A row holds one AP's TDs
-    in ``disk_order`` and all (TD, AP) pairs in ``pair_order``."""
-    rsq = dx * dx + dy * dy
+def _key_order(dx, dy, rsq) -> np.ndarray:
+    """Each row's column indices in ascending key order, for boundary
+    vectors ``(dx, dy)`` of squared radii ``rsq``.  A row holds one AP's
+    TDs in ``disk_order`` and one run of (TD, AP) pairs in ``pair_runs``."""
     # Distinct radii decide the order alone; the other key fields are
     # computed only for a table that repeats a radius.
     order = np.argsort(rsq, axis=-1)
     ranked = rsq[np.arange(rsq.shape[0])[:, None], order]
     if not (ranked[:, 1:] == ranked[:, :-1]).any():
-        return order, rsq
+        return order
     # np.lexsort is stable, so column indices break the remaining ties.
     cos, y_sign = _key_fields(dx, dy, rsq)
-    return np.lexsort((y_sign, cos, rsq), axis=-1), rsq
+    return np.lexsort((y_sign, cos, rsq), axis=-1)
 
 
 def disk_order(inst: Instance) -> DiskOrder:
     """Build the key order of all m*n candidate disks at once."""
-    order, rsq = _key_order(*_boundary_vectors(inst))
+    dx, dy = _boundary_vectors(inst)
+    rsq = dx * dx + dy * dy
+    order = _key_order(dx, dy, rsq)
     rows = np.arange(inst.m)[:, None]
     rank = np.empty_like(order)
     rank[rows, order] = np.arange(inst.n)
@@ -229,15 +230,50 @@ def disk_order(inst: Instance) -> DiskOrder:
     return DiskOrder(power.reshape(rsq.shape), order, rank)
 
 
-def pair_order(inst: Instance) -> np.ndarray:
-    """All m*n (AP, TD) pairs in ascending (disk key, TD id, AP id) order.
+_FIRST_RUN = 8192  # pairs in pair_runs' first run; each later bound doubles
+
+
+def pair_runs(inst: Instance) -> Iterable[tuple[list[int], list[int]]]:
+    """All m*n (AP, TD) pairs in ascending (disk key, TD id, AP id) order,
+    as consecutive runs of TD and AP indices ``(u0 list, a0 list)``.
 
     Pair (a0, u0) is the flat index ``u0 * m + a0``, so the stable key
-    sort breaks disk-key ties by TD, then AP.
+    sort breaks disk-key ties by TD, then AP.  The radius leads the key,
+    so the pairs of radius in ``[lo, v)`` form a run: the bounds are the
+    radii of rank 8192, 16384, ..., and the last run holds the rest, NaN
+    radii included.  A run is sorted only when drawn, so a caller that
+    stops early sorts no further; a table of at most 8192 pairs is one run.
     """
-    dx, dy = _boundary_vectors(inst)
-    order, _ = _key_order(dx.T.reshape(1, -1), dy.T.reshape(1, -1))
-    return order[0]
+    m = inst.m
+    ap, td = inst.ap_xy, inst.td_xy
+    dx = (td[:, 0, None] - ap[:, 0]).reshape(1, -1)
+    dy = (td[:, 1, None] - ap[:, 1]).reshape(1, -1)
+    rsq = dx * dx + dy * dy
+    if rsq.size <= _FIRST_RUN:
+        # A list, not a generator: on the smallest tables a generator's
+        # set-up and close cost more than the sort.
+        u0, a0 = np.divmod(_key_order(dx, dy, rsq)[0], m)
+        return [(u0.tolist(), a0.tolist())]
+    return _bounded_runs(dx, dy, rsq, m)
+
+
+def _bounded_runs(dx, dy, rsq, m) -> Iterator[tuple[list[int], list[int]]]:
+    """``pair_runs`` of a table of more than one run, each sorted when drawn."""
+
+    def run(idx):
+        order = _key_order(dx[:, idx], dy[:, idx], rsq[:, idx])[0]
+        u0, a0 = np.divmod(idx[order], m)
+        return u0.tolist(), a0.tolist()
+
+    flat = rsq[0]
+    lo, s = -np.inf, _FIRST_RUN
+    while s < flat.size:
+        v = np.partition(flat, s)[s]
+        if v != v:  # NaN sorts last, so no later bound is a number either
+            break
+        yield run(np.flatnonzero((flat < v) & (flat >= lo)))
+        lo, s = v, 2 * s
+    yield run(np.flatnonzero(~(flat < lo)))
 
 
 def validate_instance(inst: Instance) -> list[str]:

@@ -3,8 +3,8 @@
 These deliberately avoid the package's max-flow and branch-and-bound
 code: feasibility is decided by raw enumeration or per-TD backtracking,
 so they can serve as oracles for the production paths.  The exceptions
-are the earlier forms of rewritten solvers, kept for differential tests:
-``exact_reference`` shares the package's max flow.  The disk order is
+are the earlier forms of rewritten solvers and orders, kept for
+differential tests: ``exact_reference`` shares the package's max flow.  The disk order is
 specified here one pair at a time by the scalar ``disk_key``, against
 which the package's array-built ``disk_order`` is tested.
 """
@@ -417,6 +417,25 @@ def nca_reference(inst):
         coverage[ap_id] = frozenset(tds)
         total += d.power
     return Solution(selected=selected, coverage=coverage, total_power=total)
+
+
+def pair_order_reference(inst) -> np.ndarray:
+    """All m*n (AP, TD) pairs as flat indices ``u0 * m + a0`` in ascending
+    (disk key, TD id, AP id) order.
+
+    The pair order as it stood before NCA drew it in runs: the boundary
+    vectors transposed into one row and sorted whole, by radius alone
+    unless a radius repeats, else by the stable lexsort of the key fields.
+    """
+    dx, dy = model._boundary_vectors(inst)
+    dx, dy = dx.T.reshape(1, -1), dy.T.reshape(1, -1)
+    rsq = dx * dx + dy * dy
+    order = np.argsort(rsq, axis=-1)[0]
+    ranked = rsq[0, order]
+    if not (ranked[1:] == ranked[:-1]).any():
+        return order
+    cos, y_sign = model._key_fields(dx, dy, rsq)
+    return np.lexsort((y_sign, cos, rsq), axis=-1)[0]
 
 
 def exact_reference(inst: Instance, budget: ExactBudget | None = None) -> ExactResult:

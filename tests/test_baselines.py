@@ -1,6 +1,9 @@
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from mpcc import (
     ExperimentConfig,
     InfeasibleInstanceError,
     Instance,
+    Solution,
     STATUS_BUDGET_EXCEEDED,
     STATUS_OPTIMAL,
     assignment_feasible,
@@ -22,6 +26,7 @@ from mpcc import (
     solve_nca,
     solution_to_json,
 )
+from mpcc import model
 from mpcc.baselines import _choice_list, _contained, _flow_assign
 
 from oracles import (
@@ -30,6 +35,7 @@ from oracles import (
     feasible_small_config,
     key_fields,
     nca_reference,
+    pair_order_reference,
     product_assignment_exists,
     random_instance,
 )
@@ -124,6 +130,51 @@ def _nca_differential_instances():
         yield random_instance(rng, m=m, n=n, k=k)
         yield Instance.from_coords(aps=rng.integers(0, 12, (m, 2)).tolist(),
                                    tds=rng.integers(0, 12, (n, 2)).tolist(), k=k)
+    for inst in _multi_run_instances().values():
+        yield inst
+
+
+def _multi_run_instances():
+    """Instances whose pair order spans more than one run of ``pair_runs``."""
+    rng = np.random.default_rng(2718)
+    return {
+        "random": random_instance(rng, m=40, n=1000, k=40),
+        # 18 000 pairs over a few hundred integer radii
+        "grid": Instance.from_coords(aps=rng.integers(0, 12, (30, 2)).tolist(),
+                                     tds=rng.integers(0, 12, (600, 2)).tolist(), k=25),
+        # every radius is 0, so all runs but the last are empty
+        "coincident": Instance.from_coords(aps=[(3.5, -2.0)] * 20,
+                                           tds=[(3.5, -2.0)] * 1000, k=50),
+        "tight": random_instance(rng, m=40, n=1000, k=25),  # m*k = n
+    }
+
+
+def _run_bounds(size):
+    """The pair ranks at which ``pair_runs`` ends its runs before the last."""
+    bounds, s = [], model._FIRST_RUN
+    while s < size:
+        bounds.append(s)
+        s *= 2
+    return bounds
+
+
+def _flat_pairs(inst):
+    """``pair_runs`` as its runs of flat pair indices ``u0 * m + a0``."""
+    return [np.array(u0, dtype=np.int64) * inst.m + np.array(a0, dtype=np.int64)
+            for u0, a0 in model.pair_runs(inst)]
+
+
+def _count_runs(monkeypatch):
+    """The sizes of the runs ``solve_nca`` draws, recorded as it draws them."""
+    drawn = []
+
+    def counting(inst):
+        for run in model.pair_runs(inst):
+            drawn.append(len(run[0]))
+            yield run
+
+    monkeypatch.setattr("mpcc.baselines.pair_runs", counting)
+    return drawn
 
 
 def test_nca_matches_disk_order_reference_bytes():
@@ -137,6 +188,100 @@ def test_nca_matches_disk_order_reference_bytes():
     # both branches of the pair sort: radii alone, and the tie fallback
     assert len(ties) - sum(ties) >= 50
     assert sum(ties) >= 50
+
+
+def test_nca_matches_solve_large_reference_digests():
+    # The benchmark's solve-large instances, built as `mpcc gen` builds them.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text())["solve-large"]
+    assert len(reference) == 51
+    for seed, outputs in reference.items():
+        cfg = ExperimentConfig(n=1000, m=40, k=40, side=40.0, trials=1, seed=int(seed))
+        inst = generate_instance(cfg, 0)
+        digest = hashlib.sha256(solution_to_json(solve_nca(inst), inst).encode()).hexdigest()
+        assert digest == outputs["nca"]["sha256"], seed
+
+
+def test_pair_runs_concatenate_to_the_one_shot_order():
+    multi = 0
+    for inst in _nca_differential_instances():
+        runs = _flat_pairs(inst)
+        assert np.array_equal(np.concatenate(runs), pair_order_reference(inst)), inst
+        assert len(runs) == len(_run_bounds(inst.m * inst.n)) + 1
+        multi += len(runs) > 1
+    assert multi == len(_multi_run_instances())
+
+
+def test_pair_run_bound_can_split_equal_radii():
+    # A run ends before every pair of its bound's radius, so a bound that
+    # falls inside a run of equal radii ends the run below its rank.
+    inst = _multi_run_instances()["grid"]
+    rsq = key_fields(inst)[0]
+    ranked = np.sort(rsq, axis=None)
+    bounds = _run_bounds(rsq.size)
+    ends = np.cumsum([len(run) for run in _flat_pairs(inst)])[:-1]
+    assert ends.tolist() == [np.count_nonzero(rsq < ranked[s]) for s in bounds]
+    assert any(end < s for end, s in zip(ends, bounds))
+
+
+def test_pair_runs_of_coincident_points_are_all_in_the_last_run():
+    inst = _multi_run_instances()["coincident"]
+    sizes = [len(run) for run in _flat_pairs(inst)]
+    assert sizes == [0] * len(_run_bounds(inst.m * inst.n)) + [inst.m * inst.n]
+    assert len(sizes) > 1
+
+
+@pytest.mark.parametrize("nan_aps", [0, 20, 30])
+def test_pair_runs_permute_all_pairs_with_nan_coordinates(nan_aps):
+    # Validation skipped: NaN radii sort last, and a NaN bound ends the
+    # bounded runs early (30 of 40 APs: the first bound; 20: the third).
+    rng = np.random.default_rng(nan_aps)
+    aps = rng.random((40, 2)) * 40
+    tds = rng.random((300 if nan_aps == 30 else 1000, 2)) * 40
+    aps[:nan_aps, 1] = np.nan
+    tds[7, 0] = np.nan
+    inst = Instance.from_coords(aps=aps, tds=tds, k=40)
+    runs = _flat_pairs(inst)
+    assert np.array_equal(np.sort(np.concatenate(runs)), np.arange(inst.m * inst.n))
+    assert len(runs) == {0: 4, 20: 3, 30: 1}[nan_aps]
+
+
+def test_nca_stops_drawing_runs_once_every_td_is_covered(monkeypatch):
+    cfg = ExperimentConfig(n=1000, m=40, k=40, side=40.0, trials=1, seed=1729)
+    inst = generate_instance(cfg, 0)
+    drawn = _count_runs(monkeypatch)
+    sol = solve_nca(inst)
+    assert check_feasible(sol, inst) == []
+    # The scan covers the last TD at pair 9 140 of 40 000, in the second
+    # of four runs, and draws no run after it.
+    assert drawn == [8192, 8192]
+    assert len(_flat_pairs(inst)) == 4
+
+
+def test_nca_tight_capacity_reaches_the_last_run(monkeypatch):
+    inst = _multi_run_instances()["tight"]
+    drawn = _count_runs(monkeypatch)
+    expected = solution_to_json(nca_reference(inst), inst)
+    assert solution_to_json(solve_nca(inst), inst) == expected
+    assert len(drawn) == len(_run_bounds(inst.m * inst.n)) + 1
+
+
+def test_nca_infeasible_after_every_run_without_validation(monkeypatch):
+    inst = random_instance(np.random.default_rng(31), m=40, n=1000, k=20)  # m*k < n
+    drawn = _count_runs(monkeypatch)
+    with pytest.raises(InfeasibleInstanceError):
+        solve_nca(inst)
+    assert sum(drawn) == inst.m * inst.n
+    assert len(drawn) == len(_run_bounds(inst.m * inst.n)) + 1
+
+
+def test_nca_without_aps_or_tds():
+    with pytest.raises(InfeasibleInstanceError):
+        solve_nca(Instance.from_coords(aps=[], tds=[(1, 0)], k=1))
+    for aps in ([(0, 0)], []):
+        inst = Instance.from_coords(aps=aps, tds=[], k=1)
+        assert solve_nca(inst) == Solution({}, {}, 0.0)
+        assert list(model.pair_runs(inst)) == [([], [])]
 
 
 # ---------------------------------------------------------------------------
