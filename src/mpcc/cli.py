@@ -6,6 +6,7 @@ solution, 6 exact-solver budget exceeded, 1 other runtime failure.
 """
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 
+@functools.cache  # parsing leaves the parser as it was, so a process needs one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpcc",

@@ -41,10 +41,18 @@ This is exact, tie-break included:
   every live AP), and the window's row-major argmin is the full one.
 
 Ranks >= hi are still charged every round, with the AP's ``e * k_hat``:
-the same float as ``e * min(k_hat, d)`` there.  At full width d is
-recounted each round by one int64 ``np.add.accumulate`` of the live TDs
-along each AP's order; in a narrower window the covered TDs are
-subtracted as runs.
+the same float as ``e * min(k_hat, d)`` there.
+
+Whether ``init_state`` starts the window below n (``windowed``) fixes
+two choices for the whole solve.  A windowed table recounts d by
+subtracting the covered TDs as runs, also once its window has grown to
+every rank, and retires each AP's new prefix of d = 0 disks by one call
+per AP.  A full-width table recounts d by one int64
+``np.add.accumulate`` of the live TDs along each AP's order and retires
+every such prefix with one ``d == 0`` mask.  Step 2's retirement of the
+chosen disk and its smaller-keyed disks folds into that mask, since they
+hold d = 0 once their TDs are covered; that they are charged first
+changes nothing, as a retired p_hat is never read again.
 
 On small tables a round costs more in numpy calls than in array work, so
 the loop keeps what it knows as Python ints: ``solve_mlr`` counts the
@@ -97,7 +105,9 @@ class SolverState:
     retired): step 2 retires a rank prefix or the whole AP, ``d`` never
     decreases along a row so step 5's d = 0 disks form a prefix, and
     k_hat = 0 retires the whole AP.  Retired entries of ``p_hat`` hold
-    +inf, so they never win a selection.
+    +inf, so they never win a selection.  Each round replaces
+    ``first_live`` by a copy, so the round's ``Retired`` record keeps the
+    array it started from.
 
     Rounds work on the window of ranks below ``hi`` (see the module
     docstring), so ``d`` and ``div`` cover the window only, and the
@@ -117,6 +127,7 @@ class SolverState:
     k_hat: np.ndarray        # (m,) int64, residual capacity per AP
     first_live: np.ndarray   # (m,) int64, lowest live rank per AP
     live_ap: np.ndarray      # (m_live,) int64, APs with live disks
+    windowed: bool           # init_state started the window below n
     hi: int                  # window width; ranks >= hi are suffix disks
     d: np.ndarray            # (m, hi) int64, live TDs contained per disk
     div: np.ndarray          # (m, hi) float64, min(k_hat, d) at the last pick
@@ -153,6 +164,7 @@ def init_state(inst: Instance) -> SolverState:
         k_hat=np.full(m, k_cap, dtype=np.int64),
         first_live=np.zeros(m, dtype=np.int64),
         live_ap=np.arange(m),
+        windowed=hi < n,
         hi=hi,
         d=d,
         div=np.empty((m, hi)),
@@ -220,18 +232,18 @@ def select_min_ratio(state: SolverState) -> tuple[int, int]:
 def apply_selection(state: SolverState, pick: tuple[int, int]):
     """Commit the chosen disk ``(AP index, rank)`` and advance one round.
 
-    Returns ``(ratio, covered_td_ids, removed)`` describing the round for
-    tracing; ``removed`` holds the disks retired this round as indices
-    ``a0 * n + u0``, in no particular order.  Update order matters; see
-    the module docstring.
+    Returns ``(ratio, covered_td_ids, retired)`` describing the round for
+    tracing; ``retired`` is a ``Retired`` record of the disks retired
+    this round.  Update order matters; see the module docstring.
     """
     a0, r = pick
     m, n, hi = state.inst.m, state.inst.n, state.hi
     order = state.table.order
     d_star, k_star = state.d.item(a0, r), state.k_hat.item(a0)
     e_star = local_ratio(state.p_win.item(a0, r), k_star, d_star)
-    first = state.first_live
-    removed = []
+    # The round works on a fresh copy, so the record keeps the old one.
+    before = state.first_live
+    first = state.first_live = before.copy()
 
     prefix = order[a0, : r + 1]
     covered0 = np.sort(prefix[state.live_td[prefix]])
@@ -245,8 +257,12 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
 
     # 2. Retire disks at the chosen AP.  A pick that exactly fills the
     # residual capacity retires the whole center; otherwise the pick and
-    # every smaller-keyed disk there go.
-    _retire(state, a0, n if d_star == k_star else r + 1, removed)
+    # every smaller-keyed disk there go.  Those hold d = 0 after step 4,
+    # so a full-width table leaves them to step 5's mask.
+    if d_star == k_star:
+        _retire(state, a0, n)
+    elif state.windowed:
+        _retire(state, a0, r + 1)
 
     # 3. Charge survivors before any counts change: the subtraction uses
     # each disk's pre-assignment min(k_hat, d), the divisor the selection
@@ -262,15 +278,15 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     c = covered0.size
     state.live_td[covered0] = False
     state.k_hat[a0] = k_star - c
-    if hi == n:
+    if not state.windowed:
         np.add.accumulate(state.live_td[order], axis=1, dtype=np.int64, out=state.d)
     else:
         # A prefix sum costs several times more per cell than a repeat, but
         # takes fewer calls, which wins on the small tables that run at
-        # full width.  In a narrow window subtract the covered TDs at or
-        # below each rank: each row's covered ranks, cut at hi and sorted
-        # between the bounds 0 and hi, split it into c + 1 runs of equal
-        # drop.
+        # full width.  A windowed table subtracts the covered TDs at or
+        # below each rank, also once its window spans every rank: each
+        # row's covered ranks, cut at hi and sorted between the bounds 0
+        # and hi, split it into c + 1 runs of equal drop.
         steps = np.empty((m, c + 2), dtype=np.int64)
         steps[:, 0] = 0
         steps[:, 1] = hi
@@ -281,38 +297,61 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     if hi < n and (state.d[:, -1] < state.k_hat).any():
         _widen(state)
 
-    # 5. Drop disks that can no longer contribute: the whole chosen AP once
-    # its capacity is spent, and every AP's new prefix of d = 0 disks.
-    if k_star <= c:
-        _retire(state, a0, n, removed)
-    # So far this round only the chosen AP can have retired wholly (here,
-    # or in step 2 by its largest disk); only then is ``live_ap`` refreshed.
+    # 5. Drop every AP's new prefix of d = 0 disks (a row of d never
+    # decreases), which at the chosen AP holds its step-2 ranks.  A pick
+    # that spent its AP's capacity retired the AP wholly in step 2, as
+    # c == d_star; that is the only whole retirement before the last TD
+    # is covered, so only then is ``live_ap`` refreshed.
     if first.item(a0) == n:
         state.live_ap = np.flatnonzero(first < n)
-    # A row of d never decreases, so only an AP whose first live disk now
-    # has d = 0 loses disks, and its zeros are a prefix of the row; they
-    # lie inside the window, since rank hi - 1 has d >= k_hat > 0.  Only
-    # a round that leaves no TD retires a whole row here, so ``live_ap``
-    # stays right for the next selection.
-    live_ap = state.live_ap
-    zero = live_ap[state.d[live_ap, first[live_ap]] == 0]
-    if zero.size:
-        stops = (state.d[zero] == 0).sum(axis=1)
-        for a, stop in zip(zero.tolist(), stops.tolist()):
-            _retire(state, a, stop, removed)
-    return e_star, tuple(covered_ids), np.concatenate(removed)
+    if not state.windowed:
+        dead = state.d == 0
+        state.p_win[dead] = math.inf
+        np.maximum(first, dead.sum(axis=1), out=first)
+    else:
+        # Only an AP whose first live disk now has d = 0 loses disks; its
+        # zeros lie inside the window, since rank hi - 1 has
+        # d >= k_hat > 0.
+        live_ap = state.live_ap
+        zero = live_ap[state.d[live_ap, first[live_ap]] == 0]
+        if zero.size:
+            stops = (state.d[zero] == 0).sum(axis=1)
+            for a, stop in zip(zero.tolist(), stops.tolist()):
+                _retire(state, a, stop)
+    return e_star, tuple(covered_ids), Retired(order, before, first)
 
 
-def _retire(state: SolverState, a0: int, stop: int, removed: list) -> None:
-    """Retire AP a0's live disks of rank below ``stop``, appending their
-    indices ``a0 * n + u0`` to ``removed``."""
+def _retire(state: SolverState, a0: int, stop: int) -> None:
+    """Retire AP a0's live disks of rank below ``stop``."""
     start = state.first_live.item(a0)
     if stop > start:
         state.p_win[a0, start:stop] = math.inf
         if stop > state.hi:  # the whole AP; its lower ranks are retired already
             state.p_sfx[a0] = math.inf
-        removed.append(state.table.order[a0, start:stop] + a0 * state.inst.n)
         state.first_live[a0] = stop
+
+
+class Retired:
+    """The disks one round retired: AP a0's ranks from ``before[a0]`` up
+    to ``after[a0]``, its lowest live rank before and after the round.
+    ``len()`` counts them without listing them."""
+
+    __slots__ = ("order", "before", "after")
+
+    def __init__(self, order: np.ndarray, before: np.ndarray, after: np.ndarray):
+        self.order, self.before, self.after = order, before, after
+
+    def __len__(self) -> int:
+        return (self.after - self.before).sum().item()
+
+    def indices(self) -> np.ndarray:
+        """The retired disks as ascending indices ``a0 * n + u0``."""
+        aps = np.flatnonzero(self.after > self.before)
+        start, count = self.before[aps], self.after[aps] - self.before[aps]
+        rows = np.repeat(aps, count)
+        # each AP's ranks run from its start, counted past its run's offset
+        ranks = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+        return np.sort(self.order[rows, ranks] + rows * self.order.shape[1])
 
 
 def assemble_solution(state: SolverState) -> Solution:
@@ -339,10 +378,10 @@ def solve_mlr(inst: Instance, trace: Callable[[dict], object] | None = None) -> 
         if iteration > n:
             raise MlrInvariantError("more rounds than TDs")
         a0, r = select_min_ratio(state)
-        e_star, covered, removed = apply_selection(state, (a0, r))
+        e_star, covered, retired = apply_selection(state, (a0, r))
         left -= len(covered)
         if trace is not None:
-            ap0, u0 = np.divmod(np.sort(removed), n)
+            ap0, u0 = np.divmod(retired.indices(), n)
             trace({
                 "iter": iteration,
                 "disk": [a0 + 1, state.table.order.item(a0, r) + 1],

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,10 +68,11 @@ def test_residual_power_update_after_first_round():
     state = init_state(inst)
     i = select_min_ratio(state)
     assert disk_ids(state, i) == (1, 1)
-    e, covered, removed = apply_selection(state, i)
+    e, covered, retired = apply_selection(state, i)
     assert e == 1.0
     assert covered == (1,)
-    assert removed.tolist() == [0]  # disk (1, 1)
+    assert len(retired) == 1
+    assert retired.indices().tolist() == [0]  # disk (1, 1)
     # the surviving larger disk was charged e * min(k_hat, d) = 1 * 2
     assert state.p_hat[0, 1] == 2.0
     assert state.k_hat[0] == 1
@@ -380,6 +383,65 @@ def test_narrow_window_matches_flat_array_reference_bytes(monkeypatch):
             assert _step_through(inst) == ref
     # the window is narrower than n in most rounds, so the test reaches it
     assert narrow > rounds / 2
+    # and some windowed rounds start at full width, where d is still
+    # recounted by subtracting runs
+    assert narrow < rounds
+
+
+@pytest.mark.parametrize("window", [False, True], ids=["full", "window"])
+def test_retired_count_matches_the_trace(monkeypatch, window):
+    # perfbench counts retired disks as len() of apply_selection's third
+    # value; each round's must be its trace line's, and a solve retires
+    # every disk
+    if window:
+        _window_on_every_table(monkeypatch)
+    counts = []
+
+    def counting(state, pick):
+        result = apply_selection(state, pick)
+        counts.append(len(result[2]))
+        return result
+
+    monkeypatch.setattr(mlr, "apply_selection", counting)
+    narrow = 0
+    for inst in _bookkeeping_instances():
+        counts.clear()
+        trace = []
+        solve_mlr(inst, trace=trace.append)
+        assert counts == [len(doc["removed"]) for doc in trace]
+        assert sum(counts) == inst.m * inst.n
+        narrow += init_state(inst).windowed
+    assert (narrow >= 20) if window else narrow == 0
+
+
+def test_one_td_many_aps_retires_without_a_call_per_ap(monkeypatch):
+    # at n=1 one round retires every disk: the pick's AP by one call,
+    # the rest by one mask
+    inst = random_instance(np.random.default_rng(8), m=20_000, n=1, k=1)
+    calls = []
+    retire = mlr._retire
+
+    def counting(state, a0, stop):
+        calls.append(a0)
+        retire(state, a0, stop)
+
+    monkeypatch.setattr(mlr, "_retire", counting)
+    ref, docs = mlr_flat_reference(inst)
+    assert _solve_bytes(inst) == (solution_to_json(ref, inst), json.dumps(docs))
+    assert len(calls) <= 1
+    assert len(docs[0]["removed"]) == inst.m
+
+
+def test_mlr_matches_solve_large_reference_digests():
+    # The benchmark's solve-large instances, built as `mpcc gen` builds them.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text())["solve-large"]
+    assert len(reference) == 51
+    for seed, outputs in reference.items():
+        cfg = ExperimentConfig(n=1000, m=40, k=40, side=40.0, trials=1, seed=int(seed))
+        inst = generate_instance(cfg, 0)
+        digest = hashlib.sha256(solution_to_json(solve_mlr(inst), inst).encode()).hexdigest()
+        assert digest == outputs["mlr"]["sha256"], seed
 
 
 def test_non_monotone_power_row_starts_at_full_width(monkeypatch):
