@@ -5,10 +5,11 @@ APs with spare capacity; an AP's final disk is the largest-keyed disk of
 its assigned TDs.  The exact solver enumerates one disk choice (or none)
 per AP with branch-and-bound pruning on partial power sums and decides
 coverage feasibility of a choice vector with a unit-capacity flow
-network, so it is only practical at small scale.  Leaves are first
-screened by TD bitmasks (the union of the chosen disks and the sum of
-their servable counts); the set-up holds O(m·n) masks.  Both produce
-solutions that pass ``check_feasible``.
+network, so it is only practical at small scale.  TD bitmasks are its
+one form of containment: they screen each leaf (the union of the chosen
+disks and the sum of their servable counts) and give the flow its
+AP -> TD arcs; the set-up holds O(m·n) masks.  Both produce solutions
+that pass ``check_feasible``.
 """
 
 from dataclasses import dataclass
@@ -139,51 +140,46 @@ class FlowNetwork:
                 flow += pushed
 
 
-def _contained(rank_row: list[int], u0: int) -> list[int]:
-    """Ascending ids of the TDs inside TD index u0's disk at an AP's ranks."""
-    return [v + 1 for v, r in enumerate(rank_row) if r <= rank_row[u0]]
-
-
 def _choice_list(
-    power_row: list[float], rank_row: list[int], order_row: list[int], k: int
+    power_row: list[float], order_row: list[int], k: int
 ) -> list[tuple[int | None, float, int, int]]:
     """One AP's disk choices for the exact search, no disk first.
 
     Each choice is the TD index u0 of the disk (None for no disk), its
     power, its TD bitmask (bit v0 set for each TD index v0 inside) and its
-    servable count ``min(k, rank + 1)``.  Disks follow in ascending power.
-    The masks come from one prefix-OR walk along the AP's disk order, as
-    the disk of rank r holds exactly the TDs of ranks 0..r.
+    servable count ``min(k, rank + 1)``.  One walk along the AP's disk
+    order builds them, as the disk of rank r holds exactly the TDs of
+    ranks 0..r; a stable sort then puts the disks in ascending power,
+    equal powers in rank order.
     """
-    masks = [0] * len(order_row)
-    acc = 0
-    for v0 in order_row:
-        acc |= 1 << v0
-        masks[v0] = acc
-    by_power = sorted(range(len(order_row)), key=lambda u0: (power_row[u0], rank_row[u0]))
-    return [
-        (None, 0.0, 0, 0),
-        *((u0, power_row[u0], masks[u0], min(k, rank_row[u0] + 1)) for u0 in by_power),
-    ]
+    disks = []
+    mask = 0
+    for r, u0 in enumerate(order_row):
+        mask |= 1 << u0
+        disks.append((u0, power_row[u0], mask, min(k, r + 1)))
+    disks.sort(key=lambda choice: choice[1])
+    return [(None, 0.0, 0, 0), *disks]
 
 
 def _flow_assign(
-    chosen_aps: list[int], contained: list[list[int]], k: int, n: int
+    chosen_aps: list[int], masks: list[int], k: int, n: int
 ) -> dict[int, set[int]] | None:
     """Full assignment of all n TDs to the chosen APs, or None.
 
-    ``contained[j]`` lists the TD ids the j-th chosen AP's disk contains.
+    ``masks[j]`` is the TD bitmask of the j-th chosen AP's disk (bit
+    u - 1 set for each TD id u inside); its arcs go in ascending TD id.
     """
     num_ap = len(chosen_aps)
     s = 0
     t = 1 + num_ap + n
     net = FlowNetwork(t + 1)
     ap_td_arcs: list[tuple[int, int, int]] = []
-    for j, ap_id in enumerate(chosen_aps):
+    for j, (ap_id, mask) in enumerate(zip(chosen_aps, masks)):
         net.add_edge(s, 1 + j, k)
-        for u in contained[j]:
-            arc = net.add_edge(1 + j, num_ap + u, 1)
-            ap_td_arcs.append((arc, ap_id, u))
+        for u in range(1, n + 1):
+            if mask >> (u - 1) & 1:
+                arc = net.add_edge(1 + j, num_ap + u, 1)
+                ap_td_arcs.append((arc, ap_id, u))
     for u in range(1, n + 1):
         net.add_edge(num_ap + u, t, 1)
     if net.max_flow(s, t) != n:
@@ -203,10 +199,13 @@ def assignment_feasible(
     Returns a full assignment (AP id to TD id set, respecting capacity
     and containment) when the choices are feasible, otherwise None.
     """
-    rank = disk_order(inst).rank.tolist()
+    table = disk_order(inst)
     chosen_aps = sorted(a for a, d in chosen.items() if d is not None)
-    contained = [_contained(rank[a - 1], chosen[a].td_id - 1) for a in chosen_aps]
-    return _flow_assign(chosen_aps, contained, inst.k, inst.n)
+    masks = []
+    for a in chosen_aps:
+        r = int(table.rank[a - 1, chosen[a].td_id - 1])
+        masks.append(sum(1 << v0 for v0 in table.order[a - 1, : r + 1].tolist()))
+    return _flow_assign(chosen_aps, masks, inst.k, inst.n)
 
 
 @dataclass(frozen=True)
@@ -246,20 +245,17 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
     assignment the incumbent keeps.  Before the flow, a leaf is screened
     by TD bitmasks: it is skipped unless the chosen disks' union holds
     every TD and their servable counts ``min(k, rank + 1)`` sum to at
-    least n, both necessary for a full flow.  The set-up holds one mask
-    per disk, O(m·n) masks.  The optimum is over exactly-once coverings,
-    matching ``check_feasible``.
+    least n, both necessary for a full flow; the same masks give the
+    flow's arcs.  The set-up holds one mask per disk, O(m·n) masks.  The
+    optimum is over exactly-once coverings, matching ``check_feasible``.
     """
     if budget is None:
         budget = ExactBudget()
     t0 = perf_counter()
     table = disk_order(inst)
     m, n, k = inst.m, inst.n, inst.k
-    ranks = table.rank.tolist()
-
     choice_lists = [
-        _choice_list(p, r, o, k)
-        for p, r, o in zip(table.power.tolist(), ranks, table.order.tolist())
+        _choice_list(p, o, k) for p, o in zip(table.power.tolist(), table.order.tolist())
     ]
     all_tds = (1 << n) - 1
 
@@ -275,7 +271,7 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
         if nodes % 256 == 0 and perf_counter() - t0 > budget.max_seconds:
             raise _BudgetHit
 
-    chosen: list[int | None] = [None] * m
+    chosen: list[tuple[int | None, int]] = [(None, 0)] * m  # (u0, mask) per AP
 
     def descend(a0: int, partial: float, union: int, cap: int):
         nonlocal best_total, best
@@ -285,9 +281,9 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
             # can cover; only the remaining leaves build the network.
             if union != all_tds or cap < n:
                 return
-            picks = {a + 1: u0 + 1 for a, u0 in enumerate(chosen) if u0 is not None}
-            contained = [_contained(ranks[a - 1], u - 1) for a, u in picks.items()]
-            assignment = _flow_assign(list(picks), contained, k, n)
+            picks = {a + 1: u0 + 1 for a, (u0, _) in enumerate(chosen) if u0 is not None}
+            masks = [mask for u0, mask in chosen if u0 is not None]
+            assignment = _flow_assign(list(picks), masks, k, n)
             if assignment is not None:
                 best_total = partial
                 coverage = {a: tds for a, tds in assignment.items() if tds}
@@ -297,9 +293,8 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
             s = partial + power
             if s >= best_total:
                 break  # ascending power: later choices prune too
-            chosen[a0] = u0
+            chosen[a0] = (u0, mask)
             descend(a0 + 1, s, union | mask, cap + servable)
-            chosen[a0] = None
 
     status = STATUS_OPTIMAL
     try:

@@ -30,7 +30,6 @@ from mpcc.baselines import (
     ExactBudget,
     ExactResult,
     _BudgetHit,
-    _contained,
     _flow_assign,
 )
 from mpcc.formats import FormatError, _fmt_real, _real
@@ -460,9 +459,11 @@ def exact_reference(inst: Instance, budget: ExactBudget | None = None) -> ExactR
     powers = table.power.ravel().tolist()
     ranks = table.rank.ravel().tolist()
 
-    # Disk (a0, u0) is index a0 * n + u0 below.
-    contained_tds = [
-        _contained(row, u0) for row in table.rank.tolist() for u0 in range(n)
+    # Disk (a0, u0) is index a0 * n + u0 below; its TD bitmask has bit v0
+    # set for each TD index v0 ranked at or before u0.
+    contained_masks = [
+        sum(1 << v0 for v0, r in enumerate(row) if r <= row[u0])
+        for row in table.rank.tolist() for u0 in range(n)
     ]
     choice_lists: list[list[int | None]] = []
     for base in range(0, m * n, n):
@@ -484,7 +485,7 @@ def exact_reference(inst: Instance, budget: ExactBudget | None = None) -> ExactR
 
     def assign(choice) -> dict[int, set[int]] | None:
         aps = [a0 + 1 for a0, i in enumerate(choice) if i is not None]
-        return _flow_assign(aps, [contained_tds[choice[a - 1]] for a in aps], inst.k, n)
+        return _flow_assign(aps, [contained_masks[choice[a - 1]] for a in aps], inst.k, n)
 
     def descend(a0: int, partial: float):
         tick()

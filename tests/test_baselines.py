@@ -27,7 +27,7 @@ from mpcc import (
     solution_to_json,
 )
 from mpcc import model
-from mpcc.baselines import _choice_list, _contained, _flow_assign
+from mpcc.baselines import _choice_list, _flow_assign
 
 from oracles import (
     enumerate_optimal_total,
@@ -456,6 +456,27 @@ def test_exact_matches_rerun_reference_bytes():
     assert incumbents >= 50
 
 
+EXACT_BYTES_SHA256 = {
+    (8, 3, 3): "6cdb0aca5195c6290306478a752315b65ed59ed4c6690b294eafef83257994a8",
+    (6, 2, 4): "97ce91847ddfe3b2bbd3f37d669e94ce1140f01132ea09e40be284a9a0e7512c",
+    (6, 3, 2): "4218c49b80facd90cbc8a9d4cb39adfa24aa85974f77bda48a4d3cb2acab6afc",
+}
+
+
+@pytest.mark.parametrize("shape", list(EXACT_BYTES_SHA256), ids=str)
+def test_exact_solution_bytes_match_pinned_digests(shape):
+    # Pins exact's solution files, coverage sets included, independently
+    # of the max flow that exact_reference shares: the arc order decides
+    # which optimal assignment the flow returns.
+    n, m, k = shape
+    cfg = ExperimentConfig(n=n, m=m, k=k, side=40.0, seed=1729)
+    digest = hashlib.sha256()
+    for trial in range(100):
+        inst = generate_instance(cfg, trial)
+        digest.update(solution_to_json(solve_exact(inst).solution, inst).encode())
+    assert digest.hexdigest() == EXACT_BYTES_SHA256[shape]
+
+
 def test_exact_mask_screen_rejects_only_flow_infeasible_leaves():
     # solve_exact skips a leaf's max flow when its disks' TD masks miss a
     # TD or their servable counts sum below n.  Random choice vectors on
@@ -468,12 +489,13 @@ def test_exact_mask_screen_rejects_only_flow_infeasible_leaves():
         table = disk_order(inst)
         ranks = table.rank.tolist()
         choices = [
-            {u0: (mask, servable) for u0, _, mask, servable in _choice_list(p, r, o, k)}
-            for p, r, o in zip(table.power.tolist(), ranks, table.order.tolist())
+            {u0: (mask, servable) for u0, _, mask, servable in _choice_list(p, o, k)}
+            for p, o in zip(table.power.tolist(), table.order.tolist())
         ]
         for a0 in range(m):
             for u0 in range(n):
-                inside = sum(1 << (v - 1) for v in _contained(ranks[a0], u0))
+                row = ranks[a0]
+                inside = sum(1 << v0 for v0, r in enumerate(row) if r <= row[u0])
                 assert choices[a0][u0][0] == inside
         for _ in range(6):
             vector = [None if rng.random() < 0.2 else int(rng.integers(n)) for _ in range(m)]
@@ -482,8 +504,7 @@ def test_exact_mask_screen_rejects_only_flow_infeasible_leaves():
                 union |= choices[a0][u0][0]
                 cap += choices[a0][u0][1]
             aps = [a0 + 1 for a0, u0 in enumerate(vector) if u0 is not None]
-            contained = [_contained(ranks[a - 1], vector[a - 1]) for a in aps]
-            flow = _flow_assign(aps, contained, k, n)
+            flow = _flow_assign(aps, [choices[a - 1][vector[a - 1]][0] for a in aps], k, n)
             if union != (1 << n) - 1 or cap < n:
                 rejected += 1
                 assert flow is None, (inst, vector)
@@ -495,6 +516,49 @@ def test_exact_mask_screen_rejects_only_flow_infeasible_leaves():
             tight_feasible += flow is not None and cap == n
     assert rejected >= 100 and passed >= 100
     assert passed_feasible >= 50 and tight_feasible >= 10
+
+
+def _power_rank_order(table, a0):
+    """AP a0's TD indices sorted by (power, rank), the choice order's spec."""
+    power, rank = table.power[a0].tolist(), table.rank[a0].tolist()
+    return sorted(range(len(power)), key=lambda u0: (power[u0], rank[u0]))
+
+
+def _choice_order(table, a0, k):
+    return [u0 for u0, *_ in _choice_list(table.power[a0].tolist(),
+                                          table.order[a0].tolist(), k)]
+
+
+def test_choice_list_breaks_power_ties_by_rank():
+    rng = np.random.default_rng(4242)
+    ties = 0
+    for _ in range(40):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(2, 31))
+        inst = Instance.from_coords(aps=rng.integers(0, 4, (m, 2)).tolist(),
+                                    tds=rng.integers(0, 4, (n, 2)).tolist(), k=3)
+        table = disk_order(inst)
+        for a0 in range(m):
+            assert _choice_order(table, a0, 3) == [None, *_power_rank_order(table, a0)]
+            ties += n - np.unique(table.power[a0]).size
+    assert ties >= 200  # integer grids repeat radii, so powers tie often
+
+
+def test_choice_list_follows_power_where_it_falls_along_rank(monkeypatch):
+    # pow is not promised monotone; a row whose powers fall along rank,
+    # and one that falls in tied steps, must still be searched in
+    # (power, rank) order, as the reference orders them
+    inst = random_instance(np.random.default_rng(77), m=3, n=6, k=3)
+    table = disk_order(inst)
+    power = table.power.copy()
+    power[1, table.order[1]] = power[1, table.order[1]][::-1]
+    power[2, table.order[2]] = [30.0, 30.0, 20.0, 20.0, 10.0, 10.0]
+    patched = table._replace(power=power)
+    for a0 in range(inst.m):
+        assert _choice_order(patched, a0, inst.k) == [None, *_power_rank_order(patched, a0)]
+    assert _choice_order(patched, 1, inst.k)[1:] == table.order[1].tolist()[::-1]
+    monkeypatch.setattr("mpcc.baselines.disk_order", lambda _: patched)
+    monkeypatch.setattr("oracles.disk_order", lambda _: patched)
+    assert _exact_outcome(solve_exact(inst), inst) == _exact_outcome(exact_reference(inst), inst)
 
 
 def test_exact_setup_memory_is_linear_in_disks():

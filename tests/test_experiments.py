@@ -1,4 +1,5 @@
 import csv
+import importlib
 import math
 import tracemalloc
 import types
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mpcc.cli
 from mpcc import (
     ExperimentConfig,
     ExperimentError,
@@ -298,3 +300,17 @@ def test_every_live_benchmark_binding_resolves():
     missing = [b for b in bindings
                if b not in DEAD_BINDINGS and tracing._resolve(*b) is None]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["exact-small", "sweep-small"])
+def test_bench_workload_outputs_match_the_benchmark_reference(name, tmp_path, monkeypatch):
+    # One pass of the benchmark's own workload through `mpcc bench`, gated
+    # on the outputs it records for seed 1729 (solve-large is pinned by the
+    # NCA and MLR digest tests).
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    workloads = importlib.import_module("workloads")
+    wl = workloads.make(name)
+    wl.write_inputs(mpcc.cli, tmp_path, 1729)
+    result = wl.run_pass(mpcc.cli, tmp_path, 1729)
+    assert result.failed == {}, result.messages
+    assert result.outputs == workloads.load_reference(name, 1729)
