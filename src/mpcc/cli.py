@@ -243,8 +243,10 @@ def _cmd_bench(args) -> int:
             return _error(EXIT_VALIDATION, *problems)
     try:
         experiments.run_sweep(configs, series, args.out_dir, progress=print)
-    except (experiments.ExperimentError, OSError) as exc:
+    except experiments.ExperimentError as exc:
         return _error(EXIT_FAILURE, exc)
+    except OSError as exc:
+        return _error(EXIT_FAILURE, f"cannot write: {exc}")
     print(f"wrote {Path(args.out_dir) / 'results.csv'}")
     return EXIT_OK
 

@@ -115,8 +115,7 @@ def _point_list(doc, field: str):
             return np.array(pts, dtype=np.float64)
         except OverflowError:
             pass
-    # Some point is bad: name the first one.
-    out = []
+    # Some point is bad, or an int overflowed: name the first such point.
     for i, p in enumerate(pts):
         if (
             not isinstance(p, list)
@@ -124,8 +123,8 @@ def _point_list(doc, field: str):
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
         ):
             raise FormatError(f"'{field}'[{i}] is not an [x, y] pair of numbers")
-        out.append((_real(p[0], f"'{field}'[{i}]"), _real(p[1], f"'{field}'[{i}]")))
-    return out
+        _real(p[0], f"'{field}'[{i}]")
+        _real(p[1], f"'{field}'[{i}]")
 
 
 def instance_from_json(text: str) -> Instance:

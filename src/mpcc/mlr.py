@@ -5,18 +5,23 @@ keeps a residual power p_hat (initially its power), the number d of still
 uncovered TDs it contains, and shares a residual capacity k_hat with the
 other disks of its AP.  A round picks the live disk minimising the local
 ratio p_hat / min(k_hat, d), assigns the uncovered TDs it contains to its
-AP, retires the chosen disk together with every smaller-keyed disk of
+AP, and charges every disk the chosen ratio times its own min(k_hat, d).
+It then retires the chosen disk together with every smaller-keyed disk of
 that AP (or all of them when the pick exactly fills the capacity), and
-charges every surviving disk the chosen ratio times its own
-min(k_hat, d).  The AP's final answer is the last disk picked for it,
-which by the key order contains everything assigned earlier.
+every disk of any AP left with d = 0.  The AP's final answer is the last
+disk picked for it, which by the key order contains everything assigned
+earlier.
 
-State updates within one round happen in a fixed order: record the
-assignment, retire disks at the chosen AP, charge the survivors using
-their pre-round k_hat and d, then retire the covered TDs, shrink the
-chosen AP's capacity, and drop disks left with d = 0 or k_hat = 0.  The
-residual-power charge must precede the TD retirement because it is
-defined on the pre-assignment state.
+State updates within one round happen in a fixed order: assign, charge,
+recount, retire.  The charge uses each disk's pre-round k_hat and d, so
+it must precede the recount, which removes the covered TDs and shrinks
+the chosen AP's capacity.  The paper retires disks before the charge;
+retiring them last, in one step, is the same round.  A retired disk's
+residual power is never read again, so charging it first changes no
+survivor, and the disks the paper retires early are exactly ones the
+last step retires anyway: the chosen disk and its smaller-keyed disks
+contain only covered TDs, so they hold d = 0 after the recount, and a
+pick that fills the capacity leaves its AP with k_hat = 0.
 
 Rounds work on a head window.  An AP's disks split, along its rank
 order, into a head where d < k_hat and a suffix where d >= k_hat, so
@@ -49,10 +54,7 @@ subtracting the covered TDs as runs, also once its window has grown to
 every rank, and retires each AP's new prefix of d = 0 disks by one call
 per AP.  A full-width table recounts d by one int64
 ``np.add.accumulate`` of the live TDs along each AP's order and retires
-every such prefix with one ``d == 0`` mask.  Step 2's retirement of the
-chosen disk and its smaller-keyed disks folds into that mask, since they
-hold d = 0 once their TDs are covered; that they are charged first
-changes nothing, as a retired p_hat is never read again.
+every such prefix with one ``d == 0`` mask.
 
 On small tables a round costs more in numpy calls than in array work, so
 the loop keeps what it knows as Python ints: ``solve_mlr`` counts the
@@ -102,9 +104,9 @@ class SolverState:
     Per-disk arrays are indexed ``[a0, r]``: entry r of row a0 is disk
     (a0, order[a0, r]), the disk of rank r at AP a0 + 1.  AP a0's live
     disks are exactly its ranks r >= ``first_live[a0]`` (n once the AP is
-    retired): step 2 retires a rank prefix or the whole AP, ``d`` never
-    decreases along a row so step 5's d = 0 disks form a prefix, and
-    k_hat = 0 retires the whole AP.  Retired entries of ``p_hat`` hold
+    retired): a round retires an AP wholly when its k_hat falls to 0, and
+    every AP's d = 0 disks, a rank prefix since ``d`` never decreases
+    along a row.  Retired entries of ``p_hat`` hold
     +inf, so they never win a selection.  Each round replaces
     ``first_live`` by a copy, so the round's ``Retired`` record keeps the
     array it started from.
@@ -255,24 +257,16 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     state.selected[ap_id] = order.item(a0, r) + 1
     state.covered_by.setdefault(ap_id, []).extend(covered_ids)
 
-    # 2. Retire disks at the chosen AP.  A pick that exactly fills the
-    # residual capacity retires the whole center; otherwise the pick and
-    # every smaller-keyed disk there go.  Those hold d = 0 after step 4,
-    # so a full-width table leaves them to step 5's mask.
-    if d_star == k_star:
-        _retire(state, a0, n)
-    elif state.windowed:
-        _retire(state, a0, r + 1)
-
-    # 3. Charge survivors before any counts change: the subtraction uses
+    # 2. Charge every disk before any counts change: the subtraction uses
     # each disk's pre-assignment min(k_hat, d), the divisor the selection
     # used, which is the AP's k_hat beyond the window.  Retired entries
-    # hold +inf and keep it.
+    # hold +inf and keep it; the disks that step 4 retires are charged
+    # too, which changes nothing, as a retired p_hat is never read.
     state.p_win -= e_star * state.div
     if hi < n:
         state.p_sfx -= (e_star * state.k_hat)[:, None]
 
-    # 4. Retire covered TDs everywhere and shrink the chosen AP's capacity
+    # 3. Retire covered TDs everywhere and shrink the chosen AP's capacity
     # by the number just assigned.  A disk's live count is the number of
     # live TDs up to its rank in its AP's order.
     c = covered0.size
@@ -297,12 +291,14 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     if hi < n and (state.d[:, -1] < state.k_hat).any():
         _widen(state)
 
-    # 5. Drop every AP's new prefix of d = 0 disks (a row of d never
-    # decreases), which at the chosen AP holds its step-2 ranks.  A pick
-    # that spent its AP's capacity retired the AP wholly in step 2, as
-    # c == d_star; that is the only whole retirement before the last TD
-    # is covered, so only then is ``live_ap`` refreshed.
-    if first.item(a0) == n:
+    # 4. Retire disks.  A pick that exactly fills the residual capacity
+    # (c == d_star == k_star) retires its AP wholly; that is the only
+    # whole retirement before the last TD is covered, so only then is
+    # ``live_ap`` refreshed.  Then every AP drops its new prefix of d = 0
+    # disks (a row of d never decreases), which at the chosen AP holds
+    # the pick and every smaller-keyed disk.
+    if d_star == k_star:
+        _retire(state, a0, n)
         state.live_ap = np.flatnonzero(first < n)
     if not state.windowed:
         dead = state.d == 0
@@ -323,12 +319,10 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
 
 def _retire(state: SolverState, a0: int, stop: int) -> None:
     """Retire AP a0's live disks of rank below ``stop``."""
-    start = state.first_live.item(a0)
-    if stop > start:
-        state.p_win[a0, start:stop] = math.inf
-        if stop > state.hi:  # the whole AP; its lower ranks are retired already
-            state.p_sfx[a0] = math.inf
-        state.first_live[a0] = stop
+    state.p_win[a0, state.first_live.item(a0):stop] = math.inf
+    if stop > state.hi:  # the whole AP; its lower ranks are retired already
+        state.p_sfx[a0] = math.inf
+    state.first_live[a0] = stop
 
 
 class Retired:

@@ -246,6 +246,17 @@ def test_check_flags_repeated_td(tmp_path, capsys):
     assert f"lists TD {covered[0]} 2 times" in capsys.readouterr().out
 
 
+def test_bench_into_unwritable_out_dir_is_reported_without_traceback(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run_cli("bench", "--preset", "1", "--max-n", "20", "--trials", "1",
+                   "--out-dir", str(blocker / "out"))
+    assert code == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert list(tmp_path.rglob("results.csv")) == []
+
+
 def test_coordinate_beyond_float_range_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text('{"c": 1, "alpha": 2, "k": 1, "aps": [[1' + "0" * 400 + ', 0]], '

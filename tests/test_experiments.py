@@ -1,5 +1,6 @@
 import csv
 import importlib
+import json
 import math
 import tracemalloc
 import types
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mpcc.cli
+import mpcc.experiments
 from mpcc import (
     ExperimentConfig,
     ExperimentError,
@@ -199,6 +201,35 @@ def test_invalid_config_rejected():
     assert not config_violations(small_cfg())
 
 
+def _drop_one_td(solve):
+    """``solve`` with the last TD of its first coverage entry dropped."""
+    def broken(inst):
+        sol = solve(inst)
+        a = min(sol.coverage)
+        cov = {**sol.coverage, a: frozenset(sorted(sol.coverage[a])[:-1])}
+        return Solution(sol.selected, cov, sol.total_power)
+    return broken
+
+
+def test_infeasible_solver_output_aborts_the_experiment(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(mpcc.experiments, "solve_nca",
+                        _drop_one_td(mpcc.experiments.solve_nca))
+    cfg = small_cfg()
+    with pytest.raises(ExperimentError) as info:
+        run_experiment(cfg)
+    msg = str(info.value)
+    assert msg.startswith("infeasible nca output")
+    assert "trial=0" in msg and f"seed={cfg.seed}" in msg and "is not covered" in msg
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps([{f: getattr(cfg, f)
+                                     for f in ("n", "m", "k", "side", "trials", "seed")}]))
+    capsys.readouterr()
+    code = mpcc.cli.run(["bench", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "out")])
+    assert code == mpcc.cli.EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("error: infeasible nca output")
+
+
 def test_config_size_bounds():
     assert config_violations(small_cfg(n=10**30, m=10**30, k=1))
     assert config_violations(small_cfg(n=MAX_DISKS + 1, m=1, k=MAX_DISKS + 1))
@@ -300,6 +331,9 @@ def test_every_live_benchmark_binding_resolves():
     missing = [b for b in bindings
                if b not in DEAD_BINDINGS and tracing._resolve(*b) is None]
     assert missing == []
+    # The exceptions stay exact: each is still bound, and still dead.
+    assert DEAD_BINDINGS <= set(bindings)
+    assert [b for b in DEAD_BINDINGS if tracing._resolve(*b) is not None] == []
 
 
 @pytest.mark.parametrize("name", ["exact-small", "sweep-small"])

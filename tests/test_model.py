@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -462,6 +463,17 @@ def _mutations(rng, inst, sol):
             twin = make_disk(inst, a, v)
             if v != d.td_id and twin.radius_sq == d.radius_sq:
                 yield Solution({**sol.selected, a: twin}, sol.coverage, sol.total_power)
+    # faults in the ids: an unknown AP, a disk stored under another AP, an
+    # unknown boundary TD, coverage by an unknown AP; then no claims at all
+    a, d = next(iter(sol.selected.items()))
+    other = a % inst.m + 1
+    yield Solution({**sol.selected, inst.m + 1: d}, sol.coverage, sol.total_power)
+    yield Solution({**sol.selected, a: make_disk(inst, other, d.td_id)},
+                   sol.coverage, sol.total_power)
+    yield Solution({**sol.selected, a: replace(d, td_id=n + 1)}, sol.coverage,
+                   sol.total_power)
+    yield Solution(sol.selected, {**sol.coverage, 0: frozenset({1})}, sol.total_power)
+    yield Solution(sol.selected, {b: frozenset() for b in sol.coverage}, sol.total_power)
     # random disks and random owners
     for _ in range(4):
         selected = {a: make_disk(inst, a, int(rng.integers(1, n + 1)))
@@ -478,6 +490,7 @@ def _mutations(rng, inst, sol):
 def test_check_feasible_equals_pairwise_contains_checker():
     rng = np.random.default_rng(77)
     outside = 0
+    reached = set()
     for trial in range(40):
         aps, tds = _grid_instance(rng, m=3, n=12, span=4 if trial % 2 else 30)
         inst = Instance.from_coords(aps=aps, tds=tds, k=len(tds),
@@ -488,7 +501,11 @@ def test_check_feasible_equals_pairwise_contains_checker():
             expected = check_feasible_reference(broken, inst)
             assert check_feasible(broken, inst) == expected
             outside += any("outside" in v for v in expected)
+            reached.update(expected)
     assert outside >= 100  # the mutations reach the containment test
+    for fault in ("selected disk references unknown AP", "is centered at AP",
+                  "has unknown boundary TD", "coverage references unknown AP"):
+        assert any(fault in v for v in reached), fault
 
 
 def test_check_feasible_memory_is_not_per_claim_objects():
