@@ -121,10 +121,7 @@ def _cmd_gen(args) -> int:
     problems = validate_instance(inst)
     if problems:
         return _error(EXIT_VALIDATION, *problems)
-    try:
-        Path(args.out).write_text(instance_to_json(inst))
-    except OSError as exc:
-        return _error(EXIT_FAILURE, f"cannot write: {exc}")
+    Path(args.out).write_text(instance_to_json(inst))
     print(f"seed={args.seed} trial={args.trial} n={args.n} m={args.m} "
           f"k={args.k} side={args.side:g} -> {args.out}")
     return EXIT_OK
@@ -133,10 +130,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     if args.trace and args.alg != "mlr":
         return _error(EXIT_USAGE, "--trace is only available for --alg mlr")
-    try:
-        inst = instance_from_json(_read(args.instance))
-    except FormatError as exc:
-        return _error(EXIT_PARSE, exc)
+    inst = instance_from_json(_read(args.instance))
     problems = validate_instance(inst)
     for flag, value in (("--max-nodes", args.max_nodes), ("--max-seconds", args.max_seconds)):
         if not value >= 0:  # refuses nan too; an inf --max-seconds means no limit
@@ -145,18 +139,15 @@ def _cmd_solve(args) -> int:
         return _error(EXIT_VALIDATION, *problems)
 
     budget = ExactBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
-    try:
-        # Each round's line is written as the round ends; no rounds are kept.
-        with open(args.trace, "w") if args.trace else nullcontext() as fh:
-            trace = None if fh is None else (lambda doc: fh.write(trace_line(doc)))
-            sol, wall_ms, _, nodes = experiments.solve_timed(args.alg, inst, budget, trace)
-        if sol is None:
-            print(f"budget exceeded after {wall_ms / 1e3:.3f}s and {nodes} nodes; "
-                  "no solution written", file=sys.stderr)
-            return EXIT_BUDGET
-        Path(args.out).write_text(solution_to_json(sol, inst))
-    except OSError as exc:
-        return _error(EXIT_FAILURE, f"cannot write: {exc}")
+    # Each round's line is written as the round ends; no rounds are kept.
+    with open(args.trace, "w") if args.trace else nullcontext() as fh:
+        trace = None if fh is None else (lambda doc: fh.write(trace_line(doc)))
+        sol, wall_ms, _, nodes = experiments.solve_timed(args.alg, inst, budget, trace)
+    if sol is None:
+        print(f"budget exceeded after {wall_ms / 1e3:.3f}s and {nodes} nodes; "
+              "no solution written", file=sys.stderr)
+        return EXIT_BUDGET
+    Path(args.out).write_text(solution_to_json(sol, inst))
     variance = experiments.utilization_variance(sol, inst)
     print(f"total_power={sol.total_power:.17g} wall_ms={wall_ms:.3f} "
           f"variance={variance:.17g}")
@@ -164,18 +155,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        inst = instance_from_json(_read(args.instance))
-        solution_text = _read(args.solution)
-    except FormatError as exc:
-        return _error(EXIT_PARSE, exc)
+    inst = instance_from_json(_read(args.instance))
+    solution_text = _read(args.solution)
     problems = validate_instance(inst)
     if problems:
         return _error(EXIT_VALIDATION, *problems)
-    try:
-        violations = solution_violations(solution_text, inst)
-    except FormatError as exc:
-        return _error(EXIT_PARSE, exc)
+    violations = solution_violations(solution_text, inst)
     if violations:
         for v in violations:
             print(f"violation: {v}")
@@ -229,10 +214,7 @@ def _cmd_bench(args) -> int:
         configs = experiments.preset(series)
     else:
         series = "custom"
-        try:
-            configs = _parse_config_file(args.config)
-        except FormatError as exc:
-            return _error(EXIT_PARSE, exc)
+        configs = _parse_config_file(args.config)
     configs = experiments.truncate_sweep(configs, args.max_n)
     configs = experiments.override_configs(configs, trials=args.trials, seed=args.seed)
     if not configs:
@@ -241,12 +223,7 @@ def _cmd_bench(args) -> int:
         problems = experiments.config_violations(cfg)
         if problems:
             return _error(EXIT_VALIDATION, *problems)
-    try:
-        experiments.run_sweep(configs, series, args.out_dir, progress=print)
-    except experiments.ExperimentError as exc:
-        return _error(EXIT_FAILURE, exc)
-    except OSError as exc:
-        return _error(EXIT_FAILURE, f"cannot write: {exc}")
+    experiments.run_sweep(configs, series, args.out_dir, progress=print)
     print(f"wrote {Path(args.out_dir) / 'results.csv'}")
     return EXIT_OK
 
@@ -259,7 +236,15 @@ def run(argv=None) -> int:
         "check": _cmd_check,
         "bench": _cmd_bench,
     }[args.command]
-    return handler(args)
+    # Exit codes of what a command raises; _read makes read failures FormatErrors.
+    try:
+        return handler(args)
+    except FormatError as exc:
+        return _error(EXIT_PARSE, exc)
+    except experiments.ExperimentError as exc:
+        return _error(EXIT_FAILURE, exc)
+    except OSError as exc:
+        return _error(EXIT_FAILURE, f"cannot write: {exc}")
 
 
 def main() -> None:

@@ -80,7 +80,8 @@ RESULT_COLUMNS = [
 
 
 class ExperimentError(RuntimeError):
-    """A trial produced an infeasible solution; carries the offending
+    """An experiment cannot run or went wrong: its config is invalid, or a
+    trial produced an infeasible solution, reported with the offending
     (config, trial, seed) triple for reproduction."""
 
 
@@ -145,11 +146,11 @@ def config_violations(cfg: ExperimentConfig) -> list[str]:
         v.append(f"m*n = {cfg.m * cfg.n} candidate disks must be at most {MAX_DISKS}")
     if not (cfg.side > 0 and math.isfinite(cfg.side)):
         v.append(f"side length {cfg.side} must be positive and finite")
-    else:
+    elif min(cfg.n, cfg.m) >= 1 and cfg.n * cfg.m <= MAX_DISKS:
         # Every AP-TD distance in a generated instance is below the square's
-        # diagonal, so the power law is checked on a disk that wide.
-        corner = Instance.from_coords(aps=[(0, 0)], tds=[(cfg.side, cfg.side)], k=1,
-                                      power_c=cfg.power_c, power_alpha=cfg.power_alpha)
+        # diagonal, so the power law is checked on m disks that wide.
+        corner = Instance.from_coords(aps=np.zeros((cfg.m, 2)), tds=[(cfg.side, cfg.side)],
+                                      k=1, power_c=cfg.power_c, power_alpha=cfg.power_alpha)
         v.extend(validate_instance(corner))
     if not 1 <= cfg.trials <= MAX_TRIALS:
         v.append(f"trials must be between 1 and {MAX_TRIALS}")

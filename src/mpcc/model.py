@@ -302,14 +302,25 @@ def validate_instance(inst: Instance) -> list[str]:
         # Power grows with the radius, so the largest disk decides.
         with np.errstate(over="ignore"):
             dx, dy = _boundary_vectors(inst)
-            rsq = float((dx * dx + dy * dy).max())
+            rsq = dx * dx + dy * dy
+        top_rsq = float(rsq.max())
         try:
-            top = power_of(rsq, inst.power_c, inst.power_alpha)
+            top = power_of(top_rsq, inst.power_c, inst.power_alpha)
         except OverflowError:
             top = math.inf
         if not math.isfinite(top):
-            v.append(f"the largest candidate disk (squared radius {rsq!r}) "
+            v.append(f"the largest candidate disk (squared radius {top_rsq!r}) "
                      "has a power beyond the float range")
+        elif not math.isfinite(2 * inst.m * top):
+            # A solver adds at most one power per AP, in ascending AP order,
+            # and rounding is monotone, so the APs' largest disks summed that
+            # way bound its total; 2*m*top bounds that sum, rounding included.
+            total = 0.0
+            for r in rsq.max(axis=1).tolist():
+                total += power_of(r, inst.power_c, inst.power_alpha)
+            if not math.isfinite(total):
+                v.append(f"the largest disks of the {inst.m} APs have a total power "
+                         "beyond the float range")
     return v
 
 

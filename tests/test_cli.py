@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import re
@@ -287,6 +288,36 @@ def test_overflowing_power_is_a_validation_error(tmp_path, capsys):
     assert "power" in capsys.readouterr().err
 
 
+POWER_SUM_OVERFLOW = {"c": 1e308, "alpha": 2, "k": 1, "aps": [[0, 0], [0, 0]],
+                      "tds": [[1, 0], [-1, 0]]}
+
+
+@pytest.mark.parametrize("alg", ["mlr", "nca", "exact"])
+def test_power_summed_past_the_float_range_is_a_validation_error(tmp_path, capsys, alg):
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps(POWER_SUM_OVERFLOW))
+    out = tmp_path / "sol.json"
+    assert run_cli("solve", "--alg", alg, "--in", str(path),
+                   "--out", str(out)) == cli.EXIT_VALIDATION
+    assert "total power beyond the float range" in capsys.readouterr().err
+    assert not out.exists()
+    out.write_text(json.dumps({"total_power": 1e308, "assignments": []}))
+    assert run_cli("check", "--instance", str(path),
+                   "--solution", str(out)) == cli.EXIT_VALIDATION
+    assert "total power beyond the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithms", [["mlr", "nca"], ["nca"]])
+def test_bench_refuses_powers_summed_past_the_float_range(tmp_path, capsys, algorithms):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps([{"n": 20, "m": 20, "k": 1, "side": 0.7, "c": 1.7e308,
+                                     "trials": 1, "algorithms": algorithms}]))
+    out = tmp_path / "out"
+    assert run_cli("bench", "--config", str(cfg_path), "--out-dir", str(out)) == cli.EXIT_VALIDATION
+    assert "total power beyond the float range" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 @pytest.mark.parametrize("alg", ["mlr", "nca"])
 def test_capacity_beyond_int64_solves(tmp_path, capsys, alg):
     path = tmp_path / "big_k.json"
@@ -425,6 +456,37 @@ def test_trace_lines_are_written_as_the_rounds_end(tmp_path, monkeypatch):
     # round i starts once the lines of the i rounds before it are written
     assert lines_before_round == list(range(len(written))) and len(written) > 1
     assert trace_path.read_text() == "".join(written)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "instance document must be a JSON object"),
+    ({"c": "1", "alpha": 2, "k": 1, "aps": [[0, 0]], "tds": [[1, 0]]}, "'c' must be a number"),
+    ({"c": 1, "alpha": True, "k": 1, "aps": [[0, 0]], "tds": [[1, 0]]},
+     "'alpha' must be a number"),
+], ids=["list", "c-string", "alpha-boolean"])
+def test_solve_rejects_malformed_instance_document(tmp_path, capsys, doc, message):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("solve", "--alg", "mlr", "--in", str(path),
+                   "--out", str(tmp_path / "sol.json")) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_into_a_broken_stdout_is_reported_without_traceback(tmp_path, capsys,
+                                                                  monkeypatch):
+    inst_path = gen_instance(tmp_path)
+    sol_path = tmp_path / "solution.json"
+    run_cli("solve", "--alg", "mlr", "--in", str(inst_path), "--out", str(sol_path))
+    capsys.readouterr()
+
+    class BrokenPipe:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    code = run_cli("check", "--instance", str(inst_path), "--solution", str(sol_path))
+    assert code == cli.EXIT_FAILURE
+    assert capsys.readouterr().err == "error: cannot write: [Errno 32] Broken pipe\n"
 
 
 def test_solve_missing_instance_file_is_a_parse_error(tmp_path, capsys):

@@ -51,6 +51,9 @@ config_doc = st.fixed_dictionaries({
     "alpha": st.sampled_from([1, 2.5, 5]),
     "algorithms": st.lists(st.sampled_from(["mlr", "nca", "exact"]), max_size=3),
 })
+# every disk fits the float range, but the two APs' largest powers sum past it
+POWER_SUM_OVERFLOW = {"c": 1e308, "alpha": 2, "k": 1, "aps": [[0, 0], [0, 0]],
+                      "tds": [[1, 0], [-1, 0]]}
 # what a mutation puts in place of a field: any JSON value, or an edge value
 replacement = st.one_of(json_value, st.sampled_from([0, -1, 1e308, 6, "mlr", []]))
 
@@ -108,6 +111,8 @@ def write(path: Path, doc) -> Path:
 @given(doc=st.one_of(mutated(instance_doc), mutated(instance_doc), json_value, st.text(max_size=12)),
        alg=st.sampled_from(["mlr", "nca"]))
 @example(doc={"c": 1, "alpha": 2, "k": 10**30, "aps": [[0, 0]], "tds": [[1, 0]]}, alg="mlr")
+@example(doc=POWER_SUM_OVERFLOW, alg="mlr")
+@example(doc=POWER_SUM_OVERFLOW, alg="nca")
 def test_solve_ends_in_a_documented_exit_code(doc, alg):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -133,6 +138,7 @@ def test_check_ends_in_a_documented_exit_code(inst, data):
 @FUZZ
 @given(configs=st.one_of(st.lists(mutated(config_doc), min_size=1, max_size=2), json_value))
 @example(configs=[{"n": 3, "m": 2, "k": 10**30, "side": 40, "trials": 1}])
+@example(configs=[{"n": 20, "m": 20, "k": 1, "side": 0.7, "c": 1.7e308, "trials": 1}])
 def test_bench_config_ends_in_a_documented_exit_code(configs):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

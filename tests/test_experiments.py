@@ -24,7 +24,7 @@ from mpcc import (
     utilization_variance,
     validate_instance,
 )
-from mpcc.experiments import MAX_DISKS, MAX_TRIALS, config_violations, run_sweep
+from mpcc.experiments import MAX_DISKS, MAX_TRIALS, config_violations, run_sweep, solve_timed
 
 
 def small_cfg(**overrides):
@@ -199,6 +199,19 @@ def test_invalid_config_rejected():
     assert config_violations(small_cfg(algorithms=()))
     assert config_violations(small_cfg(algorithms=("mlr", "nca", "mlr")))
     assert not config_violations(small_cfg())
+    with pytest.raises(ValueError, match="unknown algorithm 'greedy'"):
+        solve_timed("greedy", generate_instance(small_cfg(), 0), small_cfg().exact_budget)
+    with pytest.raises(ValueError, match="unknown preset series 5"):
+        preset(5)
+
+
+def test_config_whose_ap_powers_sum_past_the_float_range_is_rejected():
+    # each corner disk fits the float range; twenty of them sum past it
+    cfg = small_cfg(n=20, m=20, k=1, side=0.7, power_c=1.7e308, trials=1)
+    assert config_violations(cfg) == [
+        "the largest disks of the 20 APs have a total power beyond the float range"
+    ]
+    assert config_violations(small_cfg(n=1, m=1, k=1, side=0.7, power_c=1.7e308)) == []
 
 
 def _drop_one_td(solve):

@@ -189,6 +189,11 @@ def test_solution_parse_errors():
         solution_from_json(
             '{"total_power": 1, "assignments": [{"ap": 1, "covered": []}]}', inst
         )
+    with pytest.raises(FormatError, match=r"ids \(9, 1\) outside the instance"):
+        solution_from_json(
+            '{"total_power": 1, "assignments": [{"ap": 9, "disk_td": 1, "covered": [1]}]}',
+            inst,
+        )
 
 
 @pytest.mark.parametrize("covered", ["[1, true]", "[false]", "[1, 2.0]", "[1, null]", '"1"',

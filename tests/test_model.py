@@ -141,6 +141,18 @@ def test_validate_lists_nonfinite_points_aps_first_in_id_order():
     ]
 
 
+def test_validate_reports_summed_power_beyond_the_float_range():
+    # each disk fits the float range; the two APs' largest disks sum past it
+    def two_aps(c):
+        return Instance.from_coords(aps=[(0, 0), (0, 0)], tds=[(1, 0), (-1, 0)], k=1,
+                                    power_c=c)
+
+    assert validate_instance(two_aps(1e308)) == [
+        "the largest disks of the 2 APs have a total power beyond the float range"
+    ]
+    assert validate_instance(two_aps(5e307)) == []
+
+
 def test_instance_coordinates_are_read_only_float64_rows():
     inst = Instance.from_coords(aps=[(0, 1)], tds=[(2, 3), (4, 5)], k=2)
     assert inst.ap_xy.dtype == inst.td_xy.dtype == np.float64
