@@ -51,14 +51,13 @@ from .mlr import (
     solve_mlr,
 )
 from .model import (
-    Disk,
     DiskOrder,
     InfeasibleInstanceError,
     Instance,
     Solution,
     check_feasible,
+    disk_geometry,
     disk_order,
-    make_disk,
     power_of,
     validate_instance,
 )

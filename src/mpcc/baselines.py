@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .model import (
-    Disk,
     Instance,
     InfeasibleInstanceError,
     Solution,
@@ -192,18 +191,19 @@ def _flow_assign(
 
 
 def assignment_feasible(
-    chosen: dict[int, Disk | None], inst: Instance
+    chosen: dict[int, int | None], inst: Instance
 ) -> dict[int, set[int]] | None:
-    """Decide whether fixed per-AP disk choices can cover every TD.
+    """Decide whether fixed per-AP disk choices, each AP's boundary TD id
+    or None, can cover every TD.
 
     Returns a full assignment (AP id to TD id set, respecting capacity
     and containment) when the choices are feasible, otherwise None.
     """
     table = disk_order(inst)
-    chosen_aps = sorted(a for a, d in chosen.items() if d is not None)
+    chosen_aps = sorted(a for a, u in chosen.items() if u is not None)
     masks = []
     for a in chosen_aps:
-        r = int(table.rank[a - 1, chosen[a].td_id - 1])
+        r = int(table.rank[a - 1, chosen[a] - 1])
         masks.append(sum(1 << v0 for v0 in table.order[a - 1, : r + 1].tolist()))
     return _flow_assign(chosen_aps, masks, inst.k, inst.n)
 

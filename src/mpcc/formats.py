@@ -32,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .model import Instance, Solution, check_feasible
+from .model import Instance, Solution, check_feasible, disk_geometry
 
 __all__ = [
     "FormatError",
@@ -151,13 +151,14 @@ def instance_from_json(text: str) -> Instance:
 def solution_to_json(sol: Solution, inst: Instance) -> str:
     assignments = []
     for ap_id in sorted(sol.selected):
-        d = sol.selected[ap_id]
+        td_id = sol.selected[ap_id]
+        radius_sq, power = disk_geometry(inst, ap_id, td_id)
         assignments.append(
             {
                 "ap": int(ap_id),
-                "disk_td": int(d.td_id),
-                "radius": math.sqrt(d.radius_sq),
-                "power": float(d.power),
+                "disk_td": int(td_id),
+                "radius": math.sqrt(radius_sq),
+                "power": power,
                 "covered": sorted(map(int, sol.coverage.get(ap_id, ()))),
             }
         )
@@ -197,7 +198,7 @@ def _solution_parts(text: str):
 
 
 def solution_from_json(text: str, inst: Instance) -> Solution:
-    """Strict parse used for round-trips; disks are rebuilt from the ids."""
+    """Strict parse used for round-trips; only the ids of each disk are read."""
     total, triples = _solution_parts(text)
     picks = {}
     for ap, td, _ in triples:

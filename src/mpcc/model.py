@@ -34,12 +34,11 @@ import numpy as np
 
 __all__ = [
     "Instance",
-    "Disk",
     "DiskOrder",
     "Solution",
     "InfeasibleInstanceError",
     "power_of",
-    "make_disk",
+    "disk_geometry",
     "disk_order",
     "pair_runs",
     "validate_instance",
@@ -106,16 +105,6 @@ class Instance:
         return cls(_xy(aps), _xy(tds), int(k), float(power_c), float(power_alpha))
 
 
-@dataclass(frozen=True)
-class Disk:
-    """Candidate power assignment: AP ``ap_id`` serving out to TD ``td_id``."""
-
-    ap_id: int
-    td_id: int
-    radius_sq: float
-    power: float
-
-
 class DiskOrder(NamedTuple):
     """The disk order of every AP as ``(m, n)`` arrays.
 
@@ -134,12 +123,13 @@ class DiskOrder(NamedTuple):
 class Solution:
     """One selected disk per active AP plus the TD sets each AP covers.
 
-    ``selected`` maps AP id to its disk; APs without a disk are absent.
-    ``coverage`` holds the covered TD ids per AP.  ``total_power`` is the
-    sum of selected disk powers.
+    ``selected`` maps AP id to the id of the TD on its disk's boundary;
+    APs without a disk are absent.  ``disk_geometry`` gives a disk's
+    radius and power from the two ids.  ``coverage`` holds the covered TD
+    ids per AP.  ``total_power`` is the sum of selected disk powers.
     """
 
-    selected: dict[int, Disk]
+    selected: dict[int, int]
     coverage: dict[int, frozenset[int]]
     total_power: float
 
@@ -149,12 +139,12 @@ class Solution:
         ``picks[a]`` and serves the TD ids ``coverage[a]``.
 
         Both maps are rebuilt in ascending AP order, and the total power
-        is summed in that order.
+        is summed in that order.  Every id must be in the instance.
         """
-        selected = {a: make_disk(inst, a, picks[a]) for a in sorted(picks)}
+        selected = {a: picks[a] for a in sorted(picks)}
         total = 0.0
-        for d in selected.values():
-            total += d.power
+        for a, u in selected.items():
+            total += disk_geometry(inst, a, u)[1]
         return cls(selected, {a: frozenset(coverage[a]) for a in sorted(coverage)}, total)
 
 
@@ -167,13 +157,16 @@ def power_of(radius_sq: float, c: float, alpha: float) -> float:
     return c * radius_sq ** (alpha / 2.0)
 
 
-def make_disk(inst: Instance, ap_id: int, td_id: int) -> Disk:
+def disk_geometry(inst: Instance, ap_id: int, td_id: int) -> tuple[float, float]:
+    """``(radius_sq, power)`` of the disk of AP ``ap_id`` with TD ``td_id``
+    on its boundary.  Both ids must already be known to be in range: a
+    negative or zero id reads another row without complaint."""
     # ``item`` yields Python floats, so the power is the scalar ``**``.
     a, u = ap_id - 1, td_id - 1
     dx = inst.ap_xy.item(a, 0) - inst.td_xy.item(u, 0)
     dy = inst.ap_xy.item(a, 1) - inst.td_xy.item(u, 1)
     rsq = dx * dx + dy * dy
-    return Disk(ap_id, td_id, rsq, power_of(rsq, inst.power_c, inst.power_alpha))
+    return rsq, power_of(rsq, inst.power_c, inst.power_alpha)
 
 
 def _boundary_vectors(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -368,21 +361,18 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
 
     valid = set()
     for ap_id in sorted(sol.selected):
-        d = sol.selected[ap_id]
+        td_id = sol.selected[ap_id]
         if not 1 <= ap_id <= m:
             v.append(f"selected disk references unknown AP {ap_id}")
-            continue
-        if d.ap_id != ap_id:
-            v.append(f"disk stored for AP {ap_id} is centered at AP {d.ap_id}")
-        if not 1 <= d.td_id <= n:
-            v.append(f"disk of AP {ap_id} has unknown boundary TD {d.td_id}")
-        if d.ap_id == ap_id and 1 <= d.td_id <= n:
+        elif not 1 <= td_id <= n:
+            v.append(f"disk of AP {ap_id} has unknown boundary TD {td_id}")
+        else:
             valid.add(ap_id)
 
     covered = {ap_id: sorted(sol.coverage[ap_id]) for ap_id in sorted(sol.coverage)}
     # Only the containments actually claimed need their disks' keys.
     outside = _outside(inst, [
-        (ap_id, sol.selected[ap_id].td_id, tds[bisect_left(tds, 1):bisect_right(tds, n)])
+        (ap_id, sol.selected[ap_id], tds[bisect_left(tds, 1):bisect_right(tds, n)])
         for ap_id, tds in covered.items() if ap_id in valid
     ])
     owner: dict[int, int] = {}
@@ -410,7 +400,7 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
 
     derived = 0.0
     for ap_id in sorted(valid):
-        derived += make_disk(inst, ap_id, sol.selected[ap_id].td_id).power
+        derived += disk_geometry(inst, ap_id, sol.selected[ap_id])[1]
     if not math.isclose(sol.total_power, derived, rel_tol=1e-9, abs_tol=1e-12):
         v.append(
             f"stated total_power {sol.total_power!r} disagrees with "

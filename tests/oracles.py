@@ -20,8 +20,8 @@ from mpcc import (
     InfeasibleInstanceError,
     Instance,
     Solution,
+    disk_geometry,
     disk_order,
-    make_disk,
 )
 from mpcc import model
 from mpcc.baselines import (
@@ -66,34 +66,32 @@ def key_fields(inst):
     return (rsq, *model._key_fields(dx, dy, rsq))
 
 
-def contains(d, td_id, inst) -> bool:
-    """Order-based containment: disk D contains v iff key(D_{a,v}) <= key(D)."""
-    return disk_key(inst, d.ap_id, td_id) <= disk_key(inst, d.ap_id, d.td_id)
+def contains(disk, td_id, inst) -> bool:
+    """Order-based containment: disk D = ``(ap_id, disk_td)`` contains v
+    iff key(D_{a,v}) <= key(D)."""
+    ap_id, disk_td = disk
+    return disk_key(inst, ap_id, td_id) <= disk_key(inst, ap_id, disk_td)
 
 
 def disk_family(inst):
-    """All m*n candidate disks, AP id major and TD id minor."""
-    return [
-        make_disk(inst, a, u)
-        for a in range(1, inst.m + 1)
-        for u in range(1, inst.n + 1)
-    ]
+    """All m*n candidate disks as ``(ap_id, td_id)`` pairs, AP id major and
+    TD id minor."""
+    return [(a, u) for a in range(1, inst.m + 1) for u in range(1, inst.n + 1)]
 
 
 def check_feasible_reference(sol, inst) -> list[str]:
     """``check_feasible`` with containment decided pair by pair through
-    ``contains`` and powers through ``make_disk``; same messages, same order."""
+    ``contains`` and powers through ``disk_geometry``; same messages, same
+    order."""
     v = []
     m, n, k = inst.m, inst.n, inst.k
     for ap_id in sorted(sol.selected):
-        d = sol.selected[ap_id]
+        td_id = sol.selected[ap_id]
         if not 1 <= ap_id <= m:
             v.append(f"selected disk references unknown AP {ap_id}")
             continue
-        if d.ap_id != ap_id:
-            v.append(f"disk stored for AP {ap_id} is centered at AP {d.ap_id}")
-        if not 1 <= d.td_id <= n:
-            v.append(f"disk of AP {ap_id} has unknown boundary TD {d.td_id}")
+        if not 1 <= td_id <= n:
+            v.append(f"disk of AP {ap_id} has unknown boundary TD {td_id}")
     owner = {}
     for ap_id in sorted(sol.coverage):
         if not 1 <= ap_id <= m:
@@ -104,7 +102,7 @@ def check_feasible_reference(sol, inst) -> list[str]:
             v.append(f"AP {ap_id} covers TDs but selected no disk")
         if len(tds) > k:
             v.append(f"AP {ap_id} covers {len(tds)} TDs, capacity is {k}")
-        disk = sol.selected.get(ap_id)
+        disk_td = sol.selected.get(ap_id)
         for u in sorted(tds):
             if not 1 <= u <= n:
                 v.append(f"coverage of AP {ap_id} references unknown TD {u}")
@@ -113,15 +111,15 @@ def check_feasible_reference(sol, inst) -> list[str]:
                 v.append(f"TD {u} covered by both AP {owner[u]} and AP {ap_id}")
             else:
                 owner[u] = ap_id
-            valid = disk is not None and disk.ap_id == ap_id and 1 <= disk.td_id <= n
-            if valid and not contains(make_disk(inst, ap_id, disk.td_id), u, inst):
+            valid = disk_td is not None and 1 <= disk_td <= n
+            if valid and not contains((ap_id, disk_td), u, inst):
                 v.append(f"TD {u} lies outside the selected disk of AP {ap_id}")
     v.extend(f"TD {u} is not covered" for u in range(1, n + 1) if u not in owner)
     derived = 0.0
     for ap_id in sorted(sol.selected):
-        d = sol.selected[ap_id]
-        if 1 <= ap_id <= m and d.ap_id == ap_id and 1 <= d.td_id <= n:
-            derived += make_disk(inst, ap_id, d.td_id).power
+        td_id = sol.selected[ap_id]
+        if 1 <= ap_id <= m and 1 <= td_id <= n:
+            derived += disk_geometry(inst, ap_id, td_id)[1]
     if not math.isclose(sol.total_power, derived, rel_tol=1e-9, abs_tol=1e-12):
         v.append(f"stated total_power {sol.total_power!r} disagrees with "
                  f"selected disks ({derived!r})")
@@ -172,15 +170,17 @@ def random_instance(rng, m, n, k, side=40.0, power_c=1.0, power_alpha=2.0) -> In
 
 
 def product_assignment_exists(chosen, inst) -> bool:
-    """Enumerate every TD -> AP map over the choosing APs (tiny n only)."""
-    aps = sorted(a for a, d in chosen.items() if d is not None)
+    """Enumerate every TD -> AP map over the choosing APs (tiny n only).
+
+    ``chosen`` maps AP id to its disk's boundary TD id, or None."""
+    aps = sorted(a for a, u in chosen.items() if u is not None)
     if not aps:
         return inst.n == 0
     for combo in itertools.product(aps, repeat=inst.n):
         loads = dict.fromkeys(aps, 0)
         ok = True
         for u, a in enumerate(combo, start=1):
-            if not contains(chosen[a], u, inst):
+            if not contains((a, chosen[a]), u, inst):
                 ok = False
                 break
             loads[a] += 1
@@ -223,7 +223,7 @@ def enumerate_optimal_total(inst) -> float:
             if td is not None:
                 d = disks[a0 * inst.n + td - 1]
                 chosen[a0 + 1] = d
-                total += d.power
+                total += disk_geometry(inst, *d)[1]
         if total >= best or not chosen:
             continue
         candidates = []
@@ -256,13 +256,13 @@ def mlr_reference(inst):
     shortcuts) as a differential oracle for the vectorized solver.
     """
     disks = disk_family(inst)
-    key = [disk_key(inst, d.ap_id, d.td_id) for d in disks]
+    key = [disk_key(inst, *d) for d in disks]
     contained = {
         i: {u for u in range(1, inst.n + 1) if contains(disks[i], u, inst)}
         for i in range(len(disks))
     }
     live = set(range(len(disks)))
-    p_hat = {i: disks[i].power for i in live}
+    p_hat = {i: disk_geometry(inst, *disks[i])[1] for i in live}
     k_hat = {i: inst.k for i in live}
     uncovered = set(range(1, inst.n + 1))
     latest, covered_by = {}, {}
@@ -272,18 +272,18 @@ def mlr_reference(inst):
         best = min(ratio.values())
         i_star = min(
             (i for i in live if ratio[i] == best),
-            key=lambda i: (disks[i].ap_id, key[i]),
+            key=lambda i: (disks[i][0], key[i]),
         )
-        a_star = disks[i_star].ap_id
+        a_star = disks[i_star][0]
         taken = set(contained[i_star])
         latest[a_star] = i_star
         covered_by.setdefault(a_star, set()).update(taken)
         if len(contained[i_star]) == k_hat[i_star]:
-            gone = {i for i in live if disks[i].ap_id == a_star}
+            gone = {i for i in live if disks[i][0] == a_star}
         else:
             gone = {
                 i for i in live
-                if disks[i].ap_id == a_star and key[i] < key[i_star]
+                if disks[i][0] == a_star and key[i] < key[i_star]
             } | {i_star}
         live -= gone
         for i in live:
@@ -292,13 +292,13 @@ def mlr_reference(inst):
             uncovered.discard(u)
             for i in live:
                 contained[i].discard(u)
-                if disks[i].ap_id == a_star:
+                if disks[i][0] == a_star:
                     k_hat[i] -= 1
         live -= {i for i in live if not contained[i] or k_hat[i] == 0}
-    selected = {a: disks[i] for a, i in sorted(latest.items())}
+    selected = {a: disks[i][1] for a, i in sorted(latest.items())}
     total = 0.0
     for a in sorted(selected):
-        total += selected[a].power
+        total += disk_geometry(inst, a, selected[a])[1]
     return Solution(
         selected=selected,
         coverage={a: frozenset(covered_by[a]) for a in sorted(covered_by)},
@@ -364,10 +364,10 @@ def mlr_flat_reference(inst):
             "removed": [[int(i) // n + 1, int(i) % n + 1]
                         for i in np.flatnonzero(removed_step | dead)],
         })
-    sel = {a: make_disk(inst, a, i % n + 1) for a, i in sorted(selected.items())}
+    sel = {a: i % n + 1 for a, i in sorted(selected.items())}
     total = 0.0
     for a in sorted(sel):
-        total += sel[a].power
+        total += disk_geometry(inst, a, sel[a])[1]
     coverage = {a: frozenset(covered_by[a]) for a in sorted(covered_by)}
     return Solution(selected=sel, coverage=coverage, total_power=total), docs
 
@@ -411,10 +411,9 @@ def nca_reference(inst):
     for ap_id in sorted(assigned):
         tds = assigned[ap_id]
         largest = max(tds, key=lambda u: table.rank[ap_id - 1, u - 1])
-        d = make_disk(inst, ap_id, largest)
-        selected[ap_id] = d
+        selected[ap_id] = largest
         coverage[ap_id] = frozenset(tds)
-        total += d.power
+        total += disk_geometry(inst, ap_id, largest)[1]
     return Solution(selected=selected, coverage=coverage, total_power=total)
 
 
@@ -512,10 +511,7 @@ def exact_reference(inst: Instance, budget: ExactBudget | None = None) -> ExactR
 
     solution = None
     if best_choice[0] is not None:
-        picks = {
-            a0 + 1: make_disk(inst, a0 + 1, i % n + 1)
-            for a0, i in enumerate(best_choice[0]) if i is not None
-        }
+        picks = {a0 + 1: i % n + 1 for a0, i in enumerate(best_choice[0]) if i is not None}
         assignment = assign(best_choice[0])
         if assignment is None:
             raise RuntimeError("incumbent lost feasibility; solver bug")
@@ -524,7 +520,7 @@ def exact_reference(inst: Instance, budget: ExactBudget | None = None) -> ExactR
         }
         total = 0.0
         for a in sorted(picks):
-            total += picks[a].power
+            total += disk_geometry(inst, a, picks[a])[1]
         solution = Solution(selected=picks, coverage=coverage, total_power=total)
     elif status == STATUS_OPTIMAL:
         raise InfeasibleInstanceError(

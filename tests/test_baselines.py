@@ -20,7 +20,6 @@ from mpcc import (
     check_feasible,
     disk_order,
     generate_instance,
-    make_disk,
     solve_exact,
     solve_mlr,
     solve_nca,
@@ -84,7 +83,7 @@ def test_nca_breaks_key_ties_by_td_then_ap():
                                 tds=[(3, 4), (3, 4), (3, 4), (1, 0)], k=2)
     sol = solve_nca(inst)
     assert sol.coverage == {1: frozenset({1, 4}), 2: frozenset({2, 3})}
-    assert {a: d.td_id for a, d in sol.selected.items()} == {1: 1, 2: 3}
+    assert sol.selected == {1: 1, 2: 3}
     assert sol.total_power == 50
 
 
@@ -290,7 +289,7 @@ def test_nca_without_aps_or_tds():
 
 def test_shared_pair_splits_one_each():
     inst = Instance.from_coords(aps=[(0, 0), (2, 0)], tds=[(1, 0), (1, 1)], k=1)
-    chosen = {1: make_disk(inst, 1, 2), 2: make_disk(inst, 2, 2)}
+    chosen = {1: 2, 2: 2}
     assignment = assignment_feasible(chosen, inst)
     assert assignment is not None
     sizes = sorted(len(s) for s in assignment.values())
@@ -299,13 +298,13 @@ def test_shared_pair_splits_one_each():
 
 def test_capacity_bound_blocks_assignment():
     inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (0, 1), (-1, 0)], k=2)
-    chosen = {1: make_disk(inst, 1, 1)}  # contains all three TDs
+    chosen = {1: 1}  # contains all three TDs
     assert assignment_feasible(chosen, inst) is None
 
 
 def test_uncovered_td_blocks_assignment():
     inst = Instance.from_coords(aps=[(0, 0), (10, 0)], tds=[(1, 0), (9, 0)], k=2)
-    chosen = {1: make_disk(inst, 1, 1), 2: None}
+    chosen = {1: 1, 2: None}
     assert assignment_feasible(chosen, inst) is None
 
 
@@ -313,7 +312,7 @@ def _random_chosen(rng, inst):
     chosen = {}
     for a in range(1, inst.m + 1):
         pick = int(rng.integers(0, inst.n + 1))
-        chosen[a] = None if pick == 0 else make_disk(inst, a, pick)
+        chosen[a] = None if pick == 0 else pick
     return chosen
 
 
@@ -510,7 +509,7 @@ def test_exact_mask_screen_rejects_only_flow_infeasible_leaves():
                 assert flow is None, (inst, vector)
                 continue
             passed += 1
-            chosen = {a: make_disk(inst, a, vector[a - 1] + 1) for a in aps}
+            chosen = {a: vector[a - 1] + 1 for a in aps}
             assert flow == assignment_feasible(chosen, inst), (inst, vector)
             passed_feasible += flow is not None
             tight_feasible += flow is not None and cap == n

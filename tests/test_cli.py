@@ -102,12 +102,18 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
 
 
-def test_solve_validation_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("doc, message", [
+    ('{"c": 1, "alpha": 2, "k": 1, "aps": [[0, 0]], "tds": [[1, 0], [2, 0]]}',
+     "total capacity m*k = 1 cannot cover n = 2 TDs"),
+    ('{"c": 1, "alpha": 2, "k": 1, "aps": [], "tds": [[1, 0]]}', "instance has no APs"),
+], ids=["capacity-shortfall", "no-aps"])
+def test_solve_validation_exit_code(tmp_path, capsys, doc, message):
     bad = tmp_path / "invalid.json"
-    bad.write_text('{"c": 1, "alpha": 2, "k": 1, "aps": [[0, 0]], "tds": [[1, 0], [2, 0]]}')
+    bad.write_text(doc)
     code = run_cli("solve", "--alg", "mlr", "--in", str(bad),
                    "--out", str(tmp_path / "sol.json"))
     assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_exact_budget_exit_code(tmp_path, capsys):

@@ -17,8 +17,8 @@ from mpcc import (
     ExperimentError,
     Instance,
     Solution,
+    disk_geometry,
     generate_instance,
-    make_disk,
     preset,
     run_experiment,
     utilization_variance,
@@ -77,8 +77,8 @@ def _solution_with_sizes(inst, sizes):
             tds = list(range(next_td, next_td + size))
             next_td += size
             coverage[a] = frozenset(tds)
-            selected[a] = make_disk(inst, a, max(tds))
-    total = sum(d.power for d in selected.values())
+            selected[a] = max(tds)
+    total = sum(disk_geometry(inst, a, u)[1] for a, u in selected.items())
     return Solution(selected=selected, coverage=coverage, total_power=total)
 
 

@@ -240,12 +240,22 @@ def test_duplicate_ap_is_a_violation_not_a_parse_error():
         solution_from_json(text, inst)
 
 
-def test_unknown_ids_are_violations():
+@pytest.mark.parametrize("ap, td", [(7, 9), (0, 1), (-1, 1), (1, 0), (1, -1)],
+                         ids=["ap7-td9", "ap0", "ap-1", "td0", "td-1"])
+def test_unknown_ids_are_violations(ap, td):
+    # Ids 0 and -1 would index the last row of a coordinate array, so they
+    # must be refused before any geometry is computed from them.
     inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0)], k=1)
-    text = '{"total_power": 1, "assignments": [{"ap": 7, "disk_td": 9, "covered": [1]}]}'
-    violations = solution_violations(text, inst)
-    assert any("unknown AP 7" in v for v in violations)
-    assert any("unknown TD 9" in v for v in violations)
+    text = json.dumps({"total_power": 1,
+                       "assignments": [{"ap": ap, "disk_td": td, "covered": [1]}]})
+    expected = []
+    if ap != 1:
+        expected.append(f"assignment references unknown AP {ap}")
+    if td != 1:
+        expected.append(f"assignment of AP {ap} references unknown TD {td}")
+    assert solution_violations(text, inst) == expected
+    with pytest.raises(FormatError, match="outside the instance"):
+        solution_from_json(text, inst)
 
 
 def test_valid_document_has_no_violations():

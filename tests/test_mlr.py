@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from mpcc import (
     InfeasibleInstanceError,
     Instance,
     MlrInvariantError,
+    Solution,
     apply_selection,
     assemble_solution,
     check_feasible,
@@ -52,6 +54,43 @@ def test_local_ratio_values():
 def test_local_ratio_rejects_degenerate_divisor():
     with pytest.raises(MlrInvariantError):
         local_ratio(1.0, 0, 3)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("live_ap", "select_min_ratio called with no live disks"),
+    ("k_hat", "live disk with degenerate ratio divisor"),
+    ("first_live", "selected retired disk of AP {ap}"),
+    ("d", "selected disk has d=6 above k_hat=5"),
+])
+def test_select_min_ratio_invariant_checks_fire(field, message):
+    inst = random_instance(np.random.default_rng(12), m=3, n=12, k=5)
+    state = init_state(inst)
+    a0, r = select_min_ratio(state)
+    assert r + 1 < state.hi
+    if field == "live_ap":
+        state.live_ap = state.live_ap[:0]
+    elif field == "k_hat":
+        state.k_hat[:] = 0
+    elif field == "first_live":
+        state.first_live[a0] = r + 1  # the argmin now lies below the live ranks
+    else:
+        state.d[a0, r] = state.k_hat[a0] + 1
+    with pytest.raises(MlrInvariantError, match=f"^{message.format(ap=a0 + 1)}$"):
+        select_min_ratio(state)
+
+
+@pytest.mark.parametrize("stub, message", [
+    ("apply_selection", "more rounds than TDs"),
+    ("assemble_solution", "non-finite total power"),
+])
+def test_solve_mlr_invariant_checks_fire(monkeypatch, stub, message):
+    stubs = {
+        "apply_selection": lambda state, pick: (0.0, (), None),  # covers nothing
+        "assemble_solution": lambda state: Solution({}, {}, math.inf),
+    }
+    monkeypatch.setattr(mlr, stub, stubs[stub])
+    with pytest.raises(MlrInvariantError, match=f"^{message}$"):
+        solve_mlr(two_td_line())
 
 
 def test_single_ap_forced_solution():

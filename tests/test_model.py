@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +11,9 @@ from mpcc import (
     Instance,
     Solution,
     check_feasible,
+    disk_geometry,
     disk_order,
     generate_instance,
-    make_disk,
     power_of,
     solve_mlr,
     solve_nca,
@@ -37,7 +36,7 @@ def inst_around(ap, tds, k=100, power_c=1.0, power_alpha=2.0):
 
 def test_distance_sq_examples():
     def rsq(p, q):
-        return make_disk(Instance.from_coords(aps=[p], tds=[q], k=1), 1, 1).radius_sq
+        return disk_geometry(Instance.from_coords(aps=[p], tds=[q], k=1), 1, 1)[0]
 
     assert rsq((0, 0), (3, 4)) == 25
     assert rsq((1, 1), (1, 1)) == 0
@@ -68,8 +67,7 @@ def test_family_size_and_order():
         assert sorted(table.order[a - 1]) == [0, 1, 2]
         for u in (1, 2, 3):
             # row a - 1, column u - 1 is disk (a, u)
-            assert rsq[a - 1, u - 1] == make_disk(inst, a, u).radius_sq
-            assert table.power[a - 1, u - 1] == make_disk(inst, a, u).power
+            assert (rsq[a - 1, u - 1], table.power[a - 1, u - 1]) == disk_geometry(inst, a, u)
             assert table.order[a - 1, table.rank[a - 1, u - 1]] == u - 1
 
 
@@ -214,7 +212,7 @@ def test_instance_equality_compares_values_and_instances_are_unhashable():
 def _valid_two_ap_solution():
     inst = Instance.from_coords(aps=[(0, 0), (10, 0)], tds=[(1, 0), (9, 0)], k=1)
     sol = Solution(
-        selected={1: make_disk(inst, 1, 1), 2: make_disk(inst, 2, 2)},
+        selected={1: 1, 2: 2},
         coverage={1: frozenset({1}), 2: frozenset({2})},
         total_power=2.0,
     )
@@ -226,11 +224,11 @@ def test_from_picks_builds_in_ascending_ap_order():
                                 tds=[(1, 0), (9, 0), (0.3, 0.1)], k=1)
     sol = Solution.from_picks(inst, {3: 3, 2: 2, 1: 1}, {2: [2], 3: (3,), 1: {1}})
     assert list(sol.selected) == list(sol.coverage) == [1, 2, 3]
-    assert sol.selected == {a: make_disk(inst, a, a) for a in (1, 2, 3)}
+    assert sol.selected == {1: 1, 2: 2, 3: 3}
     assert sol.coverage == {a: frozenset({a}) for a in (1, 2, 3)}
     total = 0.0
     for a in (1, 2, 3):
-        total += make_disk(inst, a, a).power
+        total += disk_geometry(inst, a, a)[1]
     assert sol.total_power == total
     assert check_feasible(sol, inst) == []
 
@@ -243,7 +241,7 @@ def test_check_feasible_accepts_valid_solution():
 def test_check_feasible_flags_capacity_excess():
     inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (2, 0), (3, 0)], k=2)
     sol = Solution(
-        selected={1: make_disk(inst, 1, 3)},
+        selected={1: 3},
         coverage={1: frozenset({1, 2, 3})},
         total_power=9.0,
     )
@@ -265,9 +263,9 @@ def test_check_feasible_flags_missing_td():
 def test_check_feasible_flags_double_coverage():
     inst, sol = _valid_two_ap_solution()
     broken = Solution(
-        selected={1: make_disk(inst, 1, 2), 2: make_disk(inst, 2, 2)},
+        selected={1: 2, 2: 2},
         coverage={1: frozenset({1, 2}), 2: frozenset({2})},
-        total_power=make_disk(inst, 1, 2).power + make_disk(inst, 2, 2).power,
+        total_power=disk_geometry(inst, 1, 2)[1] + disk_geometry(inst, 2, 2)[1],
     )
     assert any("covered by both" in v for v in check_feasible(broken, inst))
 
@@ -275,7 +273,7 @@ def test_check_feasible_flags_double_coverage():
 def test_check_feasible_flags_outside_disk():
     inst, sol = _valid_two_ap_solution()
     broken = Solution(
-        selected={1: make_disk(inst, 1, 1), 2: make_disk(inst, 2, 2)},
+        selected={1: 1, 2: 2},
         coverage={1: frozenset({1, 2}), 2: frozenset()},
         total_power=2.0,
     )
@@ -291,7 +289,7 @@ def test_check_feasible_flags_total_power_mismatch():
 def test_check_feasible_flags_coverage_without_disk():
     inst, sol = _valid_two_ap_solution()
     broken = Solution(
-        selected={1: make_disk(inst, 1, 1)},
+        selected={1: 1},
         coverage={1: frozenset({1}), 2: frozenset({2})},
         total_power=1.0,
     )
@@ -398,9 +396,8 @@ def test_cross_center_containment_consistency(aps, tds):
     table = disk_order(inst)
     for a in range(1, inst.m + 1):
         for w in range(1, inst.n + 1):
-            d = make_disk(inst, a, w)
             for u in range(1, inst.n + 1):
-                assert inside(table, a, w, u) == contains(d, u, inst)
+                assert inside(table, a, w, u) == contains((a, w), u, inst)
 
 
 def _grid_instance(rng, m, n, span):
@@ -470,32 +467,27 @@ def _mutations(rng, inst, sol):
                 cov[a], cov[b] = tds - {u}, cov.get(b, frozenset()) | {u}
                 yield Solution(sol.selected, cov, sol.total_power)
     # a disk swapped for another of the same radius: a mirrored tie
-    for a, d in sol.selected.items():
+    for a, w in sol.selected.items():
+        radius_sq = disk_geometry(inst, a, w)[0]
         for v in range(1, n + 1):
-            twin = make_disk(inst, a, v)
-            if v != d.td_id and twin.radius_sq == d.radius_sq:
-                yield Solution({**sol.selected, a: twin}, sol.coverage, sol.total_power)
-    # faults in the ids: an unknown AP, a disk stored under another AP, an
-    # unknown boundary TD, coverage by an unknown AP; then no claims at all
-    a, d = next(iter(sol.selected.items()))
-    other = a % inst.m + 1
-    yield Solution({**sol.selected, inst.m + 1: d}, sol.coverage, sol.total_power)
-    yield Solution({**sol.selected, a: make_disk(inst, other, d.td_id)},
-                   sol.coverage, sol.total_power)
-    yield Solution({**sol.selected, a: replace(d, td_id=n + 1)}, sol.coverage,
-                   sol.total_power)
+            if v != w and disk_geometry(inst, a, v)[0] == radius_sq:
+                yield Solution({**sol.selected, a: v}, sol.coverage, sol.total_power)
+    # faults in the ids: an unknown AP, an unknown boundary TD, coverage by
+    # an unknown AP; then no claims at all
+    a, w = next(iter(sol.selected.items()))
+    yield Solution({**sol.selected, inst.m + 1: w}, sol.coverage, sol.total_power)
+    yield Solution({**sol.selected, a: n + 1}, sol.coverage, sol.total_power)
     yield Solution(sol.selected, {**sol.coverage, 0: frozenset({1})}, sol.total_power)
     yield Solution(sol.selected, {b: frozenset() for b in sol.coverage}, sol.total_power)
     # random disks and random owners
     for _ in range(4):
-        selected = {a: make_disk(inst, a, int(rng.integers(1, n + 1)))
-                    for a in range(1, inst.m + 1)}
+        selected = {a: int(rng.integers(1, n + 1)) for a in range(1, inst.m + 1)}
         owner = rng.integers(1, inst.m + 1, n)
         coverage = {a: frozenset(u + 1 for u in np.flatnonzero(owner == a).tolist())
                     for a in selected}
         total = 0.0
         for a in sorted(selected):
-            total += selected[a].power
+            total += disk_geometry(inst, a, selected[a])[1]
         yield Solution(selected, coverage, total)
 
 
@@ -515,8 +507,8 @@ def test_check_feasible_equals_pairwise_contains_checker():
             outside += any("outside" in v for v in expected)
             reached.update(expected)
     assert outside >= 100  # the mutations reach the containment test
-    for fault in ("selected disk references unknown AP", "is centered at AP",
-                  "has unknown boundary TD", "coverage references unknown AP"):
+    for fault in ("selected disk references unknown AP", "has unknown boundary TD",
+                  "coverage references unknown AP"):
         assert any(fault in v for v in reached), fault
 
 
