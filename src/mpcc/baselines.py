@@ -3,13 +3,14 @@
 NCA repeatedly assigns the globally closest (AP, uncovered TD) pair among
 APs with spare capacity; an AP's final disk is the largest-keyed disk of
 its assigned TDs.  The exact solver enumerates one disk choice (or none)
-per AP with branch-and-bound pruning on partial power sums and decides
-coverage feasibility of a choice vector with a unit-capacity flow
-network, so it is only practical at small scale.  TD bitmasks are its
-one form of containment: they screen each leaf (the union of the chosen
-disks and the sum of their servable counts) and give the flow its
-AP -> TD arcs; the set-up holds O(m·n) masks.  Both produce solutions
-that pass ``check_feasible``.
+per AP with branch-and-bound pruning on partial power sums, so it is
+only practical at small scale.  TD bitmasks are its one form of
+containment; the set-up holds O(m·n) masks.  They screen each leaf (the
+union of the chosen disks and the sum of their servable counts), decide
+the leaves that pass by Hall's condition (a max flow decides leaves
+with many chosen disks), and give the one max flow that builds the final
+incumbent's assignment its AP -> TD arcs.  Both produce solutions that
+pass ``check_feasible``.
 """
 
 from dataclasses import dataclass
@@ -82,7 +83,9 @@ class FlowNetwork:
     Used to decide whether fixed disk choices admit a full TD assignment:
     source -> AP arcs carry the capacity k, AP -> TD arcs exist where the
     chosen disk contains the TD, TD -> sink arcs have capacity 1.  All
-    operations are deterministic given the arc insertion order.
+    operations are deterministic given the arc insertion order.  An
+    augmenting path is walked with an explicit arc stack, so its length
+    is not bounded by the interpreter's recursion limit.
     """
 
     def __init__(self, num_nodes: int):
@@ -102,41 +105,50 @@ class FlowNetwork:
         return arc
 
     def max_flow(self, s: int, t: int) -> int:
+        adj, to, cap = self.adj, self.to, self.cap
         flow = 0
         while True:
             level = [-1] * self.num_nodes
             level[s] = 0
             queue = [s]
             for u in queue:
-                for arc in self.adj[u]:
-                    v = self.to[arc]
-                    if self.cap[arc] > 0 and level[v] < 0:
+                for arc in adj[u]:
+                    v = to[arc]
+                    if cap[arc] > 0 and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
                 return flow
             it = [0] * self.num_nodes
-
-            def augment(u: int, limit: int) -> int:
-                if u == t:
-                    return limit
-                while it[u] < len(self.adj[u]):
-                    arc = self.adj[u][it[u]]
-                    v = self.to[arc]
-                    if self.cap[arc] > 0 and level[v] == level[u] + 1:
-                        pushed = augment(v, min(limit, self.cap[arc]))
-                        if pushed:
-                            self.cap[arc] -= pushed
-                            self.cap[arc ^ 1] += pushed
-                            return pushed
-                    it[u] += 1
-                return 0
-
+            # Depth-first augmentation along the level graph with an arc
+            # stack: a dead end advances its parent's current arc, and a
+            # path that reaches t pushes its bottleneck.
+            path: list[int] = []
+            u = s
             while True:
-                pushed = augment(s, self.num_nodes + 1)
-                if not pushed:
-                    break
-                flow += pushed
+                if u == t:
+                    pushed = min(self.num_nodes + 1, *(cap[arc] for arc in path))
+                    for arc in path:
+                        cap[arc] -= pushed
+                        cap[arc ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
+                    continue
+                arcs = adj[u]
+                while it[u] < len(arcs):
+                    arc = arcs[it[u]]
+                    v = to[arc]
+                    if cap[arc] > 0 and level[v] == level[u] + 1:
+                        path.append(arc)
+                        u = v
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break  # s is a dead end: the phase is blocked
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
 
 
 def _choice_list(
@@ -231,8 +243,25 @@ class ExactResult:
     nodes_explored: int
 
 
-class _BudgetHit(Exception):
-    pass
+# Hall's test costs 2^q subset unions for q chosen APs; past this many a
+# max flow decides a leaf faster (measured per leaf at n = 5 to 100).
+_HALL_MAX_APS = 8
+
+
+def _hall_feasible(masks: list[int], k: int, n: int) -> bool:
+    """Whether APs of capacity k whose disks hold the TD bitmasks
+    ``masks`` can serve all n TDs.
+
+    Hall's condition for b-matching: for every subset S of the APs, the
+    TDs that no AP outside S contains number at most k·|S|.  One pass
+    builds the mask union of every subset C of the APs, indexed by C's
+    bits; C stands for the APs outside S.
+    """
+    q = len(masks)
+    unions = [0]
+    for mask in masks:
+        unions += [u | mask for u in unions]
+    return all(n - u.bit_count() <= k * (q - c.bit_count()) for c, u in enumerate(unions))
 
 
 def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResult:
@@ -240,14 +269,18 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
 
     Each AP independently picks one of its n disks or none; choice lists
     are explored in ascending power order (no disk first) and branches
-    are pruned once the partial power reaches the incumbent.  Coverage
-    feasibility of complete choice vectors is decided by max flow, whose
-    assignment the incumbent keeps.  Before the flow, a leaf is screened
-    by TD bitmasks: it is skipped unless the chosen disks' union holds
-    every TD and their servable counts ``min(k, rank + 1)`` sum to at
-    least n, both necessary for a full flow; the same masks give the
-    flow's arcs.  The set-up holds one mask per disk, O(m·n) masks.  The
-    optimum is over exactly-once coverings, matching ``check_feasible``.
+    are pruned once the partial power reaches the incumbent.  The search
+    walks the tree with an explicit stack, so its depth is not bounded by
+    the interpreter's recursion limit.  A leaf is screened by TD
+    bitmasks: it is skipped unless the chosen disks' union holds every TD
+    and their servable counts ``min(k, rank + 1)`` sum to at least n.  A
+    leaf that passes is decided by Hall's condition over the same masks
+    (``_hall_feasible``) when it chooses at most ``_HALL_MAX_APS`` disks,
+    and by max flow otherwise; a feasible leaf keeps only its choice
+    vector as the incumbent.  Once the search ends, finished or out of
+    budget, one max flow on the final incumbent builds its assignment.
+    The set-up holds one mask per disk, O(m·n) masks.  The optimum is
+    over exactly-once coverings, matching ``check_feasible``.
     """
     if budget is None:
         budget = ExactBudget()
@@ -258,52 +291,68 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
         _choice_list(p, o, k) for p, o in zip(table.power.tolist(), table.order.tolist())
     ]
     all_tds = (1 << n) - 1
+    max_nodes, max_seconds = budget.max_nodes, budget.max_seconds
 
     best_total = float("inf")
-    best: Solution | None = None
-    nodes = 0
+    best: list | None = None  # the incumbent's choice per AP
+    chosen = [choices[0] for choices in choice_lists]
+    # Per depth d: the next choice to try at the node there, and the
+    # partial power, mask union and servable count of APs 0..d-1.
+    pos = [0] * m
+    partial = [0.0] * m
+    union = [0] * m
+    cap = [0] * m
+    nodes = 1  # the root; each step down below counts one more
+    status = STATUS_OPTIMAL if nodes <= max_nodes else STATUS_BUDGET_EXCEEDED
+    if status == STATUS_OPTIMAL and m == n == 0:
+        best = []  # the root is the only leaf, and there is no TD to cover
+    d = 0 if status == STATUS_OPTIMAL and m else -1
+    while d >= 0:
+        choices = choice_lists[d]
+        i = pos[d]
+        if i < len(choices):
+            choice = choices[i]
+            s = partial[d] + choice[1]
+            if s < best_total:  # ascending power: else later choices prune too
+                pos[d] = i + 1
+                chosen[d] = choice
+                nodes += 1
+                if nodes > max_nodes or (
+                    nodes % 256 == 0 and perf_counter() - t0 > max_seconds
+                ):
+                    status = STATUS_BUDGET_EXCEEDED
+                    break
+                # Step down, or decide a leaf.  Without every TD in the
+                # union and n servable slots no assignment covers; Hall
+                # or the flow decides the leaves that have both.
+                _, _, mask, servable = choice
+                if d + 1 < m:
+                    d += 1
+                    pos[d] = 0
+                    partial[d] = s
+                    union[d] = union[d - 1] | mask
+                    cap[d] = cap[d - 1] + servable
+                elif union[d] | mask == all_tds and cap[d] + servable >= n:
+                    masks = [c[2] for c in chosen if c[0] is not None]
+                    if (
+                        _hall_feasible(masks, k, n)
+                        if len(masks) <= _HALL_MAX_APS
+                        else _flow_assign(list(range(len(masks))), masks, k, n) is not None
+                    ):
+                        best_total = s
+                        best = chosen[:]
+                continue
+        d -= 1
 
-    def tick():
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget.max_nodes:
-            raise _BudgetHit
-        if nodes % 256 == 0 and perf_counter() - t0 > budget.max_seconds:
-            raise _BudgetHit
-
-    chosen: list[tuple[int | None, int]] = [(None, 0)] * m  # (u0, mask) per AP
-
-    def descend(a0: int, partial: float, union: int, cap: int):
-        nonlocal best_total, best
-        tick()
-        if a0 == m:
-            # Without every TD in the union and n servable slots, no flow
-            # can cover; only the remaining leaves build the network.
-            if union != all_tds or cap < n:
-                return
-            picks = {a + 1: u0 + 1 for a, (u0, _) in enumerate(chosen) if u0 is not None}
-            masks = [mask for u0, mask in chosen if u0 is not None]
-            assignment = _flow_assign(list(picks), masks, k, n)
-            if assignment is not None:
-                best_total = partial
-                coverage = {a: tds for a, tds in assignment.items() if tds}
-                best = Solution.from_picks(inst, picks, coverage)
-            return
-        for u0, power, mask, servable in choice_lists[a0]:
-            s = partial + power
-            if s >= best_total:
-                break  # ascending power: later choices prune too
-            chosen[a0] = (u0, mask)
-            descend(a0 + 1, s, union | mask, cap + servable)
-
-    status = STATUS_OPTIMAL
-    try:
-        descend(0, 0.0, 0, 0)
-    except _BudgetHit:
-        status = STATUS_BUDGET_EXCEEDED
-    if best is None and status == STATUS_OPTIMAL:
+    solution = None
+    if best is not None:
+        picks = {a0 + 1: c[0] + 1 for a0, c in enumerate(best) if c[0] is not None}
+        assignment = _flow_assign(list(picks), [c[2] for c in best if c[0] is not None], k, n)
+        coverage = {a: tds for a, tds in assignment.items() if tds}
+        solution = Solution.from_picks(inst, picks, coverage)
+    elif status == STATUS_OPTIMAL:
         raise InfeasibleInstanceError(
             "exhaustive search found no feasible covering; "
             "the instance violates m*k >= n"
         )
-    return ExactResult(status=status, solution=best, nodes_explored=nodes)
+    return ExactResult(status=status, solution=solution, nodes_explored=nodes)

@@ -159,8 +159,12 @@ def power_of(radius_sq: float, c: float, alpha: float) -> float:
 
 def disk_geometry(inst: Instance, ap_id: int, td_id: int) -> tuple[float, float]:
     """``(radius_sq, power)`` of the disk of AP ``ap_id`` with TD ``td_id``
-    on its boundary.  Both ids must already be known to be in range: a
-    negative or zero id reads another row without complaint."""
+    on its boundary.  An AP id outside 1..m or a TD id outside 1..n
+    raises ValueError."""
+    if not 1 <= ap_id <= inst.m:
+        raise ValueError(f"unknown AP {ap_id}")
+    if not 1 <= td_id <= inst.n:
+        raise ValueError(f"unknown TD {td_id}")
     # ``item`` yields Python floats, so the power is the scalar ``**``.
     a, u = ap_id - 1, td_id - 1
     dx = inst.ap_xy.item(a, 0) - inst.td_xy.item(u, 0)

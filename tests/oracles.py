@@ -3,8 +3,9 @@
 These deliberately avoid the package's max-flow and branch-and-bound
 code: feasibility is decided by raw enumeration or per-TD backtracking,
 so they can serve as oracles for the production paths.  The exceptions
-are the earlier forms of rewritten solvers and orders, kept for
-differential tests: ``exact_reference`` shares the package's max flow.  The disk order is
+are the earlier forms of rewritten solvers, orders and the max flow,
+kept for differential tests: ``exact_reference`` shares the package's
+max flow.  The disk order is
 specified here one pair at a time by the scalar ``disk_key``, against
 which the package's array-built ``disk_order`` is tested.
 """
@@ -29,7 +30,6 @@ from mpcc.baselines import (
     STATUS_OPTIMAL,
     ExactBudget,
     ExactResult,
-    _BudgetHit,
     _flow_assign,
 )
 from mpcc.formats import FormatError, _fmt_real, _real
@@ -436,13 +436,61 @@ def pair_order_reference(inst) -> np.ndarray:
     return np.lexsort((y_sign, cos, rsq), axis=-1)[0]
 
 
+def max_flow_reference(net, s: int, t: int) -> int:
+    """Dinic's max flow on a ``FlowNetwork``'s arcs, in the recursive form
+    the package used before its augmentation walked an explicit arc
+    stack.  Mutates ``net.cap`` as ``FlowNetwork.max_flow`` does."""
+    flow = 0
+    while True:
+        level = [-1] * net.num_nodes
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for arc in net.adj[u]:
+                v = net.to[arc]
+                if net.cap[arc] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[t] < 0:
+            return flow
+        it = [0] * net.num_nodes
+
+        def augment(u: int, limit: int) -> int:
+            if u == t:
+                return limit
+            while it[u] < len(net.adj[u]):
+                arc = net.adj[u][it[u]]
+                v = net.to[arc]
+                if net.cap[arc] > 0 and level[v] == level[u] + 1:
+                    pushed = augment(v, min(limit, net.cap[arc]))
+                    if pushed:
+                        net.cap[arc] -= pushed
+                        net.cap[arc ^ 1] += pushed
+                        return pushed
+                it[u] += 1
+            return 0
+
+        while True:
+            pushed = augment(s, net.num_nodes + 1)
+            if not pushed:
+                break
+            flow += pushed
+
+
+class _BudgetHit(Exception):
+    pass
+
+
 def exact_reference(inst: Instance, budget: ExactBudget | None = None) -> ExactResult:
     """Minimum-total-power solution by exhaustive disk-choice search.
 
-    The exact solver as it stood before it kept the flow assignment of
-    its improving leaf: it reruns max flow on the final incumbent to
-    rebuild the assignment, and indexes disks as ``a0 * n + u0``.  Only
-    the dropped ``elapsed_seconds`` field differs from that form.
+    The exact solver in an earlier form: it recurses once per AP, decides
+    every leaf by max flow, reruns the flow on the final incumbent to
+    build the assignment, and indexes disks as ``a0 * n + u0``.  The
+    package's search now decides small leaves by Hall's condition and
+    runs that one final flow alone; between the two forms the package
+    for a while kept the flow assignment of each improving leaf instead.
+    Only the dropped ``elapsed_seconds`` field differs from this form.
 
     Each AP independently picks one of its n disks or none; choice lists
     are explored in ascending power order (no disk first) and branches

@@ -25,14 +25,15 @@ from mpcc import (
     solve_nca,
     solution_to_json,
 )
-from mpcc import model
-from mpcc.baselines import _choice_list, _flow_assign
+from mpcc import baselines, model
+from mpcc.baselines import FlowNetwork, _choice_list, _flow_assign, _hall_feasible
 
 from oracles import (
     enumerate_optimal_total,
     exact_reference,
     feasible_small_config,
     key_fields,
+    max_flow_reference,
     nca_reference,
     pair_order_reference,
     product_assignment_exists,
@@ -336,6 +337,33 @@ def test_flow_agrees_with_product_enumeration():
                     assert u in range(1, n + 1)
 
 
+def test_max_flow_matches_recursive_reference():
+    # The arc-stack augmentation must route every unit along the same
+    # arcs as the recursive form: equal flow and equal residual arcs, on
+    # AP/TD networks and on random digraphs with larger capacities.
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        nodes = int(rng.integers(2, 12))
+        arcs = []
+        if trial % 2:
+            q, n, k = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            nodes = q + n + 2
+            arcs += [(0, 1 + j, k) for j in range(q)]
+            arcs += [(1 + j, 1 + q + u, 1) for j in range(q) for u in range(n) if rng.random() < 0.5]
+            arcs += [(1 + q + u, nodes - 1, 1) for u in range(n)]
+        else:
+            for _ in range(int(rng.integers(1, 4 * nodes))):
+                u, v = (int(x) for x in rng.integers(0, nodes, 2))
+                arcs.append((u, v, int(rng.integers(0, 5))))
+        nets = [FlowNetwork(nodes), FlowNetwork(nodes)]
+        for net in nets:
+            for arc in arcs:
+                net.add_edge(*arc)
+        flow = nets[0].max_flow(0, nodes - 1)
+        assert flow == max_flow_reference(nets[1], 0, nodes - 1), arcs
+        assert nets[0].cap == nets[1].cap, arcs
+
+
 # ---------------------------------------------------------------------------
 # exact oracle
 
@@ -432,7 +460,11 @@ def _exact_outcome(res, inst):
     return res.status, res.nodes_explored, sol
 
 
-def test_exact_matches_rerun_reference_bytes():
+@pytest.mark.parametrize("hall_max_aps", [baselines._HALL_MAX_APS, 0], ids=["hall", "flow"])
+def test_exact_matches_rerun_reference_bytes(monkeypatch, hall_max_aps):
+    # Both sides of the leaf test's selection: Hall's condition up to the
+    # real bound, and max flow at every leaf when the bound is 0.
+    monkeypatch.setattr(baselines, "_HALL_MAX_APS", hall_max_aps)
     shapes = set()
     incumbents = 0
     for i, inst in enumerate(_exact_differential_instances()):
@@ -476,14 +508,30 @@ def test_exact_solution_bytes_match_pinned_digests(shape):
     assert digest.hexdigest() == EXACT_BYTES_SHA256[shape]
 
 
+def _hall_shape_instances():
+    """Instances with up to ``_HALL_MAX_APS`` APs and few TDs, so that
+    Hall's condition runs at its largest number of chosen disks."""
+    rng = np.random.default_rng(808)
+    for i in range(60):
+        m = int(rng.integers(5, baselines._HALL_MAX_APS + 1)) if i % 2 else baselines._HALL_MAX_APS
+        n = int(rng.integers(1, m + 3))
+        k = -(-n // m)
+        grid = 4 if i % 3 else 40
+        yield Instance.from_coords(aps=(rng.random((m, 2)) * grid).tolist(),
+                                   tds=(rng.random((n, 2)) * grid).tolist(), k=k)
+
+
 def test_exact_mask_screen_rejects_only_flow_infeasible_leaves():
-    # solve_exact skips a leaf's max flow when its disks' TD masks miss a
-    # TD or their servable counts sum below n.  Random choice vectors on
-    # the differential shapes: a rejected vector must be flow-infeasible,
-    # and a passed one goes to the same flow as assignment_feasible.
+    # solve_exact skips a leaf when its disks' TD masks miss a TD or
+    # their servable counts sum below n.  Random choice vectors on the
+    # differential shapes and on shapes with up to _HALL_MAX_APS APs: a
+    # rejected vector must be flow-infeasible, a passed one goes to the
+    # same flow as assignment_feasible, and Hall's verdict equals the
+    # flow's on every vector.
     rng = np.random.default_rng(2024)
     rejected = passed = passed_feasible = tight_feasible = 0
-    for inst in _exact_differential_instances():
+    largest_q = {True: 0, False: 0}  # Hall's verdicts at q = _HALL_MAX_APS
+    for inst in itertools.chain(_exact_differential_instances(), _hall_shape_instances()):
         m, n, k = inst.m, inst.n, inst.k
         table = disk_order(inst)
         ranks = table.rank.tolist()
@@ -497,13 +545,19 @@ def test_exact_mask_screen_rejects_only_flow_infeasible_leaves():
                 inside = sum(1 << v0 for v0, r in enumerate(row) if r <= row[u0])
                 assert choices[a0][u0][0] == inside
         for _ in range(6):
-            vector = [None if rng.random() < 0.2 else int(rng.integers(n)) for _ in range(m)]
+            p_none = 0.2 if m <= 4 else 0.05
+            vector = [None if rng.random() < p_none else int(rng.integers(n)) for _ in range(m)]
             union = cap = 0
             for a0, u0 in enumerate(vector):
                 union |= choices[a0][u0][0]
                 cap += choices[a0][u0][1]
             aps = [a0 + 1 for a0, u0 in enumerate(vector) if u0 is not None]
-            flow = _flow_assign(aps, [choices[a - 1][vector[a - 1]][0] for a in aps], k, n)
+            masks = [choices[a - 1][vector[a - 1]][0] for a in aps]
+            flow = _flow_assign(aps, masks, k, n)
+            hall = _hall_feasible(masks, k, n)
+            assert hall == (flow is not None), (inst, vector)
+            if len(aps) == baselines._HALL_MAX_APS:
+                largest_q[hall] += 1
             if union != (1 << n) - 1 or cap < n:
                 rejected += 1
                 assert flow is None, (inst, vector)
@@ -515,6 +569,52 @@ def test_exact_mask_screen_rejects_only_flow_infeasible_leaves():
             tight_feasible += flow is not None and cap == n
     assert rejected >= 100 and passed >= 100
     assert passed_feasible >= 50 and tight_feasible >= 10
+    assert min(largest_q.values()) >= 10, largest_q
+
+
+def test_exact_runs_one_max_flow_per_solution(monkeypatch):
+    # Leaves are decided by Hall's condition; only the final incumbent's
+    # assignment is built by max flow, once per solve that returns one.
+    calls = [0]
+    max_flow = FlowNetwork.max_flow
+
+    def counted(self, s, t):
+        calls[0] += 1
+        return max_flow(self, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    solved = empty = 0
+    for i, inst in enumerate(_exact_differential_instances()):
+        budgets = [None]
+        if i % 3 == 0:
+            full = solve_exact(inst).nodes_explored
+            budgets += [ExactBudget(max_nodes=b, max_seconds=600) for b in (full // 2, 0)]
+        for budget in budgets:
+            calls[0] = 0
+            res = solve_exact(inst, budget)
+            assert calls[0] == (res.solution is not None), (inst, budget)
+            solved += res.solution is not None
+            empty += res.solution is None
+    assert solved >= 300 and empty >= 100
+
+
+def _far_apart_aps_instance():
+    # 1500 APs and one TD: the search descends 1500 levels before its
+    # first leaf, past the interpreter's default recursion limit.
+    rng = np.random.default_rng(3)
+    return Instance.from_coords(aps=(rng.random((1500, 2)) * 40).tolist(),
+                                tds=[(20.0, 20.0)], k=1)
+
+
+def test_exact_search_depth_is_not_bounded_by_recursion():
+    inst = _far_apart_aps_instance()
+    hit = solve_exact(inst, ExactBudget(max_nodes=5000))
+    assert (hit.status, hit.nodes_explored) == (STATUS_BUDGET_EXCEEDED, 5001)
+    assert check_feasible(hit.solution, inst) == []
+    res = solve_exact(inst)
+    assert res.status == STATUS_OPTIMAL
+    assert res.solution.total_power == disk_order(inst).power.min()
+    assert hit.solution.total_power > res.solution.total_power
 
 
 def _power_rank_order(table, a0):
@@ -588,6 +688,19 @@ def test_exact_time_budget():
     inst = random_instance(rng, m=5, n=14, k=3)
     res = solve_exact(inst, ExactBudget(max_nodes=10**12, max_seconds=0.0))
     assert res.status == STATUS_BUDGET_EXCEEDED
+
+
+def test_exact_without_aps_or_tds():
+    # Unvalidated corner shapes: with no AP the root is the only leaf.
+    with pytest.raises(InfeasibleInstanceError):
+        solve_exact(Instance.from_coords(aps=[], tds=[(1, 0)], k=1))
+    for aps in ([], [(0, 0)], [(0, 0), (1, 1)]):
+        inst = Instance.from_coords(aps=aps, tds=[], k=1)
+        res = solve_exact(inst)
+        assert (res.status, res.nodes_explored) == (STATUS_OPTIMAL, len(aps) + 1)
+        assert res.solution == Solution({}, {}, 0.0)
+        res = solve_exact(inst, ExactBudget(max_nodes=0))
+        assert (res.status, res.nodes_explored, res.solution) == (STATUS_BUDGET_EXCEEDED, 1, None)
 
 
 def test_exact_infeasible_instance_raises():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mpcc import cli, experiments, instance_from_json, mlr, solution_violations
@@ -128,6 +129,21 @@ def test_exact_budget_exit_code(tmp_path, capsys):
                         r"no solution written\n", captured.err)
     assert captured.out == ""
     assert not (tmp_path / "sol.json").exists()
+
+
+@pytest.mark.parametrize("max_nodes, code", [("5000", cli.EXIT_BUDGET), ("2000000", cli.EXIT_OK)])
+def test_exact_solves_past_the_recursion_limit(tmp_path, capsys, max_nodes, code):
+    # 1500 APs put the first leaf 1500 levels down; the search still ends
+    # in an answer or the budget exit code, not a traceback.
+    rng = np.random.default_rng(3)
+    inst_path = tmp_path / "wide.json"
+    inst_path.write_text(json.dumps({"c": 1, "alpha": 2, "k": 1, "tds": [[20.0, 20.0]],
+                                     "aps": (rng.random((1500, 2)) * 40).tolist()}))
+    assert run_cli("solve", "--alg", "exact", "--in", str(inst_path),
+                   "--out", str(tmp_path / "sol.json"), "--max-nodes", max_nodes) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (tmp_path / "sol.json").exists() == (code == cli.EXIT_OK)
 
 
 def test_exact_solves_small_instance(tmp_path, capsys):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from mpcc import (
     FormatError,
     Instance,
+    Solution,
+    check_feasible,
     generate_instance,
     instance_from_json,
     instance_to_json,
@@ -159,6 +161,19 @@ def test_solution_round_trip():
     again = solution_from_json(text, inst)
     assert again == sol
     assert solution_to_json(again, inst) == text
+
+
+@pytest.mark.parametrize("selected, name", [({0: 1}, "AP 0"), ({1: 4}, "TD 4")])
+def test_solution_to_json_refuses_ids_outside_the_instance(selected, name):
+    # AP 0 would be written with the last AP's geometry, TD n + 1 would
+    # end in an IndexError; check_feasible reports both as before.
+    inst = Instance.from_coords(aps=[(0, 0), (10, 0)], tds=[(1, 0), (9, 0), (8, 0)], k=2)
+    sol = Solution(selected, {}, 0.0)
+    with pytest.raises(ValueError, match=f"^unknown {name}$"):
+        solution_to_json(sol, inst)
+    expected = ("selected disk references unknown AP 0" if name == "AP 0"
+                else "disk of AP 1 has unknown boundary TD 4")
+    assert expected in check_feasible(sol, inst)
 
 
 def test_solution_radius_field_is_square_root():

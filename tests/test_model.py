@@ -71,6 +71,18 @@ def test_family_size_and_order():
             assert table.order[a - 1, table.rank[a - 1, u - 1]] == u - 1
 
 
+@pytest.mark.parametrize("ap_id, td_id, name", [
+    (0, 1, "AP 0"), (-1, 1, "AP -1"), (3, 1, "AP 3"),
+    (1, 0, "TD 0"), (2, -2, "TD -2"), (1, 4, "TD 4"),
+])
+def test_disk_geometry_refuses_ids_outside_the_instance(ap_id, td_id, name):
+    # A zero or negative id would read another row through negative
+    # indexing, and an id past the end would raise a bare IndexError.
+    inst = Instance.from_coords(aps=[(0, 0), (5, 5)], tds=[(1, 0), (2, 2), (3, 1)], k=3)
+    with pytest.raises(ValueError, match=f"^unknown {name}$"):
+        disk_geometry(inst, ap_id, td_id)
+
+
 def test_single_pair_disk_power():
     inst = Instance.from_coords(aps=[(0, 0)], tds=[(3, 4)], k=1)
     table = disk_order(inst)
