@@ -49,13 +49,14 @@ def solve_nca(inst: Instance) -> Solution:
     again.  Restricted to one AP, this order is the AP's disk order (key,
     then TD id), so the last TD assigned to an AP is the boundary TD of
     the largest-keyed disk among its assigned TDs.  The scan draws runs
-    of the order only until every TD is covered.
+    of the order only until every TD is covered, and flags each TD as it
+    covers it, so that later blocks leave out the pairs it would skip.
     """
+    covered, blocks = pair_runs(inst)
     spare = [inst.k] * inst.m
-    covered = [False] * inst.n
     assigned: dict[int, list[int]] = {}
     remaining = inst.n
-    for u0s, a0s in pair_runs(inst):
+    for u0s, a0s in blocks:
         for u0, a0 in zip(u0s, a0s):
             if covered[u0] or spare[a0] == 0:
                 continue

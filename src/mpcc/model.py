@@ -21,14 +21,15 @@ and of two same-radius disks at one AP the greater-keyed one contains
 both boundary TDs while the lesser contains only its own.  ``disk_order``
 builds this order for every AP at once as rank tables, from which MLR
 and the exact solver read containment; ``pair_runs`` yields all (AP, TD)
-pairs in the same key order for NCA, in runs sorted only when drawn.
+pairs in the same key order for NCA, in runs sorted only when drawn and
+blocks that leave out the TDs its caller has covered.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, MutableSequence, NamedTuple
 
 import numpy as np
 
@@ -193,18 +194,20 @@ def _key_fields(dx: np.ndarray, dy: np.ndarray, rsq: np.ndarray):
     return cos, y_sign
 
 
-def _key_order(dx, dy, rsq) -> np.ndarray:
-    """Each row's column indices in ascending key order, for boundary
-    vectors ``(dx, dy)`` of squared radii ``rsq``.  A row holds one AP's
-    TDs in ``disk_order`` and one run of (TD, AP) pairs in ``pair_runs``."""
-    # Distinct radii decide the order alone; the other key fields are
-    # computed only for a table that repeats a radius.
+def _key_order(rsq, boundary) -> np.ndarray:
+    """Each row's column indices in ascending key order, for squared radii
+    ``rsq`` whose boundary vectors ``(dx, dy)`` the call ``boundary()``
+    returns.  A row holds one AP's TDs in ``disk_order`` and one run of
+    (TD, AP) pairs in ``pair_runs``."""
+    # Strictly rising radii decide the order alone; the other key fields
+    # are computed only for a table that repeats a radius or holds a NaN,
+    # which compares false with everything.
     order = np.argsort(rsq, axis=-1)
     ranked = rsq[np.arange(rsq.shape[0])[:, None], order]
-    if not (ranked[:, 1:] == ranked[:, :-1]).any():
+    if (ranked[:, 1:] > ranked[:, :-1]).all():
         return order
     # np.lexsort is stable, so column indices break the remaining ties.
-    cos, y_sign = _key_fields(dx, dy, rsq)
+    cos, y_sign = _key_fields(*boundary(), rsq)
     return np.lexsort((y_sign, cos, rsq), axis=-1)
 
 
@@ -212,7 +215,7 @@ def disk_order(inst: Instance) -> DiskOrder:
     """Build the key order of all m*n candidate disks at once."""
     dx, dy = _boundary_vectors(inst)
     rsq = dx * dx + dy * dy
-    order = _key_order(dx, dy, rsq)
+    order = _key_order(rsq, lambda: (dx, dy))
     rows = np.arange(inst.m)[:, None]
     rank = np.empty_like(order)
     rank[rows, order] = np.arange(inst.n)
@@ -228,49 +231,94 @@ def disk_order(inst: Instance) -> DiskOrder:
 
 
 _FIRST_RUN = 8192  # pairs in pair_runs' first run; each later bound doubles
+_MIN_BLOCK = 1024  # least pairs in a block of a multi-run table
 
 
-def pair_runs(inst: Instance) -> Iterable[tuple[list[int], list[int]]]:
+_Block = tuple[list[int], list[int]]
+
+
+def pair_runs(inst: Instance) -> tuple[MutableSequence, Iterable[_Block]]:
     """All m*n (AP, TD) pairs in ascending (disk key, TD id, AP id) order,
-    as consecutive runs of TD and AP indices ``(u0 list, a0 list)``.
+    as consecutive blocks of TD and AP indices ``(u0 list, a0 list)``,
+    with the n TD flags ``covered`` that the blocks consult.
 
+    ``covered`` starts all false; the caller sets ``covered[u0]`` once it
+    wants no more pairs of TD u0, and later blocks leave those pairs out.
     Pair (a0, u0) is the flat index ``u0 * m + a0``, so the stable key
-    sort breaks disk-key ties by TD, then AP.  The radius leads the key,
-    so the pairs of radius in ``[lo, v)`` form a run: the bounds are the
-    radii of rank 8192, 16384, ..., and the last run holds the rest, NaN
-    radii included.  A run is sorted only when drawn, so a caller that
-    stops early sorts no further; a table of at most 8192 pairs is one run.
+    sort breaks disk-key ties by TD, then AP.  A table of at most 8192
+    pairs is one block, and its flags are a list.  A larger table is
+    drawn in runs: the radius leads the key, so the pairs of radius in
+    ``[lo, v)`` form a run, the bounds are the radii of rank 8192,
+    16384, ..., and the last run holds the rest, NaN radii included.  A
+    run is drawn only when the caller reaches it, so a caller that stops
+    early sorts no further.  A run after the first is cut to the pairs of
+    TDs not yet flagged before it is sorted.  Each run is handed out in
+    blocks of max(n, 1024) pairs, and every block after a run's first
+    drops the pairs of TDs flagged since.  With no TD flagged, the blocks
+    hold every pair in order.
     """
     m = inst.m
     ap, td = inst.ap_xy, inst.td_xy
-    dx = (td[:, 0, None] - ap[:, 0]).reshape(1, -1)
-    dy = (td[:, 1, None] - ap[:, 1]).reshape(1, -1)
-    rsq = dx * dx + dy * dy
-    if rsq.size <= _FIRST_RUN:
+    if m * inst.n <= _FIRST_RUN:
+        dx = (td[:, 0, None] - ap[:, 0]).reshape(1, -1)
+        dy = (td[:, 1, None] - ap[:, 1]).reshape(1, -1)
+        rsq = dx * dx + dy * dy
         # A list, not a generator: on the smallest tables a generator's
-        # set-up and close cost more than the sort.
-        u0, a0 = np.divmod(_key_order(dx, dy, rsq)[0], m)
-        return [(u0.tolist(), a0.tolist())]
-    return _bounded_runs(dx, dy, rsq, m)
+        # set-up and close cost more than the sort.  A list's flags also
+        # read faster than a bytearray's.
+        u0, a0 = np.divmod(_key_order(rsq, lambda: (dx, dy))[0], m)
+        return [False] * inst.n, [(u0.tolist(), a0.tolist())]
+    covered = bytearray(inst.n)
+    return covered, _bounded_runs(inst, np.frombuffer(covered, dtype=np.bool_))
 
 
-def _bounded_runs(dx, dy, rsq, m) -> Iterator[tuple[list[int], list[int]]]:
-    """``pair_runs`` of a table of more than one run, each sorted when drawn."""
+def _bounded_runs(inst: Instance, covered: np.ndarray) -> Iterator[_Block]:
+    """``pair_runs`` of a table of more than one run; ``covered`` is a
+    live boolean view of the caller's flags."""
+    m = inst.m
+    ap, td = inst.ap_xy, inst.td_xy
+    # Only the squared radii span the whole table, rounded as dx*dx + dy*dy
+    # everywhere else; the key's later fields are computed per run, and
+    # only for a run that repeats a radius.  The second buffer then takes
+    # a copy of the radii, which each bound's partition reorders in place.
+    flat = td[:, 0, None] - ap[:, 0]
+    flat *= flat
+    ranked = td[:, 1, None] - ap[:, 1]
+    ranked *= ranked
+    flat += ranked
+    flat, ranked = flat.reshape(-1), ranked.reshape(-1)
+    ranked[:] = flat
+    block = max(inst.n, _MIN_BLOCK)
 
-    def run(idx):
-        order = _key_order(dx[:, idx], dy[:, idx], rsq[:, idx])[0]
-        u0, a0 = np.divmod(idx[order], m)
-        return u0.tolist(), a0.tolist()
+    def run(idx, later):
+        u0 = idx // m
+        if later:  # a run after the first drops the TDs flagged so far
+            keep = ~covered[u0]
+            idx, u0 = idx[keep], u0[keep]
+        a0 = idx - u0 * m
+        order = _key_order(flat[None, idx], lambda: (td[None, u0, 0] - ap[None, a0, 0],
+                                                     td[None, u0, 1] - ap[None, a0, 1]))[0]
+        u0, a0 = u0[order], a0[order]
+        yield u0[:block].tolist(), a0[:block].tolist()
+        for s in range(block, u0.size, block):
+            u, a = u0[s:s + block], a0[s:s + block]
+            keep = ~covered[u]
+            yield u[keep].tolist(), a[keep].tolist()
 
-    flat = rsq[0]
-    lo, s = -np.inf, _FIRST_RUN
+    lo, start, s = -np.inf, 0, _FIRST_RUN
     while s < flat.size:
-        v = np.partition(flat, s)[s]
+        # ranked[:start] holds the start smallest radii, so a partition of
+        # the rest puts the radius of rank s at ranked[s].
+        ranked[start:].partition(s - start)
+        v = ranked[s]
         if v != v:  # NaN sorts last, so no later bound is a number either
             break
-        yield run(np.flatnonzero((flat < v) & (flat >= lo)))
-        lo, s = v, 2 * s
-    yield run(np.flatnonzero(~(flat < lo)))
+        below = flat < v
+        if start:
+            below &= flat >= lo
+        yield from run(np.flatnonzero(below), start)
+        lo, start, s = v, s, 2 * s
+    yield from run(np.flatnonzero(~(flat < lo)), start)
 
 
 def validate_instance(inst: Instance) -> list[str]:
@@ -296,15 +344,27 @@ def validate_instance(inst: Instance) -> list[str]:
     if not (1.0 <= inst.power_alpha <= 5.0):
         v.append(f"attenuation factor alpha={inst.power_alpha} outside [1, 5]")
     if not v:
-        # Power grows with the radius, so the largest disk decides.
+        def power(rsq):  # inf where the float range ends
+            try:
+                return power_of(rsq, inst.power_c, inst.power_alpha)
+            except OverflowError:
+                return math.inf
+
+        # Power grows with the radius, so the largest disk decides.  Each
+        # |dx| is at most the bounding boxes' widest x gap, and rounding is
+        # monotone, so the boxes' squared diagonal bounds every squared
+        # radius as computed: the pass over all m*n disks runs only when
+        # the diagonal's power may leave the float range.
+        (ax, ay), (tx, ty) = inst.ap_xy.min(axis=0).tolist(), inst.td_xy.min(axis=0).tolist()
+        (bx, by), (ux, uy) = inst.ap_xy.max(axis=0).tolist(), inst.td_xy.max(axis=0).tolist()
+        gx, gy = max(bx - tx, ux - ax), max(by - ty, uy - ay)
+        if math.isfinite(2 * inst.m * power(gx * gx + gy * gy)):
+            return v
         with np.errstate(over="ignore"):
             dx, dy = _boundary_vectors(inst)
             rsq = dx * dx + dy * dy
         top_rsq = float(rsq.max())
-        try:
-            top = power_of(top_rsq, inst.power_c, inst.power_alpha)
-        except OverflowError:
-            top = math.inf
+        top = power(top_rsq)
         if not math.isfinite(top):
             v.append(f"the largest candidate disk (squared radius {top_rsq!r}) "
                      "has a power beyond the float range")
@@ -314,7 +374,7 @@ def validate_instance(inst: Instance) -> list[str]:
             # way bound its total; 2*m*top bounds that sum, rounding included.
             total = 0.0
             for r in rsq.max(axis=1).tolist():
-                total += power_of(r, inst.power_c, inst.power_alpha)
+                total += power(r)
             if not math.isfinite(total):
                 v.append(f"the largest disks of the {inst.m} APs have a total power "
                          "beyond the float range")

@@ -436,6 +436,52 @@ def pair_order_reference(inst) -> np.ndarray:
     return np.lexsort((y_sign, cos, rsq), axis=-1)[0]
 
 
+def validate_reference(inst: Instance) -> list[str]:
+    """``validate_instance`` as it stood before a bounding-box bound let
+    it skip the pass over all m*n boundary vectors; same messages, same
+    order."""
+    v = []
+    if inst.m < 1:
+        v.append("instance has no APs")
+    if inst.n < 1:
+        v.append("instance has no TDs")
+    if inst.k < 1:
+        v.append(f"capacity k={inst.k} is below 1")
+    elif inst.m >= 1 and inst.m * inst.k < inst.n:
+        v.append(
+            f"total capacity m*k = {inst.m * inst.k} cannot cover n = {inst.n} TDs"
+        )
+    for label, xy in (("AP", inst.ap_xy), ("TD", inst.td_xy)):
+        finite = np.isfinite(xy)
+        if not finite.all():
+            bad = np.flatnonzero(~finite.all(axis=1)) + 1
+            v.extend(f"{label} {i} has non-finite coordinates" for i in bad.tolist())
+    if not (inst.power_c > 0 and math.isfinite(inst.power_c)):
+        v.append(f"power constant c={inst.power_c} must be positive and finite")
+    if not (1.0 <= inst.power_alpha <= 5.0):
+        v.append(f"attenuation factor alpha={inst.power_alpha} outside [1, 5]")
+    if not v:
+        with np.errstate(over="ignore"):
+            dx, dy = model._boundary_vectors(inst)
+            rsq = dx * dx + dy * dy
+        top_rsq = float(rsq.max())
+        try:
+            top = model.power_of(top_rsq, inst.power_c, inst.power_alpha)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            v.append(f"the largest candidate disk (squared radius {top_rsq!r}) "
+                     "has a power beyond the float range")
+        elif not math.isfinite(2 * inst.m * top):
+            total = 0.0
+            for r in rsq.max(axis=1).tolist():
+                total += model.power_of(r, inst.power_c, inst.power_alpha)
+            if not math.isfinite(total):
+                v.append(f"the largest disks of the {inst.m} APs have a total power "
+                         "beyond the float range")
+    return v
+
+
 def max_flow_reference(net, s: int, t: int) -> int:
     """Dinic's max flow on a ``FlowNetwork``'s arcs, in the recursive form
     the package used before its augmentation walked an explicit arc

@@ -158,23 +158,57 @@ def _run_bounds(size):
     return bounds
 
 
+def _unflagged_block_sizes(inst):
+    """The block sizes of ``pair_runs`` with no TD flagged, from the radii
+    of ranks 8192, 16384, ...: each run in blocks of max(n, 1024) pairs,
+    and an empty run as one empty block."""
+    rsq = key_fields(inst)[0].ravel()
+    if rsq.size <= model._FIRST_RUN:
+        return [rsq.size]
+    ranked = np.sort(rsq)
+    ends = [np.count_nonzero(rsq < ranked[s]) for s in _run_bounds(rsq.size)]
+    block = max(inst.n, model._MIN_BLOCK)
+    sizes = []
+    for size in np.diff([0, *ends, rsq.size]).tolist():
+        full, rest = divmod(size, block)
+        sizes += [block] * full + ([rest] if rest or not size else [])
+    return sizes
+
+
 def _flat_pairs(inst):
-    """``pair_runs`` as its runs of flat pair indices ``u0 * m + a0``."""
+    """``pair_runs`` with no TD flagged, as its blocks of flat pair indices
+    ``u0 * m + a0``."""
     return [np.array(u0, dtype=np.int64) * inst.m + np.array(a0, dtype=np.int64)
-            for u0, a0 in model.pair_runs(inst)]
+            for u0, a0 in model.pair_runs(inst)[1]]
 
 
-def _count_runs(monkeypatch):
-    """The sizes of the runs ``solve_nca`` draws, recorded as it draws them."""
+def _flat_runs(inst, monkeypatch):
+    """``_flat_pairs`` with blocks too long to split a run: one per run."""
+    monkeypatch.setattr(model, "_MIN_BLOCK", inst.m * inst.n + 1)
+    return _flat_pairs(inst)
+
+
+def _record_blocks(monkeypatch):
+    """The blocks ``(u0 list, a0 list)`` that ``solve_nca`` draws, recorded
+    as it draws them."""
     drawn = []
 
-    def counting(inst):
-        for run in model.pair_runs(inst):
-            drawn.append(len(run[0]))
-            yield run
+    def recording(inst):
+        covered, blocks = model.pair_runs(inst)
 
-    monkeypatch.setattr("mpcc.baselines.pair_runs", counting)
+        def record():
+            for block in blocks:
+                drawn.append(block)
+                yield block
+
+        return covered, record()
+
+    monkeypatch.setattr("mpcc.baselines.pair_runs", recording)
     return drawn
+
+
+def _sizes(drawn):
+    return [len(u0) for u0, _ in drawn]
 
 
 def test_nca_matches_disk_order_reference_bytes():
@@ -205,74 +239,164 @@ def test_nca_matches_solve_large_reference_digests():
 def test_pair_runs_concatenate_to_the_one_shot_order():
     multi = 0
     for inst in _nca_differential_instances():
-        runs = _flat_pairs(inst)
-        assert np.array_equal(np.concatenate(runs), pair_order_reference(inst)), inst
-        assert len(runs) == len(_run_bounds(inst.m * inst.n)) + 1
-        multi += len(runs) > 1
+        blocks = _flat_pairs(inst)
+        assert np.array_equal(np.concatenate(blocks), pair_order_reference(inst)), inst
+        assert [len(b) for b in blocks] == _unflagged_block_sizes(inst)
+        multi += len(blocks) > 1
     assert multi == len(_multi_run_instances())
+    # a 40 000-pair table: 8 blocks, then 8, then 16, then 8 of 1024 or fewer
+    sizes = _unflagged_block_sizes(_multi_run_instances()["random"])
+    assert len(sizes) == 40 and sum(sizes) == 40_000
 
 
-def test_pair_run_bound_can_split_equal_radii():
+def test_pair_runs_flag_types_follow_the_table_size():
+    # At most 8192 pairs: one listed block, and flags in a list, whose reads
+    # are the fastest; beyond: a generator over a bytearray the blocks view.
+    rng = np.random.default_rng(12)
+    small = random_instance(rng, m=8, n=1024, k=128)
+    covered, blocks = model.pair_runs(small)
+    assert type(covered) is list and type(blocks) is list and len(blocks) == 1
+    covered, blocks = model.pair_runs(random_instance(rng, m=8, n=1025, k=129))
+    assert type(covered) is bytearray and not isinstance(blocks, list)
+
+
+def test_pair_run_bound_can_split_equal_radii(monkeypatch):
     # A run ends before every pair of its bound's radius, so a bound that
     # falls inside a run of equal radii ends the run below its rank.
     inst = _multi_run_instances()["grid"]
     rsq = key_fields(inst)[0]
     ranked = np.sort(rsq, axis=None)
     bounds = _run_bounds(rsq.size)
-    ends = np.cumsum([len(run) for run in _flat_pairs(inst)])[:-1]
+    ends = np.cumsum([len(run) for run in _flat_runs(inst, monkeypatch)])[:-1]
     assert ends.tolist() == [np.count_nonzero(rsq < ranked[s]) for s in bounds]
     assert any(end < s for end, s in zip(ends, bounds))
 
 
-def test_pair_runs_of_coincident_points_are_all_in_the_last_run():
+def test_pair_runs_of_coincident_points_are_all_in_the_last_run(monkeypatch):
     inst = _multi_run_instances()["coincident"]
-    sizes = [len(run) for run in _flat_pairs(inst)]
+    sizes = [len(run) for run in _flat_runs(inst, monkeypatch)]
     assert sizes == [0] * len(_run_bounds(inst.m * inst.n)) + [inst.m * inst.n]
     assert len(sizes) > 1
 
 
 @pytest.mark.parametrize("nan_aps", [0, 20, 30])
-def test_pair_runs_permute_all_pairs_with_nan_coordinates(nan_aps):
+def test_pair_runs_permute_all_pairs_with_nan_coordinates(nan_aps, monkeypatch):
     # Validation skipped: NaN radii sort last, and a NaN bound ends the
     # bounded runs early (30 of 40 APs: the first bound; 20: the third).
+    inst = _nan_instance(nan_aps)
+    runs = _flat_runs(inst, monkeypatch)
+    assert np.array_equal(np.sort(np.concatenate(runs)), np.arange(inst.m * inst.n))
+    assert len(runs) == {0: 4, 20: 3, 30: 1}[nan_aps]
+
+
+def _nan_instance(nan_aps, k=40):
     rng = np.random.default_rng(nan_aps)
     aps = rng.random((40, 2)) * 40
     tds = rng.random((300 if nan_aps == 30 else 1000, 2)) * 40
     aps[:nan_aps, 1] = np.nan
     tds[7, 0] = np.nan
-    inst = Instance.from_coords(aps=aps, tds=tds, k=40)
-    runs = _flat_pairs(inst)
-    assert np.array_equal(np.sort(np.concatenate(runs)), np.arange(inst.m * inst.n))
-    assert len(runs) == {0: 4, 20: 3, 30: 1}[nan_aps]
+    return Instance.from_coords(aps=aps, tds=tds, k=k)
+
+
+@pytest.mark.parametrize("nan_aps", [0, 20, 30])
+def test_nca_matches_reference_with_nan_coordinates(nan_aps):
+    # Validation skipped: NaN radii take the stable key sort, so pairs of
+    # NaN radius keep their (TD, AP) order however a run is cut.
+    for k in (40, 300):
+        inst = _nan_instance(nan_aps, k)
+        sol, expected = solve_nca(inst), nca_reference(inst)
+        assert sol.selected == expected.selected
+        assert sol.coverage == expected.coverage
+        assert repr(sol.total_power) == repr(expected.total_power)
 
 
 def test_nca_stops_drawing_runs_once_every_td_is_covered(monkeypatch):
     cfg = ExperimentConfig(n=1000, m=40, k=40, side=40.0, trials=1, seed=1729)
     inst = generate_instance(cfg, 0)
-    drawn = _count_runs(monkeypatch)
+    drawn = _record_blocks(monkeypatch)
     sol = solve_nca(inst)
     assert check_feasible(sol, inst) == []
-    # The scan covers the last TD at pair 9 140 of 40 000, in the second
-    # of four runs, and draws no run after it.
-    assert drawn == [8192, 8192]
-    assert len(_flat_pairs(inst)) == 4
+    # The first run's 8192 pairs come in blocks of 1024, each after the
+    # first cut to the TDs still uncovered; the last 3 TDs take 16 pairs
+    # of the second of four runs, and no run is drawn after it.
+    assert _sizes(drawn) == [1024, 396, 139, 71, 36, 12, 8, 1, 16]
+    assert sum(_sizes(drawn)) == 1703
+    assert len(_flat_runs(inst, monkeypatch)) == 4
+
+
+def test_nca_skips_no_pair_it_needs_in_later_blocks_and_runs(monkeypatch):
+    # TDs whose nearest AP filled before their first pair was reached are
+    # assigned by a pair of a later block of the same run, or of a later
+    # run, and the solutions match the one-shot order.
+    cfg = ExperimentConfig(n=1000, m=40, k=40, side=40.0, trials=1, seed=1729)
+    counts = []
+    for inst in (generate_instance(cfg, 0), _multi_run_instances()["tight"]):
+        later = {"block": 0, "run": 0}
+        drawn = _record_blocks(monkeypatch)
+        sol = solve_nca(inst)
+        assert solution_to_json(sol, inst) == solution_to_json(nca_reference(inst), inst)
+        where, first = {}, {}
+        for j, (u0s, a0s) in enumerate(drawn):
+            for u0, a0 in zip(u0s, a0s):
+                where[u0, a0] = j
+                first.setdefault(u0, (j, a0))
+        rsq = key_fields(inst)[0]
+        bound = np.sort(rsq, axis=None)[model._FIRST_RUN]
+        for ap_id, tds in sol.coverage.items():
+            for u in tds:
+                # AP a0 was full when the TD's first pair came in block j
+                j, a0 = first[u - 1]
+                if a0 != ap_id - 1 and where[u - 1, ap_id - 1] > j:
+                    later["run" if rsq[ap_id - 1, u - 1] >= bound else "block"] += 1
+        counts.append(later)
+    assert counts == [{"block": 25, "run": 3}, {"block": 96, "run": 127}]
 
 
 def test_nca_tight_capacity_reaches_the_last_run(monkeypatch):
-    inst = _multi_run_instances()["tight"]
-    drawn = _count_runs(monkeypatch)
+    inst = _multi_run_instances()["tight"]  # m*k = n
+    drawn = _record_blocks(monkeypatch)
     expected = solution_to_json(nca_reference(inst), inst)
     assert solution_to_json(solve_nca(inst), inst) == expected
-    assert len(drawn) == len(_run_bounds(inst.m * inst.n)) + 1
+    # runs of 8 blocks, then 1, 1 and 1 once cut to the uncovered TDs
+    assert _sizes(drawn) == [1024, 409, 228, 169, 173, 148, 100, 75, 908, 938, 170]
+    runs = _record_blocks(monkeypatch)
+    monkeypatch.setattr(model, "_MIN_BLOCK", inst.m * inst.n + 1)
+    assert solution_to_json(solve_nca(inst), inst) == expected
+    assert len(runs) == len(_run_bounds(inst.m * inst.n)) + 1
+
+
+def test_nca_with_capacity_of_every_td(monkeypatch):
+    inst = random_instance(np.random.default_rng(41), m=40, n=1000, k=1000)  # k >= n
+    drawn = _record_blocks(monkeypatch)
+    expected = solution_to_json(nca_reference(inst), inst)
+    assert solution_to_json(solve_nca(inst), inst) == expected
+    assert _sizes(drawn) == [1024, 364, 114, 48, 8, 7]
+
+
+def test_nca_on_coincident_points_reaches_the_last_run(monkeypatch):
+    inst = _multi_run_instances()["coincident"]
+    drawn = _record_blocks(monkeypatch)
+    expected = solution_to_json(nca_reference(inst), inst)
+    assert solution_to_json(solve_nca(inst), inst) == expected
+    # every radius is 0, so both runs before the last are one empty block
+    assert _sizes(drawn) == [0, 0, 1024, 1008, 1012, 1016, 1020, 1024, 1024, 1012, 1016,
+                             1020, 1024, 1024, 1024, 1024, 1020, 1024, 1024, 1024, 1024, 544]
 
 
 def test_nca_infeasible_after_every_run_without_validation(monkeypatch):
     inst = random_instance(np.random.default_rng(31), m=40, n=1000, k=20)  # m*k < n
-    drawn = _count_runs(monkeypatch)
+    drawn = _record_blocks(monkeypatch)
     with pytest.raises(InfeasibleInstanceError):
         solve_nca(inst)
-    assert sum(drawn) == inst.m * inst.n
-    assert len(drawn) == len(_run_bounds(inst.m * inst.n)) + 1
+    # every run is drawn, each cut to the TDs still uncovered
+    assert _sizes(drawn) == [1024, 436, 296, 232, 207, 186, 168, 160, 1024, 281,
+                             1024, 1024, 1024, 410, 1024, 1024, 265]
+    assert sum(_sizes(drawn)) == 9809  # of 40 000
+    runs = _record_blocks(monkeypatch)
+    monkeypatch.setattr(model, "_MIN_BLOCK", inst.m * inst.n + 1)
+    with pytest.raises(InfeasibleInstanceError):
+        solve_nca(inst)
+    assert len(runs) == len(_run_bounds(inst.m * inst.n)) + 1
 
 
 def test_nca_without_aps_or_tds():
@@ -281,7 +405,7 @@ def test_nca_without_aps_or_tds():
     for aps in ([(0, 0)], []):
         inst = Instance.from_coords(aps=aps, tds=[], k=1)
         assert solve_nca(inst) == Solution({}, {}, 0.0)
-        assert list(model.pair_runs(inst)) == [([], [])]
+        assert model.pair_runs(inst) == ([], [([], [])])
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,15 @@ from mpcc import (
     solve_nca,
     validate_instance,
 )
+from mpcc import model
 
-from oracles import check_feasible_reference, contains, disk_key, key_fields
+from oracles import (
+    check_feasible_reference,
+    contains,
+    disk_key,
+    key_fields,
+    validate_reference,
+)
 
 # Integer coordinates keep squared distances and translations exact in
 # floating point, so order and invariance properties can be asserted
@@ -161,6 +168,74 @@ def test_validate_reports_summed_power_beyond_the_float_range():
         "the largest disks of the 2 APs have a total power beyond the float range"
     ]
     assert validate_instance(two_aps(5e307)) == []
+
+
+def _validation_cases():
+    """The instances of the validation tests, then instances at the float
+    range's edge: coordinates of 1e153 to 1e155, whose squared radii and
+    powers overflow for some pairs or only for the bounding boxes'
+    diagonal."""
+    rng = np.random.default_rng(3)
+    yield Instance.from_coords(aps=rng.random((4, 2)) * 40, tds=rng.random((100, 2)) * 40,
+                               k=25)
+    yield Instance.from_coords(aps=[(0, 0), (1, 1)], tds=[(0, 0)] * 5, k=2)
+    yield Instance.from_coords(aps=[(0.0, 0.0)], tds=[], k=0, power_c=-1.0, power_alpha=9.0)
+    yield Instance.from_coords(aps=[(math.nan, 0.0)], tds=[(0.0, 0.0)], k=1)
+    yield Instance.from_coords(aps=[(0.0, 0.0), (math.nan, 1.0)],
+                               tds=[(math.inf, 0.0), (1.0, 1.0), (2.0, -math.inf)], k=2)
+    for c in (1e308, 5e307):
+        yield Instance.from_coords(aps=[(0, 0), (0, 0)], tds=[(1, 0), (-1, 0)], k=1,
+                                   power_c=c)
+    yield Instance.from_coords(aps=[(0, 0)], tds=[(1e200, 0), (1, 0)], k=2)
+    for m in (1, 20):
+        yield Instance.from_coords(aps=np.zeros((m, 2)), tds=[(0.7, 0.7)], k=1,
+                                   power_c=1.7e308)
+    # The boxes' diagonal overflows, yet no pair is that far apart.
+    yield Instance.from_coords(aps=[(1e154, 0), (0, 1e154)], tds=[(0, 0)], k=1)
+    for scale in (1e153, 4e153, 1e154, 7e154, 1e155):
+        for alpha in (1.0, 2.0, 2.5, 5.0):
+            for c in (1e-300, 0.3, 1e150, 1e300):
+                for m in (1, 2, 40, 1000):
+                    aps = (rng.random((m, 2)) - 0.5) * scale
+                    tds = (rng.random((3, 2)) - 0.5) * scale
+                    yield Instance.from_coords(aps=aps, tds=tds, k=3, power_c=c,
+                                               power_alpha=alpha)
+
+
+def test_validate_matches_the_full_pass_reference(monkeypatch):
+    full_passes = []
+    real = model._boundary_vectors
+    monkeypatch.setattr(model, "_boundary_vectors",
+                        lambda inst: full_passes.append(inst) or real(inst))
+    tally = {}
+    for inst in _validation_cases():
+        expected = validate_reference(inst)
+        before = len(full_passes)
+        assert validate_instance(inst) == expected, inst
+        outcome = expected[-1].split(" (")[0] if expected else "valid"
+        if "largest" in outcome or outcome == "valid":
+            key = (outcome.replace("the largest ", ""), len(full_passes) > before)
+            tally[key] = tally.get(key, 0) + 1
+    # (outcome, whether the full pass ran): valid instances whose boxes'
+    # diagonal overflows take the full pass, and every refusal comes from it
+    assert tally == {
+        ("valid", False): 56,
+        ("valid", True): 3,
+        ("candidate disk", True): 261,
+        **{(f"disks of the {m} APs have a total power beyond the float range", True): count
+           for m, count in ((2, 2), (20, 1), (40, 1), (1000, 3))},
+    }
+
+
+def test_validate_skips_the_full_pass_when_the_box_fits(monkeypatch):
+    def refuse(inst):
+        raise AssertionError("validate_instance built every boundary vector")
+
+    monkeypatch.setattr(model, "_boundary_vectors", refuse)
+    rng = np.random.default_rng(5)
+    inst = Instance.from_coords(aps=rng.random((40, 2)) * 40, tds=rng.random((1000, 2)) * 40,
+                                k=40)
+    assert validate_instance(inst) == []
 
 
 def test_instance_coordinates_are_read_only_float64_rows():
