@@ -13,8 +13,6 @@ from .baselines import (
     STATUS_OPTIMAL,
     ExactBudget,
     ExactResult,
-    FlowNetwork,
-    assignment_feasible,
     solve_exact,
     solve_nca,
 )

@@ -8,9 +8,11 @@ only practical at small scale.  TD bitmasks are its one form of
 containment; the set-up holds O(m·n) masks.  They screen each leaf (the
 union of the chosen disks and the sum of their servable counts), decide
 the leaves that pass by Hall's condition (a max flow decides leaves
-with many chosen disks), and give the one max flow that builds the final
-incumbent's assignment its AP -> TD arcs.  Both produce solutions that
-pass ``check_feasible``.
+with many chosen disks), and are what the max flow works on: its state
+is each chosen AP's TD list, read off its mask, the owner of each TD and
+the load of each AP.  One flow on the final incumbent builds its
+assignment from the owners.  Both produce solutions that pass
+``check_feasible``.
 """
 
 from dataclasses import dataclass
@@ -26,8 +28,6 @@ from .model import (
 
 __all__ = [
     "solve_nca",
-    "FlowNetwork",
-    "assignment_feasible",
     "ExactBudget",
     "ExactResult",
     "STATUS_OPTIMAL",
@@ -54,7 +54,7 @@ def solve_nca(inst: Instance) -> Solution:
     """
     covered, blocks = pair_runs(inst)
     spare = [inst.k] * inst.m
-    assigned: dict[int, list[int]] = {}
+    assigned: list[list[int]] = [[] for _ in range(inst.m)]
     remaining = inst.n
     for u0s, a0s in blocks:
         for u0, a0 in zip(u0s, a0s):
@@ -62,7 +62,7 @@ def solve_nca(inst: Instance) -> Solution:
                 continue
             covered[u0] = True
             spare[a0] -= 1
-            assigned.setdefault(a0 + 1, []).append(u0 + 1)
+            assigned[a0].append(u0 + 1)
             remaining -= 1
             if remaining == 0:
                 break
@@ -73,83 +73,91 @@ def solve_nca(inst: Instance) -> Solution:
             "NCA exhausted all capacity with TDs uncovered; "
             "the instance violates m*k >= n"
         )
-    return Solution.from_picks(
-        inst, {ap_id: tds[-1] for ap_id, tds in assigned.items()}, assigned
-    )
+    coverage = {a0 + 1: tds for a0, tds in enumerate(assigned) if tds}
+    return Solution.from_picks(inst, {a: tds[-1] for a, tds in coverage.items()}, coverage)
 
 
 class FlowNetwork:
-    """Small integer max-flow network (Dinic's algorithm).
+    """Max flow from a source through APs of capacity k to n TDs of
+    capacity 1 (Dinic's algorithm on that one network shape).
 
-    Used to decide whether fixed disk choices admit a full TD assignment:
-    source -> AP arcs carry the capacity k, AP -> TD arcs exist where the
-    chosen disk contains the TD, TD -> sink arcs have capacity 1.  All
-    operations are deterministic given the arc insertion order.  An
-    augmenting path is walked with an explicit arc stack, so its length
-    is not bounded by the interpreter's recursion limit.
+    ``masks[j]`` is the TD bitmask of the j-th AP's disk, bit u0 set for
+    each TD index u0 inside.  The state is three lists: ``rows[j]``, the
+    TD indices in mask j in ascending order; ``owner[u0]``, the AP index
+    holding TD u0, or -1; and ``load[j]``, the number of TDs AP j holds.
+    A TD's only usable residual arc leads to its owner, or to the sink
+    while it has none.  Paths are tried from the source in AP order and
+    from an AP in ascending TD index, and an AP's current position in its
+    row persists across the augmentations of a phase, so the result is
+    deterministic.  An augmenting path is walked with an explicit stack
+    of APs, so its length is not bounded by the interpreter's recursion
+    limit.
     """
 
-    def __init__(self, num_nodes: int):
-        self.num_nodes = num_nodes
-        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+    def __init__(self, masks: list[int], k: int, n: int):
+        self.rows = [[u0 for u0 in range(n) if mask >> u0 & 1] for mask in masks]
+        self.owner = [-1] * n
+        self.load = [0] * len(masks)
+        self.k = k
 
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
-        arc = len(self.to)
-        self.adj[u].append(arc)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.adj[v].append(arc + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return arc
-
-    def max_flow(self, s: int, t: int) -> int:
-        adj, to, cap = self.adj, self.to, self.cap
-        flow = 0
+    def max_flow(self) -> int:
+        rows, owner, load, k = self.rows, self.owner, self.load, self.k
+        q = len(rows)
         while True:
-            level = [-1] * self.num_nodes
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for arc in adj[u]:
-                    v = to[arc]
-                    if cap[arc] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.num_nodes
-            # Depth-first augmentation along the level graph with an arc
-            # stack: a dead end advances its parent's current arc, and a
-            # path that reaches t pushes its bottleneck.
-            path: list[int] = []
-            u = s
-            while True:
-                if u == t:
-                    pushed = min(self.num_nodes + 1, *(cap[arc] for arc in path))
-                    for arc in path:
-                        cap[arc] -= pushed
-                        cap[arc ^ 1] += pushed
-                    flow += pushed
-                    path.clear()
-                    u = s
-                    continue
-                arcs = adj[u]
-                while it[u] < len(arcs):
-                    arc = arcs[it[u]]
-                    v = to[arc]
-                    if cap[arc] > 0 and level[v] == level[u] + 1:
-                        path.append(arc)
-                        u = v
-                        break
-                    it[u] += 1
-                else:
-                    if not path:
-                        break  # s is a dead end: the phase is blocked
-                    u = to[path.pop() ^ 1]
-                    it[u] += 1
+            # Levels by breadth-first search over the APs: those with spare
+            # capacity at 1, TDs at even levels, an owned TD's owner one
+            # past it.  The search stops before the APs at the sink's
+            # level; nodes past it reach no augmenting path.
+            ap_level = [-1] * q
+            td_level = [-1] * len(owner)
+            queue = [j for j in range(q) if load[j] < k]
+            for j in queue:
+                ap_level[j] = 1
+            sink_level = 0
+            for j in queue:
+                down = ap_level[j] + 1
+                if 0 < sink_level < down:
+                    break
+                for u0 in rows[j]:
+                    if td_level[u0] < 0 and owner[u0] != j:
+                        td_level[u0] = down
+                        a = owner[u0]
+                        if a < 0:
+                            sink_level = down + 1
+                        elif ap_level[a] < 0:
+                            ap_level[a] = down + 1
+                            queue.append(a)
+            if not sink_level:
+                return sum(load)
+            # Depth-first augmentation along the level graph from each AP
+            # in turn.  path holds the APs walked; each one's TD is the one
+            # at its position, and every unowned TD with a level is one
+            # short of the sink's.  A dead end advances the position of
+            # the AP before it; a path that reaches the sink is flipped.
+            pos = [0] * q
+            for first in range(q):
+                path = [first]
+                while path and load[first] < k:
+                    j = path[-1]
+                    row, i, down = rows[j], pos[j], ap_level[j] + 1
+                    while i < len(row):
+                        u0 = row[i]
+                        a = owner[u0]
+                        if td_level[u0] == down and a != j and (a < 0 or ap_level[a] == down + 1):
+                            break
+                        i += 1
+                    pos[j] = i
+                    if i == len(row):
+                        path.pop()
+                        if path:
+                            pos[path[-1]] += 1
+                    elif a >= 0:
+                        path.append(a)
+                    else:
+                        for j in path:
+                            owner[rows[j][pos[j]]] = j
+                        load[first] += 1
+                        path = [first]
 
 
 def _choice_list(
@@ -171,54 +179,6 @@ def _choice_list(
         disks.append((u0, power_row[u0], mask, min(k, r + 1)))
     disks.sort(key=lambda choice: choice[1])
     return [(None, 0.0, 0, 0), *disks]
-
-
-def _flow_assign(
-    chosen_aps: list[int], masks: list[int], k: int, n: int
-) -> dict[int, set[int]] | None:
-    """Full assignment of all n TDs to the chosen APs, or None.
-
-    ``masks[j]`` is the TD bitmask of the j-th chosen AP's disk (bit
-    u - 1 set for each TD id u inside); its arcs go in ascending TD id.
-    """
-    num_ap = len(chosen_aps)
-    s = 0
-    t = 1 + num_ap + n
-    net = FlowNetwork(t + 1)
-    ap_td_arcs: list[tuple[int, int, int]] = []
-    for j, (ap_id, mask) in enumerate(zip(chosen_aps, masks)):
-        net.add_edge(s, 1 + j, k)
-        for u in range(1, n + 1):
-            if mask >> (u - 1) & 1:
-                arc = net.add_edge(1 + j, num_ap + u, 1)
-                ap_td_arcs.append((arc, ap_id, u))
-    for u in range(1, n + 1):
-        net.add_edge(num_ap + u, t, 1)
-    if net.max_flow(s, t) != n:
-        return None
-    assignment: dict[int, set[int]] = {ap_id: set() for ap_id in chosen_aps}
-    for arc, ap_id, u in ap_td_arcs:
-        if net.cap[arc] == 0:
-            assignment[ap_id].add(u)
-    return assignment
-
-
-def assignment_feasible(
-    chosen: dict[int, int | None], inst: Instance
-) -> dict[int, set[int]] | None:
-    """Decide whether fixed per-AP disk choices, each AP's boundary TD id
-    or None, can cover every TD.
-
-    Returns a full assignment (AP id to TD id set, respecting capacity
-    and containment) when the choices are feasible, otherwise None.
-    """
-    table = disk_order(inst)
-    chosen_aps = sorted(a for a, u in chosen.items() if u is not None)
-    masks = []
-    for a in chosen_aps:
-        r = int(table.rank[a - 1, chosen[a] - 1])
-        masks.append(sum(1 << v0 for v0 in table.order[a - 1, : r + 1].tolist()))
-    return _flow_assign(chosen_aps, masks, inst.k, inst.n)
 
 
 @dataclass(frozen=True)
@@ -244,8 +204,11 @@ class ExactResult:
     nodes_explored: int
 
 
-# Hall's test costs 2^q subset unions for q chosen APs; past this many a
-# max flow decides a leaf faster (measured per leaf at n = 5 to 100).
+# Hall's test costs 2^q subset unions for q chosen APs; past about this
+# many a max flow decides a leaf faster.  Per feasible leaf, Hall / flow
+# in µs on a 2-vCPU Xeon VM: n = 5: 7 / 11 at q = 6, 28 / 15 at q = 8;
+# n = 20: 29 / 33 at q = 8, 108 / 38 at q = 10; n = 100: 120 / 222 at
+# q = 10, 448 / 213 at q = 12.
 _HALL_MAX_APS = 8
 
 
@@ -279,7 +242,8 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
     (``_hall_feasible``) when it chooses at most ``_HALL_MAX_APS`` disks,
     and by max flow otherwise; a feasible leaf keeps only its choice
     vector as the incumbent.  Once the search ends, finished or out of
-    budget, one max flow on the final incumbent builds its assignment.
+    budget, one max flow on the final incumbent builds its assignment
+    from the owner it leaves for each TD.
     The set-up holds one mask per disk, O(m·n) masks.  The optimum is
     over exactly-once coverings, matching ``check_feasible``.
     """
@@ -338,7 +302,7 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
                     if (
                         _hall_feasible(masks, k, n)
                         if len(masks) <= _HALL_MAX_APS
-                        else _flow_assign(list(range(len(masks))), masks, k, n) is not None
+                        else FlowNetwork(masks, k, n).max_flow() == n
                     ):
                         best_total = s
                         best = chosen[:]
@@ -348,8 +312,12 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
     solution = None
     if best is not None:
         picks = {a0 + 1: c[0] + 1 for a0, c in enumerate(best) if c[0] is not None}
-        assignment = _flow_assign(list(picks), [c[2] for c in best if c[0] is not None], k, n)
-        coverage = {a: tds for a, tds in assignment.items() if tds}
+        net = FlowNetwork([c[2] for c in best if c[0] is not None], k, n)
+        net.max_flow()
+        held: list[list[int]] = [[] for _ in picks]
+        for u0, j in enumerate(net.owner):
+            held[j].append(u0 + 1)
+        coverage = {a: tds for a, tds in zip(picks, held) if tds}
         solution = Solution.from_picks(inst, picks, coverage)
     elif status == STATUS_OPTIMAL:
         raise InfeasibleInstanceError(

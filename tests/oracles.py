@@ -4,10 +4,11 @@ These deliberately avoid the package's max-flow and branch-and-bound
 code: feasibility is decided by raw enumeration or per-TD backtracking,
 so they can serve as oracles for the production paths.  The exceptions
 are the earlier forms of rewritten solvers, orders and the max flow,
-kept for differential tests: ``exact_reference`` shares the package's
-max flow.  The disk order is
-specified here one pair at a time by the scalar ``disk_key``, against
-which the package's array-built ``disk_order`` is tested.
+kept for differential tests.  The max flow here is the package's
+earlier general Dinic on an arc-list network, which the package's
+owner/load form must match augmentation for augmentation.  The disk
+order is specified here one pair at a time by the scalar ``disk_key``,
+against which the package's array-built ``disk_order`` is tested.
 """
 
 import itertools
@@ -30,7 +31,6 @@ from mpcc.baselines import (
     STATUS_OPTIMAL,
     ExactBudget,
     ExactResult,
-    _flow_assign,
 )
 from mpcc.formats import FormatError, _fmt_real, _real
 
@@ -482,10 +482,134 @@ def validate_reference(inst: Instance) -> list[str]:
     return v
 
 
+class FlowNetworkReference:
+    """Small integer max-flow network (Dinic's algorithm), the package's
+    ``FlowNetwork`` before it was specialised to one network shape.
+
+    Used to decide whether fixed disk choices admit a full TD assignment:
+    source -> AP arcs carry the capacity k, AP -> TD arcs exist where the
+    chosen disk contains the TD, TD -> sink arcs have capacity 1.  All
+    operations are deterministic given the arc insertion order.  An
+    augmenting path is walked with an explicit arc stack, so its length
+    is not bounded by the interpreter's recursion limit.
+    """
+
+    def __init__(self, num_nodes: int):
+        self.num_nodes = num_nodes
+        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_edge(self, u: int, v: int, capacity: int) -> int:
+        arc = len(self.to)
+        self.adj[u].append(arc)
+        self.to.append(v)
+        self.cap.append(capacity)
+        self.adj[v].append(arc + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return arc
+
+    def max_flow(self, s: int, t: int) -> int:
+        adj, to, cap = self.adj, self.to, self.cap
+        flow = 0
+        while True:
+            level = [-1] * self.num_nodes
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for arc in adj[u]:
+                    v = to[arc]
+                    if cap[arc] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return flow
+            it = [0] * self.num_nodes
+            # Depth-first augmentation along the level graph with an arc
+            # stack: a dead end advances its parent's current arc, and a
+            # path that reaches t pushes its bottleneck.
+            path: list[int] = []
+            u = s
+            while True:
+                if u == t:
+                    pushed = min(self.num_nodes + 1, *(cap[arc] for arc in path))
+                    for arc in path:
+                        cap[arc] -= pushed
+                        cap[arc ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
+                    continue
+                arcs = adj[u]
+                while it[u] < len(arcs):
+                    arc = arcs[it[u]]
+                    v = to[arc]
+                    if cap[arc] > 0 and level[v] == level[u] + 1:
+                        path.append(arc)
+                        u = v
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break  # s is a dead end: the phase is blocked
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+
+
+def flow_assign_reference(
+    chosen_aps: list[int], masks: list[int], k: int, n: int
+) -> dict[int, set[int]] | None:
+    """Full assignment of all n TDs to the chosen APs, or None.
+
+    ``masks[j]`` is the TD bitmask of the j-th chosen AP's disk (bit
+    u - 1 set for each TD id u inside); its arcs go in ascending TD id.
+    """
+    num_ap = len(chosen_aps)
+    s = 0
+    t = 1 + num_ap + n
+    net = FlowNetworkReference(t + 1)
+    ap_td_arcs: list[tuple[int, int, int]] = []
+    for j, (ap_id, mask) in enumerate(zip(chosen_aps, masks)):
+        net.add_edge(s, 1 + j, k)
+        for u in range(1, n + 1):
+            if mask >> (u - 1) & 1:
+                arc = net.add_edge(1 + j, num_ap + u, 1)
+                ap_td_arcs.append((arc, ap_id, u))
+    for u in range(1, n + 1):
+        net.add_edge(num_ap + u, t, 1)
+    if net.max_flow(s, t) != n:
+        return None
+    assignment: dict[int, set[int]] = {ap_id: set() for ap_id in chosen_aps}
+    for arc, ap_id, u in ap_td_arcs:
+        if net.cap[arc] == 0:
+            assignment[ap_id].add(u)
+    return assignment
+
+
+def assignment_feasible(
+    chosen: dict[int, int | None], inst: Instance
+) -> dict[int, set[int]] | None:
+    """Decide whether fixed per-AP disk choices, each AP's boundary TD id
+    or None, can cover every TD.
+
+    Returns a full assignment (AP id to TD id set, respecting capacity
+    and containment) when the choices are feasible, otherwise None.
+    """
+    table = disk_order(inst)
+    chosen_aps = sorted(a for a, u in chosen.items() if u is not None)
+    masks = []
+    for a in chosen_aps:
+        r = int(table.rank[a - 1, chosen[a] - 1])
+        masks.append(sum(1 << v0 for v0 in table.order[a - 1, : r + 1].tolist()))
+    return flow_assign_reference(chosen_aps, masks, inst.k, inst.n)
+
+
 def max_flow_reference(net, s: int, t: int) -> int:
-    """Dinic's max flow on a ``FlowNetwork``'s arcs, in the recursive form
-    the package used before its augmentation walked an explicit arc
-    stack.  Mutates ``net.cap`` as ``FlowNetwork.max_flow`` does."""
+    """Dinic's max flow on a ``FlowNetworkReference``'s arcs, in the
+    recursive form the package used before its augmentation walked an
+    explicit arc stack.  Mutates ``net.cap`` as
+    ``FlowNetworkReference.max_flow`` does."""
     flow = 0
     while True:
         level = [-1] * net.num_nodes
@@ -578,7 +702,7 @@ def exact_reference(inst: Instance, budget: ExactBudget | None = None) -> ExactR
 
     def assign(choice) -> dict[int, set[int]] | None:
         aps = [a0 + 1 for a0, i in enumerate(choice) if i is not None]
-        return _flow_assign(aps, [contained_masks[choice[a - 1]] for a in aps], inst.k, n)
+        return flow_assign_reference(aps, [contained_masks[choice[a - 1]] for a in aps], inst.k, n)
 
     def descend(a0: int, partial: float):
         tick()

@@ -18,7 +18,6 @@ from mpcc import (
     Solution,
     apply_selection,
     assemble_solution,
-    assignment_feasible,
     check_feasible,
     disk_geometry,
     disk_order,
@@ -35,7 +34,13 @@ from mpcc import (
 )
 from mpcc.baselines import STATUS_OPTIMAL
 
-from oracles import disk_key, key_fields, product_assignment_exists, random_instance
+from oracles import (
+    assignment_feasible,
+    disk_key,
+    key_fields,
+    product_assignment_exists,
+    random_instance,
+)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from mpcc import (
     Solution,
     STATUS_BUDGET_EXCEEDED,
     STATUS_OPTIMAL,
-    assignment_feasible,
     check_feasible,
     disk_order,
     generate_instance,
@@ -26,12 +26,15 @@ from mpcc import (
     solution_to_json,
 )
 from mpcc import baselines, model
-from mpcc.baselines import FlowNetwork, _choice_list, _flow_assign, _hall_feasible
+from mpcc.baselines import FlowNetwork, _choice_list, _hall_feasible
 
 from oracles import (
+    FlowNetworkReference,
+    assignment_feasible,
     enumerate_optimal_total,
     exact_reference,
     feasible_small_config,
+    flow_assign_reference,
     key_fields,
     max_flow_reference,
     nca_reference,
@@ -479,13 +482,85 @@ def test_max_flow_matches_recursive_reference():
             for _ in range(int(rng.integers(1, 4 * nodes))):
                 u, v = (int(x) for x in rng.integers(0, nodes, 2))
                 arcs.append((u, v, int(rng.integers(0, 5))))
-        nets = [FlowNetwork(nodes), FlowNetwork(nodes)]
+        nets = [FlowNetworkReference(nodes), FlowNetworkReference(nodes)]
         for net in nets:
             for arc in arcs:
                 net.add_edge(*arc)
         flow = nets[0].max_flow(0, nodes - 1)
         assert flow == max_flow_reference(nets[1], 0, nodes - 1), arcs
         assert nets[0].cap == nets[1].cap, arcs
+
+
+def _flow_against_reference(masks, k, n):
+    """Run FlowNetwork on one mask set and check it against the arc-list
+    reference: equal verdicts, and the reference's assignment as
+    ``owner`` when it is feasible.  Returns the verdict."""
+    net = FlowNetwork(masks, k, n)
+    flow = net.max_flow()
+    reference = flow_assign_reference(list(range(len(masks))), masks, k, n)
+    assert (flow == n) == (reference is not None), (masks, k, n)
+    held = [0] * len(masks)
+    for u0, j in enumerate(net.owner):
+        if j >= 0:
+            assert masks[j] >> u0 & 1
+            held[j] += 1
+    assert held == net.load and max(held, default=0) <= k and sum(held) == flow
+    if reference is not None:
+        expected = [-1] * n
+        for j, tds in reference.items():
+            for u in tds:
+                expected[u - 1] = j
+        assert net.owner == expected, (masks, k, n)
+    return flow == n
+
+
+def test_flow_network_matches_the_arc_list_reference():
+    # The owner/load Dinic must make the arc-list network's augmentations:
+    # exact's solution bytes are read from the owners it leaves.
+    rng = np.random.default_rng(4096)
+    verdicts = {True: 0, False: 0}
+    hall_bound = 0  # infeasible with every TD inside and q·k >= n
+    for i in range(2400):
+        q, n = int(rng.integers(0, 41)), int(rng.integers(0, 201))
+        # every other case sets k near n / q, where Hall's condition binds
+        tight = -(-n // max(q, 1)) + int(rng.integers(0, 3))
+        k = int(rng.integers(1, 31)) if i % 2 else min(max(tight, 1), 30)
+        if i % 4 < 2:
+            inside = rng.random((q, n)) < rng.random()
+        else:  # disks: AP j holds the TDs within a random radius of it
+            dist = np.hypot(*(rng.random((2, q, 1)) - rng.random((2, 1, n))))
+            inside = dist <= rng.random((q, 1)) * 0.6
+        masks = [sum(1 << u0 for u0 in np.flatnonzero(row).tolist()) for row in inside]
+        feasible = _flow_against_reference(masks, k, n)
+        verdicts[feasible] += 1
+        hall_bound += not feasible and inside.any(axis=0).all() and q * k >= n
+    assert min(verdicts.values()) >= 1000 and hall_bound >= 100, (verdicts, hall_bound)
+    # the prefix masks that exact's leaves and final flow receive
+    verdicts = {True: 0, False: 0}
+    for inst in itertools.chain(_exact_differential_instances(), _hall_shape_instances()):
+        table = disk_order(inst)
+        choices = [_choice_list(p, o, inst.k)
+                   for p, o in zip(table.power.tolist(), table.order.tolist())]
+        for _ in range(6):
+            masks = [c[int(rng.integers(len(c)))][2] for c in choices]
+            verdicts[_flow_against_reference([m for m in masks if m], inst.k, inst.n)] += 1
+    assert min(verdicts.values()) >= 1000, verdicts
+
+
+def test_flow_network_augments_past_the_recursion_limit(monkeypatch):
+    # AP j < q - 1 holds TDs j and j + 1, AP q - 1 only TD 0, k = 1.  The
+    # first phase gives each AP j < q - 1 TD j; the one augmenting path
+    # of the second runs from AP q - 1 through every AP to TD q - 1.
+    q = sys.getrecursionlimit() + 1
+    masks = [3 << j for j in range(q - 1)] + [1]
+    assert _flow_against_reference(masks, 1, q)
+    net = FlowNetwork(masks, 1, q)
+    assert net.max_flow() == q
+    assert net.owner == [q - 1, *range(q - 1)]
+    # a recursive walk cannot follow that path
+    monkeypatch.setattr(FlowNetworkReference, "max_flow", max_flow_reference)
+    with pytest.raises(RecursionError):
+        flow_assign_reference(list(range(q)), masks, 1, q)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +752,7 @@ def test_exact_mask_screen_rejects_only_flow_infeasible_leaves():
                 cap += choices[a0][u0][1]
             aps = [a0 + 1 for a0, u0 in enumerate(vector) if u0 is not None]
             masks = [choices[a - 1][vector[a - 1]][0] for a in aps]
-            flow = _flow_assign(aps, masks, k, n)
+            flow = flow_assign_reference(aps, masks, k, n)
             hall = _hall_feasible(masks, k, n)
             assert hall == (flow is not None), (inst, vector)
             if len(aps) == baselines._HALL_MAX_APS:
@@ -702,9 +777,9 @@ def test_exact_runs_one_max_flow_per_solution(monkeypatch):
     calls = [0]
     max_flow = FlowNetwork.max_flow
 
-    def counted(self, s, t):
+    def counted(self, *args):
         calls[0] += 1
-        return max_flow(self, s, t)
+        return max_flow(self, *args)
 
     monkeypatch.setattr(FlowNetwork, "max_flow", counted)
     solved = empty = 0
