@@ -77,6 +77,16 @@ def solve_nca(inst: Instance) -> Solution:
     return Solution.from_picks(inst, {a: tds[-1] for a, tds in coverage.items()}, coverage)
 
 
+def _set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
 class FlowNetwork:
     """Max flow from a source through APs of capacity k to n TDs of
     capacity 1 (Dinic's algorithm on that one network shape).
@@ -95,7 +105,7 @@ class FlowNetwork:
     """
 
     def __init__(self, masks: list[int], k: int, n: int):
-        self.rows = [[u0 for u0 in range(n) if mask >> u0 & 1] for mask in masks]
+        self.rows = [_set_bits(mask) for mask in masks]
         self.owner = [-1] * n
         self.load = [0] * len(masks)
         self.k = k

@@ -46,15 +46,46 @@ This is exact, tie-break included:
   every live AP), and the window's row-major argmin is the full one.
 
 Ranks >= hi are still charged every round, with the AP's ``e * k_hat``:
-the same float as ``e * min(k_hat, d)`` there.
+the same float as ``e * min(k_hat, d)`` there.  All of this holds on
+the columns of a compacted table (below), which keep rank order.
 
 Whether ``init_state`` starts the window below n (``windowed``) fixes
-two choices for the whole solve.  A windowed table recounts d by
+three choices for the whole solve.  A windowed table recounts d by
 subtracting the covered TDs as runs, also once its window has grown to
-every rank, and retires each AP's new prefix of d = 0 disks by one call
-per AP.  A full-width table recounts d by one int64
-``np.add.accumulate`` of the live TDs along each AP's order and retires
-every such prefix with one ``d == 0`` mask.
+every rank, retires each AP's new prefix of d = 0 disks by one call per
+AP, and is compacted as the uncovered TDs run out.  A full-width table
+recounts d by one int64 ``np.add.accumulate`` of the live TDs along
+each AP's order, retires every such prefix with one ``d == 0`` mask,
+and is never compacted.
+
+The state works on columns: column c of AP a0's row is the disk whose
+boundary TD is ``order[a0, c]``, in rank order, and d counts the live
+TDs of the row's columns up to c.  The columns start as the table's
+ranks.  Compaction keeps only the disks that can still be picked:
+
+* Two live disks of one AP with equal d, a run, contain the same live
+  TDs, and they keep equal d in every later round.  So every later
+  round charges them the same float and retires them together.
+  Neither a rounded subtraction of one amount nor a rounded division by
+  one divisor reverses the order of two operands, and the argmin takes
+  the lower rank on a tie, so a disk with an earlier run-mate of no
+  greater residual power is never picked, and its residual power is
+  never read again.
+* A run's first disk is the one whose boundary TD is live.  In the head
+  a disk is kept when its residual power is below its run's first
+  disk's.  In the suffix p_hat is nondecreasing along rank (above), so
+  only the first disk of each run is kept there.
+* A dropped disk's boundary TD is covered, so d stays the count of live
+  TDs along the kept columns, and each live TD keeps a column in every
+  live AP's row.  The window restarts as the least one whose last
+  column is a suffix disk of every live AP, and grows from there.
+
+Compaction runs once ``_COMPACT_EVERY`` times the uncovered TDs is at
+most the width.  On solve-large (n=1000, m=40, seed 1729) it first runs
+at 326 uncovered TDs and leaves 337 columns, against 1 000; six more
+follow as the TDs run out.  A full-width table is small, and there
+compaction costs more than it saves: preset 3's solves took about
+660 -> 890 us each with it.
 
 On small tables a round costs more in numpy calls than in array work, so
 the loop keeps what it knows as Python ints: ``solve_mlr`` counts the
@@ -92,6 +123,14 @@ __all__ = [
 # Tables with fewer disks run every round at full width (see init_state).
 _WINDOW_MIN_DISKS = 8192
 
+# A windowed table is compacted once k * (uncovered TDs) <= its width.  In
+# process on a 2-vCPU x86-64 VM (side 40, k=40, fastest of 10), solve_mlr
+# at n=1000, m=40, seeds 1729 / 7 / 42 took 11.8 / 12.3 / 12.7 ms at k=2,
+# 11.4 / 11.9 / 12.2 ms at k=3, 11.7 / 12.4 / 12.8 ms at k=4 and
+# 12.1 / 12.4 / 13.0 ms at k=6; at n=5000, m=200 (seed 1729, fastest of
+# 2) 368 / 354 / 379 / 404 ms at k = 2 / 3 / 4 / 6.
+_COMPACT_EVERY = 3
+
 
 class MlrInvariantError(RuntimeError):
     """A solver-state invariant failed; indicates a bug, not bad input."""
@@ -99,19 +138,24 @@ class MlrInvariantError(RuntimeError):
 
 @dataclass
 class SolverState:
-    """Mutable working state of one solve call, in rank space.
+    """Mutable working state of one solve call, in column space.
 
-    Per-disk arrays are indexed ``[a0, r]``: entry r of row a0 is disk
-    (a0, order[a0, r]), the disk of rank r at AP a0 + 1.  AP a0's live
-    disks are exactly its ranks r >= ``first_live[a0]`` (n once the AP is
-    retired): a round retires an AP wholly when its k_hat falls to 0, and
-    every AP's d = 0 disks, a rank prefix since ``d`` never decreases
-    along a row.  Retired entries of ``p_hat`` hold
-    +inf, so they never win a selection.  Each round replaces
-    ``first_live`` by a copy, so the round's ``Retired`` record keeps the
-    array it started from.
+    Per-disk arrays are indexed ``[a0, c]``: entry c of row a0 is disk
+    (a0, order[a0, c]) at AP a0 + 1, and columns ascend in rank.  Until
+    a compaction (see the module docstring) ``order`` and ``rank`` are
+    the table's own arrays, so column c is rank c and ``width`` is n.
+    ``rank[a0, u0]`` is the column of live TD u0 in row a0; in a retired
+    AP's row it is ``width``, past every window.  AP a0's live disks
+    are exactly its columns c >= ``first_live[a0]`` (``width`` once the
+    AP is retired): a round retires an AP wholly when its k_hat falls to
+    0, and every AP's d = 0 disks, a column prefix since ``d`` never
+    decreases along a row.  Retired entries of ``p_hat`` hold +inf, so
+    they never win a selection; a compacted row shorter than ``width``
+    starts with retired padding.  Each round replaces ``first_live`` by
+    a copy, so the round's ``Retired`` record keeps the array it started
+    from.
 
-    Rounds work on the window of ranks below ``hi`` (see the module
+    Rounds work on the window of columns below ``hi`` (see the module
     docstring), so ``d`` and ``div`` cover the window only, and the
     residual powers are split at hi into ``p_win`` and ``p_sfx``, each
     contiguous.  ``div`` is min(k_hat, d) as of the latest
@@ -125,22 +169,25 @@ class SolverState:
 
     inst: Instance
     table: DiskOrder         # the disk order, (m, n) arrays
+    width: int               # column count: n until the first compaction
+    order: np.ndarray        # (m, width) int64, TD index of each column
+    rank: np.ndarray         # (m, n) int64, column of each live TD per AP
     live_td: np.ndarray      # (n,) bool
     k_hat: np.ndarray        # (m,) int64, residual capacity per AP
-    first_live: np.ndarray   # (m,) int64, lowest live rank per AP
+    first_live: np.ndarray   # (m,) int64, lowest live column per AP
     live_ap: np.ndarray      # (m_live,) int64, APs with live disks
     windowed: bool           # init_state started the window below n
-    hi: int                  # window width; ranks >= hi are suffix disks
+    hi: int                  # window width; columns >= hi are suffix disks
     d: np.ndarray            # (m, hi) int64, live TDs contained per disk
     div: np.ndarray          # (m, hi) float64, min(k_hat, d) at the last pick
     p_win: np.ndarray        # (m, hi) float64, residual power per disk
-    p_sfx: np.ndarray        # (m, n - hi) float64, the same beyond the window
+    p_sfx: np.ndarray        # (m, width - hi) float64, the same beyond the window
     selected: dict[int, int]       # AP id -> TD id of its latest disk
     covered_by: dict[int, list[int]]  # AP id -> covered TD ids
 
     @property
     def p_hat(self) -> np.ndarray:
-        """(m, n) copy of every disk's residual power."""
+        """(m, width) copy of every column's residual power."""
         return np.concatenate((self.p_win, self.p_sfx), axis=1)
 
 
@@ -162,6 +209,9 @@ def init_state(inst: Instance) -> SolverState:
     return SolverState(
         inst=inst,
         table=table,
+        width=n,
+        order=table.order,
+        rank=table.rank,
         live_td=np.ones(n, dtype=bool),
         k_hat=np.full(m, k_cap, dtype=np.int64),
         first_live=np.zeros(m, dtype=np.int64),
@@ -178,15 +228,15 @@ def init_state(inst: Instance) -> SolverState:
 
 
 def _widen(state: SolverState) -> None:
-    """Grow the window by quarters until rank hi - 1 is a suffix disk of
-    every AP with live disks (a retired AP has k_hat = 0) or it spans
-    every rank, counting the live TDs of each rank it takes in."""
-    m, n, hi = state.inst.m, state.inst.n, state.hi
-    order, k_hat = state.table.order, state.k_hat
+    """Grow the window by quarters until column hi - 1 is a suffix disk
+    of every AP with live disks (a retired AP has k_hat = 0) or it spans
+    every column, counting the live TDs of each column it takes in."""
+    m, width, hi = state.inst.m, state.width, state.hi
+    order, k_hat = state.order, state.k_hat
     parts = [state.d]
     new = hi
-    while new < n and (parts[-1][:, -1] < k_hat).any():
-        stop = min(new + max(new // 4, 1), n)
+    while new < width and (parts[-1][:, -1] < k_hat).any():
+        stop = min(new + max(new // 4, 1), width)
         part = np.cumsum(state.live_td[order[:, new:stop]], axis=1)
         part += parts[-1][:, -1:]
         parts.append(part)
@@ -207,10 +257,11 @@ def local_ratio(p_hat: float, k_hat: int, d: int) -> float:
 
 
 def select_min_ratio(state: SolverState) -> tuple[int, int]:
-    """``(AP index, rank)`` of the live disk with the minimum local ratio.
+    """``(AP index, column)`` of the live disk with the minimum local ratio.
 
     The row-major argmin breaks exact ratio ties to the lowest AP id, then
-    the lowest disk rank.  The returned disk always satisfies d <= k_hat.
+    the lowest column, which is the lowest disk rank.  The returned disk
+    always satisfies d <= k_hat.
     Only the window is searched; the module docstring shows that it holds
     the full minimum.
     """
@@ -232,15 +283,17 @@ def select_min_ratio(state: SolverState) -> tuple[int, int]:
 
 
 def apply_selection(state: SolverState, pick: tuple[int, int]):
-    """Commit the chosen disk ``(AP index, rank)`` and advance one round.
+    """Commit the chosen disk ``(AP index, column)`` and advance one round.
 
     Returns ``(ratio, covered_td_ids, retired)`` describing the round for
     tracing; ``retired`` is a ``Retired`` record of the disks retired
-    this round.  Update order matters; see the module docstring.
+    this round.  Update order matters; see the module docstring.  A
+    windowed table may be compacted at the end of the round, which
+    replaces ``order``.
     """
     a0, r = pick
-    m, n, hi = state.inst.m, state.inst.n, state.hi
-    order = state.table.order
+    m, width, hi = state.inst.m, state.width, state.hi
+    order = state.order
     d_star, k_star = state.d.item(a0, r), state.k_hat.item(a0)
     e_star = local_ratio(state.p_win.item(a0, r), k_star, d_star)
     # The round works on a fresh copy, so the record keeps the old one.
@@ -263,12 +316,12 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     # hold +inf and keep it; the disks that step 4 retires are charged
     # too, which changes nothing, as a retired p_hat is never read.
     state.p_win -= e_star * state.div
-    if hi < n:
+    if hi < width:
         state.p_sfx -= (e_star * state.k_hat)[:, None]
 
     # 3. Retire covered TDs everywhere and shrink the chosen AP's capacity
     # by the number just assigned.  A disk's live count is the number of
-    # live TDs up to its rank in its AP's order.
+    # live TDs up to its column in its AP's order.
     c = covered0.size
     state.live_td[covered0] = False
     state.k_hat[a0] = k_star - c
@@ -278,17 +331,17 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
         # A prefix sum costs several times more per cell than a repeat, but
         # takes fewer calls, which wins on the small tables that run at
         # full width.  A windowed table subtracts the covered TDs at or
-        # below each rank, also once its window spans every rank: each
-        # row's covered ranks, cut at hi and sorted between the bounds 0
-        # and hi, split it into c + 1 runs of equal drop.
+        # below each column, also once its window spans every column:
+        # each row's covered columns, cut at hi and sorted between the
+        # bounds 0 and hi, split it into c + 1 runs of equal drop.
         steps = np.empty((m, c + 2), dtype=np.int64)
         steps[:, 0] = 0
         steps[:, 1] = hi
-        np.minimum(state.table.rank[:, covered0], hi, out=steps[:, 2:])
+        np.minimum(state.rank[:, covered0], hi, out=steps[:, 2:])
         steps.sort(axis=1)
         runs = (steps[:, 1:] - steps[:, :-1]).ravel()
         state.d -= np.repeat(np.arange(m * (c + 1)) % (c + 1), runs).reshape(m, hi)
-    if hi < n and (state.d[:, -1] < state.k_hat).any():
+    if hi < width and (state.d[:, -1] < state.k_hat).any():
         _widen(state)
 
     # 4. Retire disks.  A pick that exactly fills the residual capacity
@@ -298,15 +351,16 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     # disks (a row of d never decreases), which at the chosen AP holds
     # the pick and every smaller-keyed disk.
     if d_star == k_star:
-        _retire(state, a0, n)
-        state.live_ap = np.flatnonzero(first < n)
+        _retire(state, a0, width)
+        state.live_ap = np.flatnonzero(first < width)
+    retired = Retired(state.table, order, before, first)
     if not state.windowed:
         dead = state.d == 0
         state.p_win[dead] = math.inf
         np.maximum(first, dead.sum(axis=1), out=first)
     else:
         # Only an AP whose first live disk now has d = 0 loses disks; its
-        # zeros lie inside the window, since rank hi - 1 has
+        # zeros lie inside the window, since column hi - 1 has
         # d >= k_hat > 0.
         live_ap = state.live_ap
         zero = live_ap[state.d[live_ap, first[live_ap]] == 0]
@@ -314,38 +368,104 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
             stops = (state.d[zero] == 0).sum(axis=1)
             for a, stop in zip(zero.tolist(), stops.tolist()):
                 _retire(state, a, stop)
-    return e_star, tuple(covered_ids), Retired(order, before, first)
+        if 0 < _COMPACT_EVERY * np.count_nonzero(state.live_td) <= width:
+            _compact(state)
+    return e_star, tuple(covered_ids), retired
 
 
 def _retire(state: SolverState, a0: int, stop: int) -> None:
-    """Retire AP a0's live disks of rank below ``stop``."""
+    """Retire AP a0's live disks of column below ``stop``."""
     state.p_win[a0, state.first_live.item(a0):stop] = math.inf
-    if stop > state.hi:  # the whole AP; its lower ranks are retired already
+    if stop > state.hi:  # the whole AP; its lower columns are retired already
         state.p_sfx[a0] = math.inf
     state.first_live[a0] = stop
 
 
+def _compact(state: SolverState) -> None:
+    """Keep only the live disks that can still be picked, as new columns.
+
+    Per live AP these are the disks whose boundary TD is uncovered, each
+    the first disk of its run of equal d, and the head disks whose
+    residual power is below their run's first disk's; the module
+    docstring shows that no other disk is ever picked.  A row with fewer
+    kept disks than the widest is padded at its front with retired
+    columns, and a retired AP's row holds padding only.  Padding holds a
+    covered TD, +inf power and d = 0, and each TD's column in a retired
+    AP's row lies past every window, so no recount reaches it.
+    """
+    m, n, hi = state.inst.m, state.inst.n, state.hi
+    order, live_td, p_win = state.order, state.live_td, state.p_win
+    keep = live_td[order]
+    keep[state.first_live == state.width] = False
+    # Each head column's run starts at the last uncovered boundary TD at
+    # or below it; retired columns hold +inf and are never kept.
+    run = np.where(keep[:, :hi], np.arange(hi), 0)
+    np.maximum.accumulate(run, axis=1, out=run)
+    run += np.arange(0, m * hi, hi)[:, None]
+    keep[:, :hi] |= (state.d < state.k_hat[:, None]) & (p_win < p_win.take(run))
+
+    kept = np.flatnonzero(keep)
+    count = np.count_nonzero(keep, axis=1)
+    width = count.max().item()
+    rows = np.repeat(np.arange(m), count)
+    # kept disk i of row a goes to column width - count[a] + i
+    to = np.arange(kept.size) + np.repeat(np.arange(1, m + 1) * width - np.cumsum(count), count)
+    tds = order.take(kept)
+    new = np.full(m * width, np.argmin(live_td))  # a covered TD
+    new[to] = tds
+    state.width, state.order = width, new.reshape(m, width)
+    state.rank = np.full(m * n, width)
+    state.rank[rows * n + tds] = to - rows * width
+    state.rank.shape = (m, n)
+    state.first_live = width - count
+    state.first_live[count == 0] = width
+    p_hat = np.full(m * width, math.inf)
+    p_hat[to] = state.p_hat.take(kept)
+    p_hat.shape = (m, width)
+    d = np.cumsum(live_td[state.order], axis=1)
+    # the least window whose last column is a suffix disk of every live AP
+    hi = state.hi = min((d < state.k_hat[:, None]).sum(axis=1).max().item() + 1, width)
+    state.d = np.ascontiguousarray(d[:, :hi])
+    state.div = np.empty((m, hi))
+    state.p_win = np.ascontiguousarray(p_hat[:, :hi])
+    state.p_sfx = np.ascontiguousarray(p_hat[:, hi:])
+
+
 class Retired:
-    """The disks one round retired: AP a0's ranks from ``before[a0]`` up
-    to ``after[a0]``, its lowest live rank before and after the round.
-    ``len()`` counts them without listing them."""
+    """The disks one round retired: AP a0's table ranks from its lowest
+    live rank before the round up to the one after it.  The record holds
+    the state's ``first_live`` arrays, which count columns of ``order``,
+    and maps them to table ranks only when read: the first live column's
+    TD has the AP's lowest live rank.  ``len()`` counts the disks
+    without listing them."""
 
-    __slots__ = ("order", "before", "after")
+    __slots__ = ("table", "order", "before", "after")
 
-    def __init__(self, order: np.ndarray, before: np.ndarray, after: np.ndarray):
-        self.order, self.before, self.after = order, before, after
+    def __init__(self, table: DiskOrder, order: np.ndarray, before: np.ndarray,
+                 after: np.ndarray):
+        self.table, self.order, self.before, self.after = table, order, before, after
+
+    def _ranks(self, first: np.ndarray) -> np.ndarray:
+        if self.order is self.table.order:
+            return first
+        width = self.order.shape[1]
+        rows = np.arange(first.size)
+        td = self.order[rows, np.minimum(first, width - 1)]
+        return np.where(first < width, self.table.rank[rows, td], self.table.order.shape[1])
 
     def __len__(self) -> int:
-        return (self.after - self.before).sum().item()
+        return (self._ranks(self.after) - self._ranks(self.before)).sum().item()
 
     def indices(self) -> np.ndarray:
         """The retired disks as ascending indices ``a0 * n + u0``."""
-        aps = np.flatnonzero(self.after > self.before)
-        start, count = self.before[aps], self.after[aps] - self.before[aps]
+        before, after = self._ranks(self.before), self._ranks(self.after)
+        aps = np.flatnonzero(after > before)
+        start, count = before[aps], after[aps] - before[aps]
         rows = np.repeat(aps, count)
         # each AP's ranks run from its start, counted past its run's offset
         ranks = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
-        return np.sort(self.order[rows, ranks] + rows * self.order.shape[1])
+        order = self.table.order
+        return np.sort(order[rows, ranks] + rows * order.shape[1])
 
 
 def assemble_solution(state: SolverState) -> Solution:
@@ -372,13 +492,14 @@ def solve_mlr(inst: Instance, trace: Callable[[dict], object] | None = None) -> 
         if iteration > n:
             raise MlrInvariantError("more rounds than TDs")
         a0, r = select_min_ratio(state)
+        order = state.order  # a compaction in this round replaces it
         e_star, covered, retired = apply_selection(state, (a0, r))
         left -= len(covered)
         if trace is not None:
             ap0, u0 = np.divmod(retired.indices(), n)
             trace({
                 "iter": iteration,
-                "disk": [a0 + 1, state.table.order.item(a0, r) + 1],
+                "disk": [a0 + 1, order.item(a0, r) + 1],
                 "ratio": e_star,
                 "covered": list(covered),
                 "removed": list(zip((ap0 + 1).tolist(), (u0 + 1).tolist())),

@@ -26,19 +26,28 @@ from mpcc import (
     solve_mlr,
 )
 from mpcc import mlr
+from mpcc.experiments import override_configs, preset
 
 from oracles import mlr_flat_reference, mlr_reference, random_instance
 
 
 def disk_ids(state, pick):
-    """(AP id, TD id) of the disk at state position (AP index, rank)."""
+    """(AP id, TD id) of the disk at state position (AP index, column)."""
     a0, r = pick
-    return a0 + 1, int(state.table.order[a0, r]) + 1
+    return a0 + 1, int(state.order[a0, r]) + 1
 
 
 def live_mask(state):
-    """(m, n) bool: which rank-space entries are live disks."""
-    return np.arange(state.inst.n) >= state.first_live[:, None]
+    """(m, width) bool: which columns of the state are live disks."""
+    return np.arange(state.width) >= state.first_live[:, None]
+
+
+def table_ranks(state, first):
+    """Table rank of each AP's column ``first``, n past its last column."""
+    width = state.width
+    rows = np.arange(state.inst.m)
+    td = state.order[rows, np.minimum(first, width - 1)]
+    return np.where(first < width, state.table.rank[rows, td], state.inst.n)
 
 
 def two_td_line():
@@ -232,7 +241,8 @@ def test_live_aps_and_uncovered_count_track_the_state(monkeypatch, window):
             left -= len(covered)
             assert left == state.live_td.sum()
             if left:
-                assert np.array_equal(state.live_ap, np.flatnonzero(state.first_live < n))
+                live_ap = np.flatnonzero(state.first_live < state.width)
+                assert np.array_equal(state.live_ap, live_ap)
                 shrank += state.live_ap.size < live
     # APs retire wholly while TDs remain, so the refresh is exercised
     assert shrank >= 20
@@ -240,44 +250,80 @@ def test_live_aps_and_uncovered_count_track_the_state(monkeypatch, window):
 
 
 def _step_through(inst):
-    """Drive the solver loop op by op, asserting the state invariants."""
+    """Drive the solver loop op by op, asserting the state invariants.
+
+    The state works on columns of its own ``order``, which a windowed
+    solve compacts to the disks that can still be picked.  ``shadow``
+    holds every disk's residual power in rank space, charged here each
+    round, so the assertions also reach the disks the columns dropped.
+    """
     state = init_state(inst)
-    power = state.p_hat.copy()  # full disk powers in rank space
-    order = state.table.order
+    table = state.table
+    rows = np.arange(inst.m)[:, None]
+    power = table.power[rows, table.order]  # full disk powers in rank space
+    shadow = power.copy()
+    ranks = np.arange(inst.n)
     rounds = 0
     last_rank = {}
-    last_hi = state.hi
+    last_order, last_hi = state.order, state.hi
     while state.live_td.any():
         live = live_mask(state)
         assert live.any()
         rounds += 1
         assert rounds <= inst.n  # progress: every round covers a TD
-        d = np.cumsum(state.live_td[order], axis=1)  # full live counts
-        hi = state.hi
-        assert last_hi <= hi  # the window only grows
-        last_hi = hi
+        order, width, hi = state.order, state.width, state.hi
+        col_rank = table.rank[rows, order]  # table rank of each column's disk
+        d_rank = np.cumsum(state.live_td[table.order], axis=1)  # every disk's d
+        live_rank = ranks >= table_ranks(state, state.first_live)[:, None]
+        assert (live_rank.sum(axis=1) >= live.sum(axis=1)).all()
+        assert (np.diff(col_rank, axis=1)[live[:, :-1]] > 0).all()  # columns ascend in rank
+        if order is last_order:
+            assert last_hi <= hi  # the window only grows between compactions
+        last_order, last_hi = order, hi
+        d = np.cumsum(state.live_td[order], axis=1)  # the columns' full live counts
+        assert (d[live] == d_rank[rows, col_rank][live]).all()
         assert (state.d == d[:, :hi]).all()
-        assert (d[live] >= 1).all()
+        assert (d[live] >= 1).all() and (d_rank[live_rank] >= 1).all()
         assert (np.broadcast_to(state.k_hat[:, None], live.shape)[live] >= 1).all()
-        # From rank hi - 1 on (rank hi at full width), every live AP's
+        assert (np.broadcast_to(state.k_hat[:, None], live_rank.shape)[live_rank] >= 1).all()
+        # The live columns hold the shadow powers of their disks, and every
+        # live disk they dropped has a kept disk of its AP with the same d,
+        # a lower rank and no greater power, so it is never the argmin.
+        p_hat = state.p_hat
+        assert (p_hat[live] == shadow[rows, col_rank][live]).all()
+        kept = np.zeros_like(live_rank)
+        kept[np.nonzero(live)[0], col_rank[live]] = True
+        best = np.where(kept, shadow, np.inf)
+        carry = np.full(inst.m, np.inf)  # least kept power earlier in the run
+        for t in range(1, inst.n):
+            run = live_rank[:, t] & (d_rank[:, t] == d_rank[:, t - 1])
+            carry = np.where(run, np.minimum(carry, best[:, t - 1]), np.inf)
+            missing = live_rank[:, t] & ~kept[:, t]
+            assert (carry[missing] <= shadow[missing, t]).all()
+        # From column hi - 1 on (column hi at full width), every live AP's
         # disks are suffix disks, d >= k_hat, with p_hat nondecreasing.
-        live_ap = state.first_live < inst.n
-        lo = hi - 1 if hi < inst.n else hi
+        live_ap = state.first_live < width
+        lo = hi - 1 if hi < width else hi
         assert (d[live_ap, lo:] >= state.k_hat[live_ap, None]).all()
-        assert (np.diff(state.p_hat[live_ap, lo:], axis=1) >= 0).all()
-        # The window's pick is the full row-major argmin.
+        assert (np.diff(p_hat[live_ap, lo:], axis=1) >= 0).all()
+        # The window's pick is the row-major argmin over every live disk.
+        div = np.minimum(state.k_hat[:, None], d_rank)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(live, state.p_hat / np.minimum(state.k_hat[:, None], d), np.inf)
+            ratio = np.where(live_rank, shadow / div, np.inf)
         a0, r = select_min_ratio(state)
-        assert (a0, r) == divmod(int(ratio.argmin()), inst.n)
+        assert (a0, col_rank[a0, r]) == divmod(int(ratio.argmin()), inst.n)
         assert state.d[a0, r] <= state.k_hat[a0]
         if a0 in last_rank:
-            assert last_rank[a0] < r  # l_a only ever grows
-        last_rank[a0] = r
-        apply_selection(state, (a0, r))
+            assert last_rank[a0] < col_rank[a0, r]  # l_a only ever grows
+        last_rank[a0] = col_rank[a0, r]
+        e, _, _ = apply_selection(state, (a0, r))
+        shadow -= e * div  # the charge, with the pre-round divisors
+        # residual powers stay non-negative, in the columns and in rank space
         live = live_mask(state)
-        slack = state.p_hat[live] + 1e-9 * power[live]
-        assert (slack >= 0).all()  # residual powers stay non-negative
+        col_power = power[rows, table.rank[rows, state.order]]
+        assert (state.p_hat[live] + 1e-9 * col_power[live] >= 0).all()
+        live_rank = ranks >= table_ranks(state, state.first_live)[:, None]
+        assert (shadow[live_rank] + 1e-9 * power[live_rank] >= 0).all()
     return assemble_solution(state)
 
 
@@ -384,13 +430,14 @@ def test_capacity_beyond_int64_matches_k_equals_n(seed):
 
 
 def _window_widths(inst):
-    """The window width ``hi`` at the start of every round of a solve."""
+    """The window width ``hi`` and the column count at the start of every
+    round of a solve, as an (rounds, 2) array."""
     state = init_state(inst)
     widths = []
     while state.live_td.any():
-        widths.append(state.hi)
+        widths.append((state.hi, state.width))
         apply_selection(state, select_min_ratio(state))
-    return widths
+    return np.array(widths)
 
 
 def _narrow_window_instances():
@@ -408,16 +455,34 @@ def _narrow_window_instances():
             yield random_instance(rng, m=m, n=n, **params)
 
 
+def _counting_compactions(monkeypatch):
+    """Count ``_compact`` calls, and the calls that kept a live disk whose
+    boundary TD is covered: a head disk that is not its run's first."""
+    counts = {"calls": 0, "kept_inner": 0}
+    compact = mlr._compact
+
+    def counting(state):
+        compact(state)
+        counts["calls"] += 1
+        counts["kept_inner"] += (live_mask(state) & ~state.live_td[state.order]).any()
+
+    monkeypatch.setattr(mlr, "_compact", counting)
+    return counts
+
+
 def test_narrow_window_matches_flat_array_reference_bytes(monkeypatch):
     _window_on_every_table(monkeypatch)
-    rounds = narrow = 0
+    counts = _counting_compactions(monkeypatch)
+    rounds = narrow = compacted = 0
     for i, inst in enumerate(_narrow_window_instances()):
         ref, docs = mlr_flat_reference(inst)
         expected = (solution_to_json(ref, inst), json.dumps(docs))
+        calls = counts["calls"]
         assert _solve_bytes(inst) == expected, inst
-        widths = _window_widths(inst)
-        rounds += len(widths)
-        narrow += sum(w < inst.n for w in widths)
+        compacted += counts["calls"] > calls
+        hi, width = _window_widths(inst).T
+        rounds += hi.size
+        narrow += (hi < width).sum()
         if i < 4:
             assert _step_through(inst) == ref
     # the window is narrower than n in most rounds, so the test reaches it
@@ -425,6 +490,10 @@ def test_narrow_window_matches_flat_array_reference_bytes(monkeypatch):
     # and some windowed rounds start at full width, where d is still
     # recounted by subtracting runs
     assert narrow < rounds
+    # most solves compact their columns, and some compaction keeps a head
+    # disk for its power below its run's first disk's
+    assert compacted > (i + 1) / 2
+    assert counts["kept_inner"] >= 1
 
 
 @pytest.mark.parametrize("window", [False, True], ids=["full", "window"])
@@ -501,12 +570,24 @@ def test_non_monotone_power_row_starts_at_full_width(monkeypatch):
     assert _solve_bytes(inst) == (solution_to_json(ref, inst), json.dumps(docs))
 
 
+def test_only_windowed_tables_compact(monkeypatch):
+    # preset 3's tables run at full width and never compact; the
+    # benchmark's n=1000, m=40 instance does
+    counts = _counting_compactions(monkeypatch)
+    for cfg in override_configs(preset(3), trials=10):
+        for t in range(cfg.trials):
+            solve_mlr(generate_instance(cfg, t))
+    assert counts["calls"] == 0
+    solve_mlr(generate_instance(ExperimentConfig(n=1000, m=40, k=40, side=40.0, seed=1729), 0))
+    assert counts["calls"] > 0
+
+
 def test_window_stays_narrow_on_the_solve_large_instance():
     # the benchmark's n=1000, m=40 instance; a silent fall-back to
     # full-width rounds would read 1
     inst = generate_instance(ExperimentConfig(n=1000, m=40, k=40, side=40.0, seed=1729), 0)
-    widths = _window_widths(inst)
-    assert np.mean(widths) / inst.n < 0.5
+    hi, width = _window_widths(inst).T
+    assert np.mean(hi / width) < 0.5
 
 
 def test_streamed_trace_keeps_no_rounds():
