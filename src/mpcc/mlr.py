@@ -81,9 +81,13 @@ ranks.  Compaction keeps only the disks that can still be picked:
   column is a suffix disk of every live AP, and grows from there.
 
 Compaction runs once ``_COMPACT_EVERY`` times the uncovered TDs is at
-most the width.  On solve-large (n=1000, m=40, seed 1729) it first runs
-at 326 uncovered TDs and leaves 337 columns, against 1 000; six more
-follow as the TDs run out.  A full-width table is small, and there
+most the width, and after the first only once the uncovered TDs have
+also halved since the last one: the columns a compaction keeps can
+still number ``_COMPACT_EVERY`` times the uncovered TDs or more, and
+each compaction rewrites the (m, n) ``rank`` array.  So a solve
+compacts at most ``n.bit_length()`` times.  On solve-large (n=1000,
+m=40, seed 1729) it first runs at 326 uncovered TDs and leaves 337
+columns, against 1 000; six more follow as the TDs run out.  A full-width table is small, and there
 compaction costs more than it saves: preset 3's solves took about
 660 -> 890 us each with it.
 
@@ -123,12 +127,13 @@ __all__ = [
 # Tables with fewer disks run every round at full width (see init_state).
 _WINDOW_MIN_DISKS = 8192
 
-# A windowed table is compacted once k * (uncovered TDs) <= its width.  In
-# process on a 2-vCPU x86-64 VM (side 40, k=40, fastest of 10), solve_mlr
-# at n=1000, m=40, seeds 1729 / 7 / 42 took 11.8 / 12.3 / 12.7 ms at k=2,
-# 11.4 / 11.9 / 12.2 ms at k=3, 11.7 / 12.4 / 12.8 ms at k=4 and
-# 12.1 / 12.4 / 13.0 ms at k=6; at n=5000, m=200 (seed 1729, fastest of
-# 2) 368 / 354 / 379 / 404 ms at k = 2 / 3 / 4 / 6.
+# A windowed table is compacted once _COMPACT_EVERY * (uncovered TDs) <= its
+# width.  In process on a 2-vCPU x86-64 VM (side 40, AP capacity 40, fastest
+# of 10), solve_mlr at n=1000, m=40, seeds 1729 / 7 / 42 took
+# 11.8 / 12.3 / 12.7 ms with _COMPACT_EVERY = 2, 11.4 / 11.9 / 12.2 ms with
+# 3, 11.7 / 12.4 / 12.8 ms with 4 and 12.1 / 12.4 / 13.0 ms with 6; at
+# n=5000, m=200 (seed 1729, fastest of 2) 368 / 354 / 379 / 404 ms with
+# 2 / 3 / 4 / 6.
 _COMPACT_EVERY = 3
 
 
@@ -178,6 +183,7 @@ class SolverState:
     live_ap: np.ndarray      # (m_live,) int64, APs with live disks
     windowed: bool           # init_state started the window below n
     hi: int                  # window width; columns >= hi are suffix disks
+    compact_at: int          # compact once the uncovered TDs are this few
     d: np.ndarray            # (m, hi) int64, live TDs contained per disk
     div: np.ndarray          # (m, hi) float64, min(k_hat, d) at the last pick
     p_win: np.ndarray        # (m, hi) float64, residual power per disk
@@ -218,6 +224,7 @@ def init_state(inst: Instance) -> SolverState:
         live_ap=np.arange(m),
         windowed=hi < n,
         hi=hi,
+        compact_at=n // _COMPACT_EVERY if hi < n else 0,
         d=d,
         div=np.empty((m, hi)),
         p_win=np.ascontiguousarray(p_hat[:, :hi]),
@@ -368,8 +375,10 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
             stops = (state.d[zero] == 0).sum(axis=1)
             for a, stop in zip(zero.tolist(), stops.tolist()):
                 _retire(state, a, stop)
-        if 0 < _COMPACT_EVERY * np.count_nonzero(state.live_td) <= width:
+        left = np.count_nonzero(state.live_td)
+        if 0 < left <= state.compact_at:
             _compact(state)
+            state.compact_at = min(state.width // _COMPACT_EVERY, left // 2)
     return e_star, tuple(covered_ids), retired
 
 
@@ -418,7 +427,6 @@ def _compact(state: SolverState) -> None:
     state.rank[rows * n + tds] = to - rows * width
     state.rank.shape = (m, n)
     state.first_live = width - count
-    state.first_live[count == 0] = width
     p_hat = np.full(m * width, math.inf)
     p_hat[to] = state.p_hat.take(kept)
     p_hat.shape = (m, width)
@@ -446,8 +454,6 @@ class Retired:
         self.table, self.order, self.before, self.after = table, order, before, after
 
     def _ranks(self, first: np.ndarray) -> np.ndarray:
-        if self.order is self.table.order:
-            return first
         width = self.order.shape[1]
         rows = np.arange(first.size)
         td = self.order[rows, np.minimum(first, width - 1)]

@@ -480,6 +480,8 @@ def test_narrow_window_matches_flat_array_reference_bytes(monkeypatch):
         calls = counts["calls"]
         assert _solve_bytes(inst) == expected, inst
         compacted += counts["calls"] > calls
+        # each compaction after the first waits for the uncovered TDs to halve
+        assert counts["calls"] - calls <= inst.n.bit_length()
         hi, width = _window_widths(inst).T
         rounds += hi.size
         narrow += (hi < width).sum()
@@ -579,7 +581,7 @@ def test_only_windowed_tables_compact(monkeypatch):
             solve_mlr(generate_instance(cfg, t))
     assert counts["calls"] == 0
     solve_mlr(generate_instance(ExperimentConfig(n=1000, m=40, k=40, side=40.0, seed=1729), 0))
-    assert counts["calls"] > 0
+    assert 0 < counts["calls"] <= (1000).bit_length()
 
 
 def test_window_stays_narrow_on_the_solve_large_instance():
