@@ -225,9 +225,10 @@ def solution_violations(text: str, inst: Instance) -> list[str]:
         if ap in seen:
             violations.append(f"more than one disk selected for AP {ap}")
         seen.add(ap)
-        for u, times in sorted(Counter(covered).items()):
-            if times > 1:
-                violations.append(f"coverage of AP {ap} lists TD {u} {times} times")
+        if len(set(covered)) < len(covered):
+            for u, times in sorted(Counter(covered).items()):
+                if times > 1:
+                    violations.append(f"coverage of AP {ap} lists TD {u} {times} times")
     for ap, td, _ in triples:
         if not 1 <= ap <= inst.m:
             violations.append(f"assignment references unknown AP {ap}")

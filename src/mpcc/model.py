@@ -26,9 +26,8 @@ blocks that leave out the TDs its caller has covered.
 """
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, MutableSequence, NamedTuple
 
 import numpy as np
@@ -381,34 +380,15 @@ def validate_instance(inst: Instance) -> list[str]:
     return v
 
 
-def _outside(inst: Instance, claims) -> set[tuple[int, int]]:
-    """The ``(ap_id, td_id)`` pairs, among the claims ``(ap_id, disk_td_id,
-    td_ids)`` of each AP, whose TD ranks above the disk's boundary TD in
-    that AP's disk order, i.e. lies outside the disk."""
-    sizes = [len(tds) for _, _, tds in claims]
-    c = sum(sizes)
-    if not c:
-        return set()
-    # One column per claim, one row each for the claimed TD, the boundary
-    # TD of its AP's disk and the AP.
-    rows = (chain.from_iterable(tds for _, _, tds in claims),
-            chain.from_iterable(repeat(b, s) for (_, b, _), s in zip(claims, sizes)),
-            chain.from_iterable(repeat(a, s) for (a, _, _), s in zip(claims, sizes)))
-    idx = np.fromiter(chain(*rows), dtype=np.int64, count=3 * c).reshape(3, c) - 1
-    ends, ap = idx[:2], idx[2]
-    vec = inst.td_xy[ends] - inst.ap_xy[ap]
-    dx, dy = vec[..., 0], vec[..., 1]
-    rsq = dx * dx + dy * dy  # as in _key_order
-    # Keys compare as (rsq, cos, y_sign, TD id), so only equal radii of
-    # two distinct TDs need the fields after the first.
-    out = rsq[0] > rsq[1]
-    tie = np.flatnonzero((rsq[0] == rsq[1]) & (ends[0] != ends[1]))
-    if tie.size:
-        (cu, cb), (yu, yb) = _key_fields(dx[:, tie], dy[:, tie], rsq[:, tie])
-        tu, tb = ends[:, tie]
-        out[tie] = (cu > cb) | (cu == cb) & ((yu > yb) | (yu == yb) & (tu > tb))
-    hit = np.flatnonzero(out)
-    return set(zip((ap[hit] + 1).tolist(), (ends[0, hit] + 1).tolist()))
+def _key_tail(dx: float, dy: float, rsq: float, td_id: int) -> tuple[float, int, int]:
+    """One boundary vector's key fields after its squared radius ``rsq``,
+    as ``_key_fields`` gives them, and the TD id that breaks the last tie."""
+    if rsq == 0.0:
+        return 1.0, 0, td_id
+    # Clamped in this order, an inf/inf quotient (NaN) becomes 1.0.  Every
+    # other cosine at an infinite radius is +-0, so NaN ranks last there,
+    # as np.lexsort puts it in _key_order.
+    return max(-1.0, min(1.0, dx / math.sqrt(rsq))), int(dy < 0.0), td_id
 
 
 def check_feasible(sol: Solution, inst: Instance) -> list[str]:
@@ -422,25 +402,29 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
     """
     v = []
     m, n, k = inst.m, inst.n, inst.k
+    # Containment compares keys in each AP's disk order, the squared
+    # radius first, computed in scalar floats as in _key_order.
+    tx, ty = inst.td_xy[:, 0].tolist(), inst.td_xy[:, 1].tolist()
+    aps = inst.ap_xy.tolist()
 
-    valid = set()
+    disks = {}  # AP id -> its position, boundary TD id, vector and squared radius
+    derived = 0.0
     for ap_id in sorted(sol.selected):
-        td_id = sol.selected[ap_id]
+        b = sol.selected[ap_id]
         if not 1 <= ap_id <= m:
             v.append(f"selected disk references unknown AP {ap_id}")
-        elif not 1 <= td_id <= n:
-            v.append(f"disk of AP {ap_id} has unknown boundary TD {td_id}")
+        elif not 1 <= b <= n:
+            v.append(f"disk of AP {ap_id} has unknown boundary TD {b}")
         else:
-            valid.add(ap_id)
+            ax, ay = aps[ap_id - 1]
+            bx, by = tx[b - 1] - ax, ty[b - 1] - ay
+            rb = bx * bx + by * by
+            disks[ap_id] = ax, ay, b, bx, by, rb
+            derived += power_of(rb, inst.power_c, inst.power_alpha)
 
-    covered = {ap_id: sorted(sol.coverage[ap_id]) for ap_id in sorted(sol.coverage)}
-    # Only the containments actually claimed need their disks' keys.
-    outside = _outside(inst, [
-        (ap_id, sol.selected[ap_id], tds[bisect_left(tds, 1):bisect_right(tds, n)])
-        for ap_id, tds in covered.items() if ap_id in valid
-    ])
     owner: dict[int, int] = {}
-    for ap_id, tds in covered.items():
+    for ap_id in sorted(sol.coverage):
+        tds = sorted(sol.coverage[ap_id])
         if not 1 <= ap_id <= m:
             v.append(f"coverage references unknown AP {ap_id}")
             continue
@@ -448,6 +432,9 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
             v.append(f"AP {ap_id} covers TDs but selected no disk")
         if len(tds) > k:
             v.append(f"AP {ap_id} covers {len(tds)} TDs, capacity is {k}")
+        disk = disks.get(ap_id)
+        if disk:
+            ax, ay, b, bx, by, rb = disk
         for u in tds:
             if not 1 <= u <= n:
                 v.append(f"coverage of AP {ap_id} references unknown TD {u}")
@@ -456,15 +443,18 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
                 v.append(f"TD {u} covered by both AP {owner[u]} and AP {ap_id}")
             else:
                 owner[u] = ap_id
-            if (ap_id, u) in outside:
+            if not disk:
+                continue
+            dx, dy = tx[u - 1] - ax, ty[u - 1] - ay
+            r = dx * dx + dy * dy
+            # A NaN radius compares false both ways and so lies outside.
+            if not r <= rb or r == rb and u != b and (
+                    _key_tail(dx, dy, r, u) > _key_tail(bx, by, rb, b)):
                 v.append(f"TD {u} lies outside the selected disk of AP {ap_id}")
     for u in range(1, n + 1):
         if u not in owner:
             v.append(f"TD {u} is not covered")
 
-    derived = 0.0
-    for ap_id in sorted(valid):
-        derived += disk_geometry(inst, ap_id, sol.selected[ap_id])[1]
     if not math.isclose(sol.total_power, derived, rel_tol=1e-9, abs_tol=1e-12):
         v.append(
             f"stated total_power {sol.total_power!r} disagrees with "

@@ -3,17 +3,19 @@
 These deliberately avoid the package's max-flow and branch-and-bound
 code: feasibility is decided by raw enumeration or per-TD backtracking,
 so they can serve as oracles for the production paths.  The exceptions
-are the earlier forms of rewritten solvers, orders and the max flow,
-kept for differential tests.  The max flow here is the package's
-earlier general Dinic on an arc-list network, which the package's
-owner/load form must match augmentation for augmentation.  The disk
-order is specified here one pair at a time by the scalar ``disk_key``,
-against which the package's array-built ``disk_order`` is tested.
+are the earlier forms of rewritten solvers, orders, the containment
+test and the max flow, kept for differential tests.  The max flow here
+is the package's earlier general Dinic on an arc-list network, which
+the package's owner/load form must match augmentation for augmentation.
+The disk order is specified here one pair at a time by the scalar
+``disk_key``, against which the package's array-built ``disk_order`` is
+tested.
 """
 
 import itertools
 import json
 import math
+from itertools import chain, repeat
 from time import perf_counter
 
 import numpy as np
@@ -124,6 +126,39 @@ def check_feasible_reference(sol, inst) -> list[str]:
         v.append(f"stated total_power {sol.total_power!r} disagrees with "
                  f"selected disks ({derived!r})")
     return v
+
+
+def outside_reference(inst: Instance, claims) -> set[tuple[int, int]]:
+    """The ``(ap_id, td_id)`` pairs, among the claims ``(ap_id, disk_td_id,
+    td_ids)`` of each AP, whose TD ranks above the disk's boundary TD in
+    that AP's disk order, i.e. lies outside the disk.
+
+    The package's earlier array form of ``check_feasible``'s containment
+    test, exact on instances whose AP-to-TD differences stay finite."""
+    sizes = [len(tds) for _, _, tds in claims]
+    c = sum(sizes)
+    if not c:
+        return set()
+    # One column per claim, one row each for the claimed TD, the boundary
+    # TD of its AP's disk and the AP.
+    rows = (chain.from_iterable(tds for _, _, tds in claims),
+            chain.from_iterable(repeat(b, s) for (_, b, _), s in zip(claims, sizes)),
+            chain.from_iterable(repeat(a, s) for (a, _, _), s in zip(claims, sizes)))
+    idx = np.fromiter(chain(*rows), dtype=np.int64, count=3 * c).reshape(3, c) - 1
+    ends, ap = idx[:2], idx[2]
+    vec = inst.td_xy[ends] - inst.ap_xy[ap]
+    dx, dy = vec[..., 0], vec[..., 1]
+    rsq = dx * dx + dy * dy  # as in _key_order
+    # Keys compare as (rsq, cos, y_sign, TD id), so only equal radii of
+    # two distinct TDs need the fields after the first.
+    out = rsq[0] > rsq[1]
+    tie = np.flatnonzero((rsq[0] == rsq[1]) & (ends[0] != ends[1]))
+    if tie.size:
+        (cu, cb), (yu, yb) = model._key_fields(dx[:, tie], dy[:, tie], rsq[:, tie])
+        tu, tb = ends[:, tie]
+        out[tie] = (cu > cb) | (cu == cb) & ((yu > yb) | (yu == yb) & (tu > tb))
+    hit = np.flatnonzero(out)
+    return set(zip((ap[hit] + 1).tolist(), (ends[0, hit] + 1).tolist()))
 
 
 def point_list_reference(doc, field: str) -> list[tuple[float, float]]:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracles import (
     contains,
     disk_key,
     key_fields,
+    outside_reference,
     validate_reference,
 )
 
@@ -542,17 +544,18 @@ def test_disk_order_with_distinct_radii_equals_scalar_key_order(n):
             assert table.order[a - 1].tolist() == sorted(range(inst.n), key=keys.__getitem__)
 
 
-def _mutations(rng, inst, sol):
+def _mutations(rng, inst, sol, moves=None):
     """Solutions derived from ``sol`` that break it in chosen ways."""
     n = inst.n
-    # a TD moved between APs
-    for a, tds in sol.coverage.items():
-        for b in sol.selected:
-            if b != a and tds:
-                u = int(rng.choice(sorted(tds)))
-                cov = dict(sol.coverage)
-                cov[a], cov[b] = tds - {u}, cov.get(b, frozenset()) | {u}
-                yield Solution(sol.selected, cov, sol.total_power)
+    # a TD moved between APs, for the first ``moves`` pairs of APs
+    pairs = [(a, b) for a, tds in sol.coverage.items() if tds
+             for b in sol.selected if b != a]
+    for a, b in pairs[:moves]:
+        tds = sol.coverage[a]
+        u = int(rng.choice(sorted(tds)))
+        cov = dict(sol.coverage)
+        cov[a], cov[b] = tds - {u}, cov.get(b, frozenset()) | {u}
+        yield Solution(sol.selected, cov, sol.total_power)
     # a disk swapped for another of the same radius: a mirrored tie
     for a, w in sol.selected.items():
         radius_sq = disk_geometry(inst, a, w)[0]
@@ -578,30 +581,93 @@ def _mutations(rng, inst, sol):
         yield Solution(selected, coverage, total)
 
 
-def test_check_feasible_equals_pairwise_contains_checker():
-    rng = np.random.default_rng(77)
-    outside = 0
-    reached = set()
+def _outside_pairs(violations) -> set[tuple[int, int]]:
+    """The ``(ap_id, td_id)`` pairs that violations report outside a disk."""
+    hits = (re.fullmatch(r"TD (\d+) lies outside the selected disk of AP (\d+)", v)
+            for v in violations)
+    return {(int(h[2]), int(h[1])) for h in hits if h}
+
+
+def _claims(sol, inst):
+    """``outside_reference``'s claims: each AP with a known disk, its
+    boundary TD and its known covered TDs."""
+    return [(a, sol.selected[a], sorted(u for u in sol.coverage[a] if 1 <= u <= inst.n))
+            for a in sorted(sol.coverage)
+            if 1 <= a <= inst.m and 1 <= sol.selected.get(a, 0) <= inst.n]
+
+
+def _feasibility_corpus(rng):
+    """``(instance, solution, moves)`` triples: integer grids with mirrored,
+    coincident and on-AP TDs, the exact-small shape, one n=1000 draw and
+    equal radii at opposite y signs around an AP that a TD sits on."""
     for trial in range(40):
         aps, tds = _grid_instance(rng, m=3, n=12, span=4 if trial % 2 else 30)
         inst = Instance.from_coords(aps=aps, tds=tds, k=len(tds),
                                     power_alpha=float(rng.choice([1.0, 2.5, 4.0])))
-        sol = solve_mlr(inst)
+        yield inst, solve_mlr(inst), None
+    small = ExperimentConfig(n=5, m=4, k=4, side=40.0, trials=10)
+    for trial in range(small.trials):
+        inst = generate_instance(small, trial)
+        yield inst, solve_mlr(inst), None
+    inst = generate_instance(ExperimentConfig(n=1000, m=40, k=40, side=40.0, trials=1), 0)
+    yield inst, solve_mlr(inst), 12
+    tds = [(0, 0), (0, 0), (3, 4), (3, -4), (-3, 4), (-3, -4), (5, 0), (0, -5), (1, 1)]
+    inst = Instance.from_coords(aps=[(0, 0), (9, 9)], tds=tds, k=len(tds))
+    yield inst, solve_mlr(inst), None
+
+
+def test_check_feasible_equals_pairwise_contains_checker():
+    rng = np.random.default_rng(77)
+    outside = 0
+    reached = set()
+    # (radius is 0, index of the key field that decides) over the claims
+    # whose radius equals their disk's: the scalar pass's tie branch
+    ties = set()
+    for inst, sol, moves in _feasibility_corpus(rng):
         assert check_feasible(sol, inst) == check_feasible_reference(sol, inst) == []
-        for broken in _mutations(rng, inst, sol):
+        for broken in _mutations(rng, inst, sol, moves):
             expected = check_feasible_reference(broken, inst)
-            assert check_feasible(broken, inst) == expected
+            got = check_feasible(broken, inst)
+            assert got == expected
+            assert _outside_pairs(got) == outside_reference(inst, _claims(broken, inst))
             outside += any("outside" in v for v in expected)
             reached.update(expected)
+            for a, b, us in _claims(broken, inst):
+                kb = disk_key(inst, a, b)
+                for u in us:
+                    ku = disk_key(inst, a, u)
+                    if u != b and ku[0] == kb[0]:
+                        ties.add((ku[0] == 0.0, next(i for i in (1, 2, 3) if ku[i] != kb[i])))
     assert outside >= 100  # the mutations reach the containment test
     for fault in ("selected disk references unknown AP", "has unknown boundary TD",
                   "coverage references unknown AP"):
         assert any(fault in v for v in reached), fault
+    # ties decided by cosine, by y sign and by TD id, and at radius 0
+    assert {(False, 1), (False, 2), (False, 3), (True, 3)} <= ties
+
+
+def test_check_feasible_ranks_non_finite_keys_as_disk_order():
+    # The AP-to-TD differences overflow: TDs 1 and 2 have infinite radii
+    # and NaN (inf/inf) cosines, TD 3 an infinite radius and cosine 0.
+    # TD 4's radius is NaN.  disk_order ranks TD 2 above TD 1 on its y
+    # sign, NaN cosines above TD 3's and the NaN radius last.
+    tds = [(1e308, 0.0), (1e308, -1.0), (0.0, 1e308), (math.nan, 0.0)]
+    inst = Instance.from_coords(aps=[(-1e308, 0.0)], tds=tds, k=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rank = disk_order(inst).rank[0].tolist()
+    assert rank == [1, 2, 0, 3]
+    for b in (1, 3):
+        sol = Solution({1: b}, {1: frozenset({1, 2, 3, 4})}, disk_geometry(inst, 1, b)[1])
+        expected = [f"TD {u} lies outside the selected disk of AP 1"
+                    for u in range(1, 5) if rank[u - 1] > rank[b - 1]]
+        assert check_feasible_reference(sol, inst) == expected
+        assert check_feasible(sol, inst) == expected
 
 
 def test_check_feasible_memory_is_not_per_claim_objects():
     # 200 000 claimed containments at one AP; a Python tuple and key per
-    # claim end peaked at about 118 MB here, the claim arrays at 24 MB.
+    # claim end peaked at about 118 MB here, the scalar pass with its TD
+    # coordinate lists at 30 MB.
     cfg = ExperimentConfig(n=200_000, m=1, k=200_000, side=40.0, trials=1)
     inst = generate_instance(cfg, 0)
     sol = solve_nca(inst)
