@@ -236,9 +236,10 @@ def solution_violations(text: str, inst: Instance) -> list[str]:
             violations.append(f"assignment of AP {ap} references unknown TD {td}")
     if violations:
         return violations
-    sol = Solution.from_picks(inst, {ap: td for ap, td, _ in triples},
-                              {ap: covered for ap, _, covered in triples})
-    return check_feasible(replace(sol, total_power=total), inst)
+    # check_feasible walks both maps in sorted order itself.
+    sol = Solution({ap: td for ap, td, _ in triples},
+                   {ap: frozenset(covered) for ap, _, covered in triples}, total)
+    return check_feasible(sol, inst)
 
 
 def trace_line(doc: dict) -> str:

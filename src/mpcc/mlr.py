@@ -49,14 +49,13 @@ Ranks >= hi are still charged every round, with the AP's ``e * k_hat``:
 the same float as ``e * min(k_hat, d)`` there.  All of this holds on
 the columns of a compacted table (below), which keep rank order.
 
-Whether ``init_state`` starts the window below n (``windowed``) fixes
-three choices for the whole solve.  A windowed table recounts d by
-subtracting the covered TDs as runs, also once its window has grown to
-every rank, retires each AP's new prefix of d = 0 disks by one call per
-AP, and is compacted as the uncovered TDs run out.  A full-width table
-recounts d by one int64 ``np.add.accumulate`` of the live TDs along
-each AP's order, retires every such prefix with one ``d == 0`` mask,
-and is never compacted.
+Every round recounts d by one int64 ``np.add.accumulate`` of the live
+TDs along each AP's window, and retires every AP's new prefix of d = 0
+disks with one ``d == 0`` mask.  The prefix lies in the window, since
+a live AP's column hi - 1 is its last column or a suffix disk, with
+d >= k_hat > 0.  Whether ``init_state`` starts the window below n
+fixes one choice for the whole solve: only such a table is compacted,
+as the uncovered TDs run out.
 
 The state works on columns: column c of AP a0's row is the disk whose
 boundary TD is ``order[a0, c]``, in rank order, and d counts the live
@@ -84,12 +83,12 @@ Compaction runs once ``_COMPACT_EVERY`` times the uncovered TDs is at
 most the width, and after the first only once the uncovered TDs have
 also halved since the last one: the columns a compaction keeps can
 still number ``_COMPACT_EVERY`` times the uncovered TDs or more, and
-each compaction rewrites the (m, n) ``rank`` array.  So a solve
-compacts at most ``n.bit_length()`` times.  On solve-large (n=1000,
-m=40, seed 1729) it first runs at 326 uncovered TDs and leaves 337
-columns, against 1 000; six more follow as the TDs run out.  A full-width table is small, and there
-compaction costs more than it saves: preset 3's solves took about
-660 -> 890 us each with it.
+each compaction rebuilds every row's columns, residual powers and
+counts.  So a solve compacts at most ``n.bit_length()`` times.  On
+solve-large (n=1000, m=40, seed 1729) it first runs at 326 uncovered
+TDs and leaves 337 columns, against 1 000; six more follow as the TDs
+run out.  A full-width table is small, and there compaction costs more
+than it saves: preset 3's solves took about 660 -> 890 us each with it.
 
 On small tables a round costs more in numpy calls than in array work, so
 the loop keeps what it knows as Python ints: ``solve_mlr`` counts the
@@ -127,13 +126,14 @@ __all__ = [
 # Tables with fewer disks run every round at full width (see init_state).
 _WINDOW_MIN_DISKS = 8192
 
-# A windowed table is compacted once _COMPACT_EVERY * (uncovered TDs) <= its
-# width.  In process on a 2-vCPU x86-64 VM (side 40, AP capacity 40, fastest
-# of 10), solve_mlr at n=1000, m=40, seeds 1729 / 7 / 42 took
-# 11.8 / 12.3 / 12.7 ms with _COMPACT_EVERY = 2, 11.4 / 11.9 / 12.2 ms with
-# 3, 11.7 / 12.4 / 12.8 ms with 4 and 12.1 / 12.4 / 13.0 ms with 6; at
-# n=5000, m=200 (seed 1729, fastest of 2) 368 / 354 / 379 / 404 ms with
-# 2 / 3 / 4 / 6.
+# A table whose window starts below n is compacted once
+# _COMPACT_EVERY * (uncovered TDs) <= its width.  In process on a 2-vCPU
+# x86-64 VM (side 40, AP capacity 40, fastest of 10), solve_mlr at n=1000,
+# m=40, seeds 1729 / 7 / 42 took 10.6 / 10.8 / 11.3 ms with
+# _COMPACT_EVERY = 2, 10.3 / 10.7 / 11.2 ms with 3, 11.1 / 11.4 / 11.8 ms
+# with 4 and 12.6 / 12.6 / 13.1 ms with 6; at n=5000, m=200 (seed 1729,
+# fastest of 3) 369 / 393 / 437 / 487 ms with 2 / 3 / 4 / 6.  The
+# benchmark's tables are the n=1000 ones, where 3 wins.
 _COMPACT_EVERY = 3
 
 
@@ -147,10 +147,8 @@ class SolverState:
 
     Per-disk arrays are indexed ``[a0, c]``: entry c of row a0 is disk
     (a0, order[a0, c]) at AP a0 + 1, and columns ascend in rank.  Until
-    a compaction (see the module docstring) ``order`` and ``rank`` are
-    the table's own arrays, so column c is rank c and ``width`` is n.
-    ``rank[a0, u0]`` is the column of live TD u0 in row a0; in a retired
-    AP's row it is ``width``, past every window.  AP a0's live disks
+    a compaction (see the module docstring) ``order`` is the table's own
+    array, so column c is rank c and ``width`` is n.  AP a0's live disks
     are exactly its columns c >= ``first_live[a0]`` (``width`` once the
     AP is retired): a round retires an AP wholly when its k_hat falls to
     0, and every AP's d = 0 disks, a column prefix since ``d`` never
@@ -176,12 +174,10 @@ class SolverState:
     table: DiskOrder         # the disk order, (m, n) arrays
     width: int               # column count: n until the first compaction
     order: np.ndarray        # (m, width) int64, TD index of each column
-    rank: np.ndarray         # (m, n) int64, column of each live TD per AP
     live_td: np.ndarray      # (n,) bool
     k_hat: np.ndarray        # (m,) int64, residual capacity per AP
     first_live: np.ndarray   # (m,) int64, lowest live column per AP
     live_ap: np.ndarray      # (m_live,) int64, APs with live disks
-    windowed: bool           # init_state started the window below n
     hi: int                  # window width; columns >= hi are suffix disks
     compact_at: int          # compact once the uncovered TDs are this few
     d: np.ndarray            # (m, hi) int64, live TDs contained per disk
@@ -217,12 +213,10 @@ def init_state(inst: Instance) -> SolverState:
         table=table,
         width=n,
         order=table.order,
-        rank=table.rank,
         live_td=np.ones(n, dtype=bool),
         k_hat=np.full(m, k_cap, dtype=np.int64),
         first_live=np.zeros(m, dtype=np.int64),
         live_ap=np.arange(m),
-        windowed=hi < n,
         hi=hi,
         compact_at=n // _COMPACT_EVERY if hi < n else 0,
         d=d,
@@ -294,12 +288,12 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
 
     Returns ``(ratio, covered_td_ids, retired)`` describing the round for
     tracing; ``retired`` is a ``Retired`` record of the disks retired
-    this round.  Update order matters; see the module docstring.  A
-    windowed table may be compacted at the end of the round, which
-    replaces ``order``.
+    this round.  Update order matters; see the module docstring.  A table
+    whose window started below n may be compacted at the end of the
+    round, which replaces ``order``.
     """
     a0, r = pick
-    m, width, hi = state.inst.m, state.width, state.hi
+    width, hi = state.width, state.hi
     order = state.order
     d_star, k_star = state.d.item(a0, r), state.k_hat.item(a0)
     e_star = local_ratio(state.p_win.item(a0, r), k_star, d_star)
@@ -328,26 +322,12 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
 
     # 3. Retire covered TDs everywhere and shrink the chosen AP's capacity
     # by the number just assigned.  A disk's live count is the number of
-    # live TDs up to its column in its AP's order.
+    # live TDs up to its column in its AP's order; ``take`` gathers the
+    # strided window faster than fancy indexing does.
     c = covered0.size
     state.live_td[covered0] = False
     state.k_hat[a0] = k_star - c
-    if not state.windowed:
-        np.add.accumulate(state.live_td[order], axis=1, dtype=np.int64, out=state.d)
-    else:
-        # A prefix sum costs several times more per cell than a repeat, but
-        # takes fewer calls, which wins on the small tables that run at
-        # full width.  A windowed table subtracts the covered TDs at or
-        # below each column, also once its window spans every column:
-        # each row's covered columns, cut at hi and sorted between the
-        # bounds 0 and hi, split it into c + 1 runs of equal drop.
-        steps = np.empty((m, c + 2), dtype=np.int64)
-        steps[:, 0] = 0
-        steps[:, 1] = hi
-        np.minimum(state.rank[:, covered0], hi, out=steps[:, 2:])
-        steps.sort(axis=1)
-        runs = (steps[:, 1:] - steps[:, :-1]).ravel()
-        state.d -= np.repeat(np.arange(m * (c + 1)) % (c + 1), runs).reshape(m, hi)
+    np.add.accumulate(state.live_td.take(order[:, :hi]), axis=1, dtype=np.int64, out=state.d)
     if hi < width and (state.d[:, -1] < state.k_hat).any():
         _widen(state)
 
@@ -358,23 +338,13 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     # disks (a row of d never decreases), which at the chosen AP holds
     # the pick and every smaller-keyed disk.
     if d_star == k_star:
-        _retire(state, a0, width)
+        _retire(state, a0)
         state.live_ap = np.flatnonzero(first < width)
     retired = Retired(state.table, order, before, first)
-    if not state.windowed:
-        dead = state.d == 0
-        state.p_win[dead] = math.inf
-        np.maximum(first, dead.sum(axis=1), out=first)
-    else:
-        # Only an AP whose first live disk now has d = 0 loses disks; its
-        # zeros lie inside the window, since column hi - 1 has
-        # d >= k_hat > 0.
-        live_ap = state.live_ap
-        zero = live_ap[state.d[live_ap, first[live_ap]] == 0]
-        if zero.size:
-            stops = (state.d[zero] == 0).sum(axis=1)
-            for a, stop in zip(zero.tolist(), stops.tolist()):
-                _retire(state, a, stop)
+    dead = state.d == 0
+    state.p_win[dead] = math.inf
+    np.maximum(first, dead.sum(axis=1), out=first)
+    if state.compact_at:
         left = np.count_nonzero(state.live_td)
         if 0 < left <= state.compact_at:
             _compact(state)
@@ -382,12 +352,11 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     return e_star, tuple(covered_ids), retired
 
 
-def _retire(state: SolverState, a0: int, stop: int) -> None:
-    """Retire AP a0's live disks of column below ``stop``."""
-    state.p_win[a0, state.first_live.item(a0):stop] = math.inf
-    if stop > state.hi:  # the whole AP; its lower columns are retired already
-        state.p_sfx[a0] = math.inf
-    state.first_live[a0] = stop
+def _retire(state: SolverState, a0: int) -> None:
+    """Retire every live disk of AP a0."""
+    state.p_win[a0, state.first_live.item(a0):] = math.inf
+    state.p_sfx[a0] = math.inf
+    state.first_live[a0] = state.width
 
 
 def _compact(state: SolverState) -> None:
@@ -399,10 +368,9 @@ def _compact(state: SolverState) -> None:
     docstring shows that no other disk is ever picked.  A row with fewer
     kept disks than the widest is padded at its front with retired
     columns, and a retired AP's row holds padding only.  Padding holds a
-    covered TD, +inf power and d = 0, and each TD's column in a retired
-    AP's row lies past every window, so no recount reaches it.
+    covered TD, so it keeps +inf power and d = 0.
     """
-    m, n, hi = state.inst.m, state.inst.n, state.hi
+    m, hi = state.inst.m, state.hi
     order, live_td, p_win = state.order, state.live_td, state.p_win
     keep = live_td[order]
     keep[state.first_live == state.width] = False
@@ -416,16 +384,11 @@ def _compact(state: SolverState) -> None:
     kept = np.flatnonzero(keep)
     count = np.count_nonzero(keep, axis=1)
     width = count.max().item()
-    rows = np.repeat(np.arange(m), count)
     # kept disk i of row a goes to column width - count[a] + i
     to = np.arange(kept.size) + np.repeat(np.arange(1, m + 1) * width - np.cumsum(count), count)
-    tds = order.take(kept)
     new = np.full(m * width, np.argmin(live_td))  # a covered TD
-    new[to] = tds
+    new[to] = order.take(kept)
     state.width, state.order = width, new.reshape(m, width)
-    state.rank = np.full(m * n, width)
-    state.rank[rows * n + tds] = to - rows * width
-    state.rank.shape = (m, n)
     state.first_live = width - count
     p_hat = np.full(m * width, math.inf)
     p_hat[to] = state.p_hat.take(kept)
