@@ -215,10 +215,10 @@ class ExactResult:
 
 
 # Hall's test costs 2^q subset unions for q chosen APs; past about this
-# many a max flow decides a leaf faster.  Per feasible leaf, Hall / flow
-# in µs on a 2-vCPU Xeon VM: n = 5: 7 / 11 at q = 6, 28 / 15 at q = 8;
-# n = 20: 29 / 33 at q = 8, 108 / 38 at q = 10; n = 100: 120 / 222 at
-# q = 10, 448 / 213 at q = 12.
+# many a max flow decides a leaf faster.  Per feasible leaf (one random
+# leaf each, fastest of 5), Hall / flow in µs on a 2-vCPU Xeon VM:
+# n = 5: 7 / 7 at q = 6, 24 / 9 at q = 8; n = 20: 24 / 22 at q = 8,
+# 101 / 26 at q = 10; n = 100: 103 / 174 at q = 10, 413 / 206 at q = 12.
 _HALL_MAX_APS = 8
 
 

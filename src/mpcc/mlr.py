@@ -79,20 +79,20 @@ ranks.  Compaction keeps only the disks that can still be picked:
   live AP's row.  The window restarts as the least one whose last
   column is a suffix disk of every live AP, and grows from there.
 
-Compaction runs once ``_COMPACT_EVERY`` times the uncovered TDs is at
-most the width, and after the first only once the uncovered TDs have
-also halved since the last one: the columns a compaction keeps can
-still number ``_COMPACT_EVERY`` times the uncovered TDs or more, and
-each compaction rebuilds every row's columns, residual powers and
-counts.  So a solve compacts at most ``n.bit_length()`` times.  On
-solve-large (n=1000, m=40, seed 1729) it first runs at 326 uncovered
-TDs and leaves 337 columns, against 1 000; six more follow as the TDs
+Compaction runs each time the uncovered TDs have halved: first once at
+most n / 2 of them are left, then once at most half as many as at the
+last compaction.  Each compaction rebuilds every row's columns, residual
+powers and counts, and it keeps a column for each live TD, so it pays
+only once the live TDs are few against the width.  Waiting for them to
+halve also bounds a solve at ``n.bit_length()`` compactions.  On
+solve-large (n=1000, m=40, seed 1729) it first runs at 499 uncovered
+TDs and leaves 516 columns, against 1 000; eight more follow as the TDs
 run out.  A full-width table is small, and there compaction costs more
 than it saves: preset 3's solves took about 660 -> 890 us each with it.
 
 On small tables a round costs more in numpy calls than in array work, so
-the loop keeps what it knows as Python ints: ``solve_mlr`` counts the
-uncovered TDs down by each round's covered list, scalars are read with
+the loop keeps what it knows as Python ints: the state counts the
+uncovered TDs down by each round's covered count, scalars are read with
 ``.item()``, and the list of APs with live disks is recomputed only in a
 round in which the chosen AP retires wholly.
 """
@@ -126,16 +126,6 @@ __all__ = [
 # Tables with fewer disks run every round at full width (see init_state).
 _WINDOW_MIN_DISKS = 8192
 
-# A table whose window starts below n is compacted once
-# _COMPACT_EVERY * (uncovered TDs) <= its width.  In process on a 2-vCPU
-# x86-64 VM (side 40, AP capacity 40, fastest of 10), solve_mlr at n=1000,
-# m=40, seeds 1729 / 7 / 42 took 10.6 / 10.8 / 11.3 ms with
-# _COMPACT_EVERY = 2, 10.3 / 10.7 / 11.2 ms with 3, 11.1 / 11.4 / 11.8 ms
-# with 4 and 12.6 / 12.6 / 13.1 ms with 6; at n=5000, m=200 (seed 1729,
-# fastest of 3) 369 / 393 / 437 / 487 ms with 2 / 3 / 4 / 6.  The
-# benchmark's tables are the n=1000 ones, where 3 wins.
-_COMPACT_EVERY = 3
-
 
 class MlrInvariantError(RuntimeError):
     """A solver-state invariant failed; indicates a bug, not bad input."""
@@ -165,9 +155,13 @@ class SolverState:
     ``select_min_ratio`` call; the charge reuses it.  ``live_ap`` lists
     the APs with live disks while TDs remain; ``apply_selection``
     recomputes it only when the chosen AP retires wholly, the one whole
-    retirement that can happen before the last TD is covered.  A state
-    is private to its solve call and
-    must not be shared across threads.
+    retirement that can happen before the last TD is covered.
+
+    ``left`` counts the uncovered TDs, the true entries of ``live_td``.
+    A round compacts once it is at most ``compact_at``: n // 2 on a table
+    whose window starts below n, and half of ``left`` after each
+    compaction; 0 on a full-width table, which never compacts.  A state
+    is private to its solve call and must not be shared across threads.
     """
 
     inst: Instance
@@ -179,7 +173,8 @@ class SolverState:
     first_live: np.ndarray   # (m,) int64, lowest live column per AP
     live_ap: np.ndarray      # (m_live,) int64, APs with live disks
     hi: int                  # window width; columns >= hi are suffix disks
-    compact_at: int          # compact once the uncovered TDs are this few
+    left: int                # uncovered TDs, the count of live_td
+    compact_at: int          # compact once ``left`` is this low; 0 never
     d: np.ndarray            # (m, hi) int64, live TDs contained per disk
     div: np.ndarray          # (m, hi) float64, min(k_hat, d) at the last pick
     p_win: np.ndarray        # (m, hi) float64, residual power per disk
@@ -218,7 +213,8 @@ def init_state(inst: Instance) -> SolverState:
         first_live=np.zeros(m, dtype=np.int64),
         live_ap=np.arange(m),
         hi=hi,
-        compact_at=n // _COMPACT_EVERY if hi < n else 0,
+        left=n,
+        compact_at=n // 2 if hi < n else 0,
         d=d,
         div=np.empty((m, hi)),
         p_win=np.ascontiguousarray(p_hat[:, :hi]),
@@ -327,6 +323,7 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     c = covered0.size
     state.live_td[covered0] = False
     state.k_hat[a0] = k_star - c
+    state.left -= c
     np.add.accumulate(state.live_td.take(order[:, :hi]), axis=1, dtype=np.int64, out=state.d)
     if hi < width and (state.d[:, -1] < state.k_hat).any():
         _widen(state)
@@ -344,11 +341,9 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     dead = state.d == 0
     state.p_win[dead] = math.inf
     np.maximum(first, dead.sum(axis=1), out=first)
-    if state.compact_at:
-        left = np.count_nonzero(state.live_td)
-        if 0 < left <= state.compact_at:
-            _compact(state)
-            state.compact_at = min(state.width // _COMPACT_EVERY, left // 2)
+    if 0 < state.left <= state.compact_at:
+        _compact(state)
+        state.compact_at = state.left // 2
     return e_star, tuple(covered_ids), retired
 
 
@@ -449,9 +444,9 @@ def solve_mlr(inst: Instance, trace: Callable[[dict], object] | None = None) -> 
     round ends.
     """
     state = init_state(inst)
-    n = left = inst.n  # left counts the uncovered TDs
+    n = inst.n
     iteration = 0
-    while left:
+    while state.left:
         if state.live_ap.size == 0:
             raise InfeasibleInstanceError(
                 "uncovered TDs remain but no candidate disks are live; "
@@ -463,7 +458,6 @@ def solve_mlr(inst: Instance, trace: Callable[[dict], object] | None = None) -> 
         a0, r = select_min_ratio(state)
         order = state.order  # a compaction in this round replaces it
         e_star, covered, retired = apply_selection(state, (a0, r))
-        left -= len(covered)
         if trace is not None:
             ap0, u0 = np.divmod(retired.indices(), n)
             trace({

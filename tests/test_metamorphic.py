@@ -5,11 +5,14 @@ they were recorded; these relations need no oracle and no recorded
 output.  Each compares a solve with the solve of a transformed instance:
 
 * Scaling every coordinate by 2^j keeps the selection and the coverage,
-  and multiplies the total power by exactly 2^(j * alpha).  At alpha = 2
-  the power is c * r^2 with no ``pow`` call, so this is exact in IEEE
-  arithmetic absent overflow and underflow.  At alpha = 3 it rests on
-  libm's ``pow`` being exact under a power-of-two scaling, as the golden
-  digests rest on that ``pow``; it is asserted at both.
+  and multiplies the total power by 2^(j * alpha).  At alpha = 2 the
+  power is c * r^2 with no ``pow`` call, so the total scales exactly in
+  IEEE arithmetic absent overflow and underflow, and that is asserted.
+  At alpha = 3 the power is ``pow(r^2, 1.5)``, and glibc's ``pow`` is
+  not exact under a power-of-two scaling: ``pow(x * 4^j, 1.5)`` and
+  ``pow(x, 1.5) * 2^(3j)`` differ in the last bit for about one x in a
+  thousand.  So there the total is compared to a relative 1e-13, while
+  the selection and the coverage must still be equal.
 * With k >= n no AP can use more than n of its capacity, so raising k to
   n + 1000 changes nothing.
 * Permuting the AP labels and the TD labels maps the selection and the
@@ -23,7 +26,7 @@ output.  Each compares a solve with the solve of a transformed instance:
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpcc import (
@@ -76,11 +79,18 @@ def _assert_scales(solve, inst, j):
     base, scaled = solve(inst), solve(_scaled(inst, j))
     assert scaled.selected == base.selected
     assert scaled.coverage == base.coverage
-    assert scaled.total_power == base.total_power * 2.0 ** (j * inst.power_alpha)
+    expected = base.total_power * 2.0 ** (j * inst.power_alpha)
+    if inst.power_alpha == 2.0:
+        assert scaled.total_power == expected
+    else:
+        assert math.isclose(scaled.total_power, expected, rel_tol=1e-13)
 
 
 @settings(max_examples=300, deadline=None)
 @given(inst=float_instances(), j=st.sampled_from([-3, -2, -1, 1, 2, 3]))
+# one disk whose scaled alpha = 3 total is an ulp off 2^-3 times its own
+@example(inst=Instance.from_coords(aps=[(0.0, 0.0)], tds=[(0.585, 0.0)], k=1,
+                                   power_alpha=3.0), j=-1)
 def test_scaling_multiplies_total_by_a_power_of_two(inst, j):
     for solve in _solvers(inst).values():
         _assert_scales(solve, inst, j)

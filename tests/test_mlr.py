@@ -456,18 +456,30 @@ def _narrow_window_instances():
 
 
 def _counting_compactions(monkeypatch):
-    """Count ``_compact`` calls, and the calls that kept a live disk whose
-    boundary TD is covered: a head disk that is not its run's first."""
-    counts = {"calls": 0, "kept_inner": 0}
+    """List the uncovered TDs at each ``_compact`` call, and count the
+    calls that kept a live disk whose boundary TD is covered: a head disk
+    that is not its run's first."""
+    counts = {"left": [], "kept_inner": 0}
     compact = mlr._compact
 
     def counting(state):
+        left = np.count_nonzero(state.live_td)
+        assert state.left == left
+        counts["left"].append(left)
         compact(state)
-        counts["calls"] += 1
         counts["kept_inner"] += (live_mask(state) & ~state.live_td[state.order]).any()
 
     monkeypatch.setattr(mlr, "_compact", counting)
     return counts
+
+
+def _assert_halving(lefts, n):
+    """A solve compacts each time its uncovered TDs have halved: first at
+    n // 2 or fewer, then at half the last call's count or fewer, so at
+    most ``n.bit_length()`` times."""
+    for bound, left in zip([n] + lefts, lefts):
+        assert 0 < left <= bound // 2
+    assert len(lefts) <= n.bit_length()
 
 
 def test_narrow_window_matches_flat_array_reference_bytes(monkeypatch):
@@ -477,11 +489,10 @@ def test_narrow_window_matches_flat_array_reference_bytes(monkeypatch):
     for i, inst in enumerate(_narrow_window_instances()):
         ref, docs = mlr_flat_reference(inst)
         expected = (solution_to_json(ref, inst), json.dumps(docs))
-        calls = counts["calls"]
+        calls = len(counts["left"])
         assert _solve_bytes(inst) == expected, inst
-        compacted += counts["calls"] > calls
-        # each compaction after the first waits for the uncovered TDs to halve
-        assert counts["calls"] - calls <= inst.n.bit_length()
+        compacted += len(counts["left"]) > calls
+        _assert_halving(counts["left"][calls:], inst.n)
         hi, width = _window_widths(inst).T
         rounds += hi.size
         narrow += (hi < width).sum()
@@ -574,14 +585,18 @@ def test_non_monotone_power_row_starts_at_full_width(monkeypatch):
 
 def test_only_windowed_tables_compact(monkeypatch):
     # preset 3's tables run at full width and never compact; the
-    # benchmark's n=1000, m=40 instance does
+    # benchmark's n=1000, m=40 instances do, each time their uncovered
+    # TDs halve
     counts = _counting_compactions(monkeypatch)
     for cfg in override_configs(preset(3), trials=10):
         for t in range(cfg.trials):
             solve_mlr(generate_instance(cfg, t))
-    assert counts["calls"] == 0
-    solve_mlr(generate_instance(ExperimentConfig(n=1000, m=40, k=40, side=40.0, seed=1729), 0))
-    assert 0 < counts["calls"] <= (1000).bit_length()
+    assert counts["left"] == []
+    for seed in (1729, 7, 42, 11):
+        calls = len(counts["left"])
+        solve_mlr(generate_instance(ExperimentConfig(n=1000, m=40, k=40, side=40.0, seed=seed), 0))
+        assert len(counts["left"]) > calls
+        _assert_halving(counts["left"][calls:], 1000)
 
 
 def test_window_stays_narrow_on_the_solve_large_instance():
