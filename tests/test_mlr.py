@@ -54,6 +54,22 @@ def two_td_line():
     return Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (2, 0)], k=2)
 
 
+# ``_SCALAR_MAX_DISKS`` values that send every table to one path of solve_mlr
+PATHS = {"array": 0, "scalar": 10**12}
+
+
+def _on_path(monkeypatch, path):
+    """Send every solve_mlr call to the array or the scalar rounds."""
+    monkeypatch.setattr(mlr, "_SCALAR_MAX_DISKS", PATHS[path])
+
+
+def _each_path(monkeypatch):
+    """Yield each path's name while solve_mlr is sent to it."""
+    for path in PATHS:
+        _on_path(monkeypatch, path)
+        yield path
+
+
 def test_local_ratio_values():
     assert local_ratio(8, 5, 2) == 4
     assert local_ratio(0, 1, 1) == 0
@@ -93,6 +109,9 @@ def test_select_min_ratio_invariant_checks_fire(field, message):
     ("assemble_solution", "non-finite total power"),
 ])
 def test_solve_mlr_invariant_checks_fire(monkeypatch, stub, message):
+    # the stubs replace functions of the array rounds, which a table this
+    # small reaches only with the scalar rounds off
+    _on_path(monkeypatch, "array")
     stubs = {
         "apply_selection": lambda state, pick: (0.0, (), None),  # covers nothing
         "assemble_solution": lambda state: Solution({}, {}, math.inf),
@@ -100,6 +119,59 @@ def test_solve_mlr_invariant_checks_fire(monkeypatch, stub, message):
     monkeypatch.setattr(mlr, stub, stubs[stub])
     with pytest.raises(MlrInvariantError, match=f"^{message}$"):
         solve_mlr(two_td_line())
+
+
+def test_scalar_rounds_report_a_non_finite_total(monkeypatch):
+    class NoTotal(Solution):
+        @classmethod
+        def from_picks(cls, inst, picks, coverage):
+            return Solution({}, {}, math.inf)
+
+    _on_path(monkeypatch, "scalar")
+    monkeypatch.setattr(mlr, "Solution", NoTotal)
+    with pytest.raises(MlrInvariantError, match="^non-finite total power$"):
+        solve_mlr(two_td_line())
+
+
+def test_pick_above_capacity_fires_on_both_paths(monkeypatch):
+    # pow is not promised monotone: with the farther disk the cheaper one
+    # and k = 1, the least ratio lies at d = 2 > k_hat, which only a bug or
+    # a broken table can bring about
+    inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (2, 0)], k=1)
+    table = mlr.disk_order(inst)
+    patched = table._replace(power=table.power[:, ::-1].copy())
+    assert patched.power[0, 1] < patched.power[0, 0]
+    monkeypatch.setattr(mlr, "disk_order", lambda _: patched)
+    for _ in _each_path(monkeypatch):
+        with pytest.raises(MlrInvariantError, match="^selected disk has d=2 above k_hat=1$"):
+            solve_mlr(inst)
+
+
+def test_scalar_rounds_leave_non_finite_and_negative_powers_to_the_arrays(monkeypatch):
+    # the scalar argmin compares with a strict <, which agrees with
+    # np.argmin only while every ratio is finite
+    inst = random_instance(np.random.default_rng(3), m=2, n=6, k=3)
+    table = mlr.disk_order(inst)
+    calls = []
+
+    def array_rounds(inst, trace, real=mlr._array_rounds):
+        calls.append(inst)
+        return real(inst, trace)
+
+    monkeypatch.setattr(mlr, "_array_rounds", array_rounds)
+    for value in (math.inf, math.nan, -1.0, 1e308):
+        power = table.power.copy()
+        power[1, 2] = value
+        monkeypatch.setattr(mlr, "disk_order", lambda _, power=power: table._replace(power=power))
+        results = []
+        for _ in _each_path(monkeypatch):
+            trace = []
+            try:
+                results.append((solve_mlr(inst, trace.append), trace))
+            except MlrInvariantError as exc:
+                results.append((str(exc), trace))
+        assert results[0] == results[1], value
+    assert len(calls) == 8
 
 
 def test_single_ap_forced_solution():
@@ -194,15 +266,16 @@ def test_determinism_bytes():
     assert solution_to_json(a, inst) == solution_to_json(b, inst)
 
 
-def test_infeasible_without_validation_raises():
-    inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (2, 0), (3, 0)], k=1)
-    with pytest.raises(InfeasibleInstanceError):
-        solve_mlr(inst)
-    # each AP spends its capacity on its near TD in its own round, so the
-    # live APs run out mid-solve with the middle TD still uncovered
-    inst = Instance.from_coords(aps=[(0, 0), (10, 0)], tds=[(1, 0), (9, 0), (5, 0)], k=1)
-    with pytest.raises(InfeasibleInstanceError):
-        solve_mlr(inst)
+def test_infeasible_without_validation_raises(monkeypatch):
+    for _ in _each_path(monkeypatch):
+        inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (2, 0), (3, 0)], k=1)
+        with pytest.raises(InfeasibleInstanceError):
+            solve_mlr(inst)
+        # each AP spends its capacity on its near TD in its own round, so the
+        # live APs run out mid-solve with the middle TD still uncovered
+        inst = Instance.from_coords(aps=[(0, 0), (10, 0)], tds=[(1, 0), (9, 0), (5, 0)], k=1)
+        with pytest.raises(InfeasibleInstanceError):
+            solve_mlr(inst)
 
 
 def _window_on_every_table(monkeypatch):
@@ -367,7 +440,7 @@ def test_matches_reference_transcription():
         assert solve_mlr(inst) == mlr_reference(inst)
 
 
-def test_matches_reference_transcription_under_exact_ties():
+def test_matches_reference_transcription_under_exact_ties(monkeypatch):
     # integer grids force coincident points and exact radius ties
     rng = np.random.default_rng(3141)
     for _ in range(25):
@@ -379,7 +452,9 @@ def test_matches_reference_transcription_under_exact_ties():
             tds=rng.integers(0, 4, (n, 2)).tolist(),
             k=k,
         )
-        assert solve_mlr(inst) == mlr_reference(inst)
+        ref = mlr_reference(inst)
+        for path in _each_path(monkeypatch):
+            assert solve_mlr(inst) == ref, path
 
 
 def _solve_bytes(inst):
@@ -410,23 +485,50 @@ def _differential_instances():
         yield random_instance(rng, m=m, n=n, k=k)
 
 
-def test_matches_flat_array_reference_bytes():
+def test_matches_flat_array_reference_bytes(monkeypatch):
     count = 0
     for inst in _differential_instances():
         ref, docs = mlr_flat_reference(inst)
         expected = (solution_to_json(ref, inst), json.dumps(docs))
-        assert _solve_bytes(inst) == expected, inst
+        for path in _each_path(monkeypatch):
+            assert _solve_bytes(inst) == expected, (path, inst)
         count += 1
     assert count >= 500
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_capacity_beyond_int64_matches_k_equals_n(seed):
+def test_capacity_beyond_int64_matches_k_equals_n(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 15))
     inst = random_instance(rng, m=int(rng.integers(1, 4)), n=n, k=n)
     huge = Instance.from_coords(aps=inst.ap_xy, tds=inst.td_xy, k=10**30)
-    assert _solve_bytes(huge) == _solve_bytes(inst)
+    outputs = [(_solve_bytes(huge), _solve_bytes(inst)) for _ in _each_path(monkeypatch)]
+    assert outputs[0][0] == outputs[0][1] == outputs[1][0] == outputs[1][1]
+
+
+def test_benchmark_shapes_keep_their_path(monkeypatch):
+    # a change of _SCALAR_MAX_DISKS must not quietly move a benchmark
+    # workload: exact-small's tables and preset 1's two smallest points
+    # run the scalar rounds, preset 3's smallest table (and so sweep-small
+    # and solve-large, all larger) the array rounds
+    ran = []
+    for name in ("_scalar_rounds", "_array_rounds"):
+        def recording(inst, trace, real=getattr(mlr, name), name=name):
+            ran.append(name)
+            return real(inst, trace)
+        monkeypatch.setattr(mlr, name, recording)
+    exact_small = ExperimentConfig(n=5, m=4, k=4, side=40.0)
+    expected = [
+        (exact_small, (5, 4), ["_scalar_rounds"]),
+        (preset(1)[0], (20, 1), ["_scalar_rounds"]),
+        (preset(1)[1], (50, 2), ["_scalar_rounds"]),
+        (preset(3)[0], (100, 4), ["_array_rounds"]),
+    ]
+    for cfg, shape, path in expected:
+        assert (cfg.n, cfg.m) == shape
+        ran.clear()
+        solve_mlr(generate_instance(cfg, 0))
+        assert ran == path, shape
 
 
 def _window_widths(inst):
@@ -514,6 +616,7 @@ def test_retired_count_matches_the_trace(monkeypatch, window):
     # perfbench counts retired disks as len() of apply_selection's third
     # value; each round's must be its trace line's, and a solve retires
     # every disk
+    _on_path(monkeypatch, "array")  # the scalar rounds call no apply_selection
     if window:
         _window_on_every_table(monkeypatch)
     counts = []
@@ -605,6 +708,31 @@ def test_window_stays_narrow_on_the_solve_large_instance():
     inst = generate_instance(ExperimentConfig(n=1000, m=40, k=40, side=40.0, seed=1729), 0)
     hi, width = _window_widths(inst).T
     assert np.mean(hi / width) < 0.5
+
+
+def test_compaction_memory_rise_is_bounded(monkeypatch):
+    # The first compaction of this solve raised traced memory by 4.8 MB
+    # (30 bytes a disk) when it joined the residual powers into one
+    # (m, width) array and built int64 index arrays for every kept disk.
+    # Gathering each part by its own indices and scattering by masks of
+    # runs takes about 2.0 MB (12 bytes a disk).
+    inst = generate_instance(ExperimentConfig(n=2000, m=80, k=40, side=40.0, seed=1729), 0)
+    rises = []
+    compact = mlr._compact
+
+    def measured(state):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        compact(state)
+        rises.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(mlr, "_compact", measured)
+    tracemalloc.start()
+    try:
+        solve_mlr(inst)
+    finally:
+        tracemalloc.stop()
+    assert rises and max(rises) <= 16 * inst.m * inst.n, rises
 
 
 def test_streamed_trace_keeps_no_rounds():
