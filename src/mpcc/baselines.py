@@ -175,8 +175,10 @@ def _choice_list(
 ) -> list[tuple[int | None, float, int, int]]:
     """One AP's disk choices for the exact search, no disk first.
 
-    Each choice is the TD index u0 of the disk (None for no disk), its
-    power, its TD bitmask (bit v0 set for each TD index v0 inside) and its
+    ``order_row[r]`` and ``power_row[r]`` are the boundary TD index and
+    the power of the AP's disk of rank r (a ``DiskOrder`` row).  Each
+    choice is the TD index u0 of the disk (None for no disk), its power,
+    its TD bitmask (bit v0 set for each TD index v0 inside) and its
     servable count ``min(k, rank + 1)``.  One walk along the AP's disk
     order builds them, as the disk of rank r holds exactly the TDs of
     ranks 0..r; a stable sort then puts the disks in ascending power,
@@ -184,9 +186,9 @@ def _choice_list(
     """
     disks = []
     mask = 0
-    for r, u0 in enumerate(order_row):
+    for r, (u0, power) in enumerate(zip(order_row, power_row)):
         mask |= 1 << u0
-        disks.append((u0, power_row[u0], mask, min(k, r + 1)))
+        disks.append((u0, power, mask, min(k, r + 1)))
     disks.sort(key=lambda choice: choice[1])
     return [(None, 0.0, 0, 0), *disks]
 

@@ -167,15 +167,16 @@ class SolverState:
     Per-disk arrays are indexed ``[a0, c]``: entry c of row a0 is disk
     (a0, order[a0, c]) at AP a0 + 1, and columns ascend in rank.  Until
     a compaction (see the module docstring) ``order`` is the table's own
-    array, so column c is rank c and ``width`` is n.  AP a0's live disks
-    are exactly its columns c >= ``first_live[a0]`` (``width`` once the
-    AP is retired): a round retires an AP wholly when its k_hat falls to
-    0, and every AP's d = 0 disks, a column prefix since ``d`` never
-    decreases along a row.  Retired entries of ``p_hat`` hold +inf, so
-    they never win a selection; a compacted row shorter than ``width``
-    starts with retired padding.  Each round replaces ``first_live`` by
-    a copy, so the round's ``Retired`` record keeps the array it started
-    from.
+    array, so column c is rank c and ``width`` is n, and the residual
+    powers start as a copy of ``table.power``, which runs along rank too.
+    AP a0's live disks are exactly its columns c >= ``first_live[a0]``
+    (``width`` once the AP is retired): a round retires an AP wholly when
+    its k_hat falls to 0, and every AP's d = 0 disks, a column prefix
+    since ``d`` never decreases along a row.  Retired entries of
+    ``p_hat`` hold +inf, so they never win a selection; a compacted row
+    shorter than ``width`` starts with retired padding.  Each round
+    replaces ``first_live`` by a copy, so the round's ``Retired`` record
+    keeps the array it started from.
 
     Rounds work on the window of columns below ``hi`` (see the module
     docstring), so ``d`` and ``div`` cover the window only, and the
@@ -222,7 +223,7 @@ def init_state(inst: Instance) -> SolverState:
     m, n = inst.m, inst.n
     # No AP can take more than the n TDs, and k itself may exceed int64.
     k_cap = min(inst.k, n)
-    p_hat = table.power[np.arange(m)[:, None], table.order]
+    p_hat = table.power  # by rank, so column c is rank c
     # With every TD live, the disk of rank r contains r + 1 of them, so
     # ranks >= k_cap - 1 are suffix disks.  The window also needs powers
     # nondecreasing along rank, which pow does not promise.  On a small
@@ -246,8 +247,9 @@ def init_state(inst: Instance) -> SolverState:
         compact_at=n // 2 if hi < n else 0,
         d=d,
         div=np.empty((m, hi)),
-        p_win=np.ascontiguousarray(p_hat[:, :hi]),
-        p_sfx=np.ascontiguousarray(p_hat[:, hi:]),
+        # copies: the rounds charge the residual powers in place
+        p_win=p_hat[:, :hi].copy(),
+        p_sfx=p_hat[:, hi:].copy(),
         selected={},
         covered_by={},
     )
@@ -440,8 +442,9 @@ class Retired:
     live rank before the round up to the one after it.  The record holds
     the state's ``first_live`` arrays, which count columns of ``order``,
     and maps them to table ranks only when read: the first live column's
-    TD has the AP's lowest live rank.  ``len()`` counts the disks
-    without listing them."""
+    TD has the AP's lowest live rank.  That read builds the table's
+    ``rank`` on its first call, so a solve whose rounds nobody reads
+    never builds it.  ``len()`` counts the disks without listing them."""
 
     __slots__ = ("table", "order", "before", "after")
 
@@ -502,7 +505,7 @@ def _scalar_rounds(inst: Instance, trace) -> tuple[dict, dict] | None:
     table = disk_order(inst)
     m, n = inst.m, inst.n
     orders = table.order.tolist()
-    p_rows = table.power[np.arange(m)[:, None], table.order].tolist()
+    p_rows = table.power.tolist()
     if not (0.0 <= min(map(min, p_rows)) and sum(map(sum, p_rows)) < 1e308):
         return None
     k_cap = min(inst.k, n)

@@ -19,16 +19,18 @@ contains TD v exactly when v's own disk at the same center does not rank
 above D.  Equal-radius boundary ties therefore resolve deterministically,
 and of two same-radius disks at one AP the greater-keyed one contains
 both boundary TDs while the lesser contains only its own.  ``disk_order``
-builds this order for every AP at once as rank tables, from which MLR
-and the exact solver read containment; ``pair_runs`` yields all (AP, TD)
-pairs in the same key order for NCA, in runs sorted only when drawn and
-blocks that leave out the TDs its caller has covered.
+builds this order for every AP at once, with the powers along it; MLR
+and the exact solver read containment from it, as an AP's disk of rank r
+holds the TDs of its order's prefix up to r.  ``pair_runs`` yields all
+(AP, TD) pairs in the same key order for NCA, in runs sorted only when
+drawn and blocks that leave out the TDs its caller has covered.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator, MutableSequence, NamedTuple
+from typing import Iterable, Iterator, MutableSequence
 
 import numpy as np
 
@@ -105,18 +107,26 @@ class Instance:
         return cls(_xy(aps), _xy(tds), int(k), float(power_c), float(power_alpha))
 
 
-class DiskOrder(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class DiskOrder:
     """The disk order of every AP as ``(m, n)`` arrays.
 
-    Row ``a0`` belongs to AP ``a0 + 1`` and column ``u0`` to TD ``u0 + 1``;
-    ``power`` is the power of disk (a0, u0).  ``order[a0]`` lists AP a0's
-    TDs in ascending key order and ``rank`` is its inverse, so disk
-    (a0, u0) contains TD v0 exactly when ``rank[a0, v0] <= rank[a0, u0]``.
+    Row ``a0`` belongs to AP ``a0 + 1``.  ``order[a0]`` lists AP a0's TD
+    indices in ascending key order, so the disk of rank r has boundary TD
+    ``order[a0, r]`` and contains exactly the TDs of ``order[a0, :r + 1]``.
+    ``power[a0, r]`` is that disk's power: powers run along the order,
+    not by TD.  ``rank``, the inverse of ``order`` (TD u0 is AP a0's
+    ``rank[a0, u0]``-th disk), is built on its first read and kept.
     """
 
-    power: np.ndarray
     order: np.ndarray
-    rank: np.ndarray
+    power: np.ndarray
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        rank = np.empty_like(self.order)
+        np.put_along_axis(rank, self.order, np.arange(self.order.shape[1]), axis=1)
+        return rank
 
 
 @dataclass
@@ -193,40 +203,41 @@ def _key_fields(dx: np.ndarray, dy: np.ndarray, rsq: np.ndarray):
     return cos, y_sign
 
 
-def _key_order(rsq, boundary) -> np.ndarray:
-    """Each row's column indices in ascending key order, for squared radii
-    ``rsq`` whose boundary vectors ``(dx, dy)`` the call ``boundary()``
-    returns.  A row holds one AP's TDs in ``disk_order`` and one run of
-    (TD, AP) pairs in ``pair_runs``."""
+def _key_order(rsq, boundary) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's column indices in ascending key order, and the squared
+    radii ``rsq`` along it, for squared radii whose boundary vectors
+    ``(dx, dy)`` the call ``boundary()`` returns.  A row holds one AP's
+    TDs in ``disk_order`` and one run of (TD, AP) pairs in ``pair_runs``."""
     # Strictly rising radii decide the order alone; the other key fields
     # are computed only for a table that repeats a radius or holds a NaN,
     # which compares false with everything.
+    rows = np.arange(rsq.shape[0])[:, None]
     order = np.argsort(rsq, axis=-1)
-    ranked = rsq[np.arange(rsq.shape[0])[:, None], order]
+    ranked = rsq[rows, order]
     if (ranked[:, 1:] > ranked[:, :-1]).all():
-        return order
+        return order, ranked
     # np.lexsort is stable, so column indices break the remaining ties.
     cos, y_sign = _key_fields(*boundary(), rsq)
-    return np.lexsort((y_sign, cos, rsq), axis=-1)
+    order = np.lexsort((y_sign, cos, rsq), axis=-1)
+    return order, rsq[rows, order]
 
 
 def disk_order(inst: Instance) -> DiskOrder:
-    """Build the key order of all m*n candidate disks at once."""
+    """Build the key order of all m*n candidate disks at once, with the
+    powers along it."""
     dx, dy = _boundary_vectors(inst)
     rsq = dx * dx + dy * dy
-    order = _key_order(rsq, lambda: (dx, dy))
-    rows = np.arange(inst.m)[:, None]
-    rank = np.empty_like(order)
-    rank[rows, order] = np.arange(inst.n)
+    del dx, dy  # a table that repeats a radius recomputes them
+    order, power = _key_order(rsq, lambda: _boundary_vectors(inst))
+    del rsq
     # Scalar pow per element, as ``**`` in ``power_of``: numpy's vectorised
     # power may differ from it in the last bits for non-integer exponents.
     c, e = inst.power_c, inst.power_alpha / 2.0
-    if e == 1.0:  # pow(x, 1) is x exactly
-        return DiskOrder(rsq * c, order, rank)
-    power = np.fromiter(map(math.pow, rsq.ravel().tolist(), repeat(e)),
-                        dtype=np.float64, count=rsq.size)
+    if e != 1.0:  # pow(x, 1) is x exactly
+        power = np.fromiter(map(math.pow, power.ravel().tolist(), repeat(e)),
+                            dtype=np.float64, count=power.size).reshape(power.shape)
     power *= c
-    return DiskOrder(power.reshape(rsq.shape), order, rank)
+    return DiskOrder(order, power)
 
 
 _FIRST_RUN = 8192  # pairs in pair_runs' first run; each later bound doubles
@@ -265,7 +276,8 @@ def pair_runs(inst: Instance) -> tuple[MutableSequence, Iterable[_Block]]:
         # A list, not a generator: on the smallest tables a generator's
         # set-up and close cost more than the sort.  A list's flags also
         # read faster than a bytearray's.
-        u0, a0 = np.divmod(_key_order(rsq, lambda: (dx, dy))[0], m)
+        order, _ = _key_order(rsq, lambda: (dx, dy))
+        u0, a0 = np.divmod(order[0], m)
         return [False] * inst.n, [(u0.tolist(), a0.tolist())]
     covered = bytearray(inst.n)
     return covered, _bounded_runs(inst, np.frombuffer(covered, dtype=np.bool_))
@@ -295,9 +307,9 @@ def _bounded_runs(inst: Instance, covered: np.ndarray) -> Iterator[_Block]:
             keep = ~covered[u0]
             idx, u0 = idx[keep], u0[keep]
         a0 = idx - u0 * m
-        order = _key_order(flat[None, idx], lambda: (td[None, u0, 0] - ap[None, a0, 0],
-                                                     td[None, u0, 1] - ap[None, a0, 1]))[0]
-        u0, a0 = u0[order], a0[order]
+        order, _ = _key_order(flat[None, idx], lambda: (td[None, u0, 0] - ap[None, a0, 0],
+                                                        td[None, u0, 1] - ap[None, a0, 1]))
+        u0, a0 = u0[order[0]], a0[order[0]]
         yield u0[:block].tolist(), a0[:block].tolist()
         for s in range(block, u0.size, block):
             u, a = u0[s:s + block], a0[s:s + block]
@@ -455,7 +467,7 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
         if u not in owner:
             v.append(f"TD {u} is not covered")
 
-    if not math.isclose(sol.total_power, derived, rel_tol=1e-9, abs_tol=1e-12):
+    if not math.isclose(sol.total_power, derived, rel_tol=1e-9):
         v.append(
             f"stated total_power {sol.total_power!r} disagrees with "
             f"selected disks ({derived!r})"

@@ -122,7 +122,7 @@ def check_feasible_reference(sol, inst) -> list[str]:
         td_id = sol.selected[ap_id]
         if 1 <= ap_id <= m and 1 <= td_id <= n:
             derived += disk_geometry(inst, ap_id, td_id)[1]
-    if not math.isclose(sol.total_power, derived, rel_tol=1e-9, abs_tol=1e-12):
+    if not math.isclose(sol.total_power, derived, rel_tol=1e-9):
         v.append(f"stated total_power {sol.total_power!r} disagrees with "
                  f"selected disks ({derived!r})")
     return v
@@ -359,7 +359,7 @@ def mlr_flat_reference(inst):
     live_td = np.ones(n, dtype=bool)
     d_count = rank_in_ap + 1
     k_hat = np.full(m, inst.k, dtype=np.int64)
-    p_hat = table.power.ravel().copy()
+    p_hat = np.take_along_axis(table.power, table.rank, axis=1).ravel()  # by TD
     selected, covered_by, docs = {}, {}, []
     while live_td.any():
         if not live_disk.any():
@@ -708,7 +708,7 @@ def exact_reference(inst: Instance, budget: ExactBudget | None = None) -> ExactR
     t0 = perf_counter()
     table = disk_order(inst)
     m, n = inst.m, inst.n
-    powers = table.power.ravel().tolist()
+    powers = np.take_along_axis(table.power, table.rank, axis=1).ravel().tolist()  # by TD
     ranks = table.rank.ravel().tolist()
 
     # Disk (a0, u0) is index a0 * n + u0 below; its TD bitmask has bit v0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -818,8 +819,8 @@ def test_exact_search_depth_is_not_bounded_by_recursion():
 
 def _power_rank_order(table, a0):
     """AP a0's TD indices sorted by (power, rank), the choice order's spec."""
-    power, rank = table.power[a0].tolist(), table.rank[a0].tolist()
-    return sorted(range(len(power)), key=lambda u0: (power[u0], rank[u0]))
+    order, power = table.order[a0].tolist(), table.power[a0].tolist()
+    return [order[r] for r in sorted(range(len(power)), key=lambda r: (power[r], r))]
 
 
 def _choice_order(table, a0, k):
@@ -848,9 +849,9 @@ def test_choice_list_follows_power_where_it_falls_along_rank(monkeypatch):
     inst = random_instance(np.random.default_rng(77), m=3, n=6, k=3)
     table = disk_order(inst)
     power = table.power.copy()
-    power[1, table.order[1]] = power[1, table.order[1]][::-1]
-    power[2, table.order[2]] = [30.0, 30.0, 20.0, 20.0, 10.0, 10.0]
-    patched = table._replace(power=power)
+    power[1] = power[1, ::-1]
+    power[2] = [30.0, 30.0, 20.0, 20.0, 10.0, 10.0]
+    patched = dataclasses.replace(table, power=power)
     for a0 in range(inst.m):
         assert _choice_order(patched, a0, inst.k) == [None, *_power_rank_order(patched, a0)]
     assert _choice_order(patched, 1, inst.k)[1:] == table.order[1].tolist()[::-1]

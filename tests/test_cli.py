@@ -184,6 +184,25 @@ def test_check_flags_duplicate_ap(tmp_path, capsys):
     assert "more than one disk" in capsys.readouterr().out
 
 
+def test_check_flags_a_small_stated_total_off_by_orders_of_magnitude(tmp_path, capsys):
+    # the disks sum to 9e-20; a stated 5e-13 lies within no relative
+    # tolerance of it, however small both are
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps({"c": 1e-20, "alpha": 2, "k": 5, "aps": [[0, 0]],
+                                     "tds": [[1, 0], [0, 2], [3, 0]]}))
+    sol_path = tmp_path / "solution.json"
+    assert run_cli("solve", "--alg", "mlr", "--in", str(inst_path),
+                   "--out", str(sol_path)) == cli.EXIT_OK
+    doc = json.loads(sol_path.read_text())
+    assert doc["total_power"] == pytest.approx(9e-20, rel=1e-15)
+    doc["total_power"] = 5e-13
+    sol_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run_cli("check", "--instance", str(inst_path), "--solution", str(sol_path))
+    assert code == cli.EXIT_INFEASIBLE
+    assert "stated total_power 5e-13 disagrees" in capsys.readouterr().out
+
+
 def test_check_distinguishes_parse_errors(tmp_path):
     inst_path = gen_instance(tmp_path)
     bad = tmp_path / "bad.json"

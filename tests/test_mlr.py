@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -139,7 +140,7 @@ def test_pick_above_capacity_fires_on_both_paths(monkeypatch):
     # a broken table can bring about
     inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (2, 0)], k=1)
     table = mlr.disk_order(inst)
-    patched = table._replace(power=table.power[:, ::-1].copy())
+    patched = dataclasses.replace(table, power=table.power[:, ::-1].copy())
     assert patched.power[0, 1] < patched.power[0, 0]
     monkeypatch.setattr(mlr, "disk_order", lambda _: patched)
     for _ in _each_path(monkeypatch):
@@ -161,8 +162,9 @@ def test_scalar_rounds_leave_non_finite_and_negative_powers_to_the_arrays(monkey
     monkeypatch.setattr(mlr, "_array_rounds", array_rounds)
     for value in (math.inf, math.nan, -1.0, 1e308):
         power = table.power.copy()
-        power[1, 2] = value
-        monkeypatch.setattr(mlr, "disk_order", lambda _, power=power: table._replace(power=power))
+        power[1, table.rank[1, 2]] = value  # the disk with boundary TD 3
+        monkeypatch.setattr(mlr, "disk_order",
+                            lambda _, power=power: dataclasses.replace(table, power=power))
         results = []
         for _ in _each_path(monkeypatch):
             trace = []
@@ -333,7 +335,7 @@ def _step_through(inst):
     state = init_state(inst)
     table = state.table
     rows = np.arange(inst.m)[:, None]
-    power = table.power[rows, table.order]  # full disk powers in rank space
+    power = table.power  # full disk powers in rank space
     shadow = power.copy()
     ranks = np.arange(inst.n)
     rounds = 0
@@ -674,10 +676,9 @@ def test_non_monotone_power_row_starts_at_full_width(monkeypatch):
     inst = random_instance(np.random.default_rng(99), m=6, n=120, k=25)
     table = mlr.disk_order(inst)
     power = table.power.copy()
-    first, second = table.order[2, :2]
-    power[2, second] = 0.5 * power[2, first]
-    patched = table._replace(power=power)
-    assert power[2, second] < power[2, first]
+    power[2, 1] = 0.5 * power[2, 0]
+    patched = dataclasses.replace(table, power=power)
+    assert power[2, 1] < power[2, 0]
     monkeypatch.setattr(mlr, "disk_order", lambda _: patched)
     monkeypatch.setattr("oracles.disk_order", lambda _: patched)
     _window_on_every_table(monkeypatch)

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcc import (
+    DiskOrder,
     ExperimentConfig,
     Instance,
     Solution,
@@ -16,6 +18,7 @@ from mpcc import (
     disk_order,
     generate_instance,
     power_of,
+    solve_exact,
     solve_mlr,
     solve_nca,
     validate_instance,
@@ -70,14 +73,15 @@ def test_family_size_and_order():
     )
     table = disk_order(inst)
     rsq = key_fields(inst)[0]
-    for arr in (*table, rsq):
+    for arr in (table.order, table.power, table.rank, rsq):
         assert arr.shape == (2, 3)
     for a in (1, 2):
         assert sorted(table.order[a - 1]) == [0, 1, 2]
         for u in (1, 2, 3):
-            # row a - 1, column u - 1 is disk (a, u)
-            assert (rsq[a - 1, u - 1], table.power[a - 1, u - 1]) == disk_geometry(inst, a, u)
-            assert table.order[a - 1, table.rank[a - 1, u - 1]] == u - 1
+            # disk (a, u) is row a - 1's rank-r entry, and rsq's column u - 1
+            r = table.rank[a - 1, u - 1]
+            assert (rsq[a - 1, u - 1], table.power[a - 1, r]) == disk_geometry(inst, a, u)
+            assert table.order[a - 1, r] == u - 1
 
 
 @pytest.mark.parametrize("ap_id, td_id, name", [
@@ -375,6 +379,24 @@ def test_check_feasible_flags_total_power_mismatch():
     assert any("total_power" in v for v in check_feasible(broken, inst))
 
 
+def test_check_feasible_compares_small_totals_by_relative_tolerance():
+    # An absolute tolerance of 1e-12 accepted any stated total below it
+    # whatever the disks' powers; here they sum to 9e-20.
+    inst = Instance.from_coords(aps=[(0, 0)], tds=[(1, 0), (0, 2), (3, 0)], k=5,
+                                power_c=1e-20)
+    sol = solve_mlr(inst)
+    assert sol.total_power == pytest.approx(9e-20, rel=1e-15)
+    for check in (check_feasible, check_feasible_reference):
+        assert check(sol, inst) == []
+        broken = Solution(sol.selected, sol.coverage, total_power=5e-13)
+        assert check(broken, inst) == ["stated total_power 5e-13 disagrees with "
+                                       f"selected disks ({sol.total_power!r})"]
+    # disks of radius 0 have power 0, and a stated 0 matches it exactly
+    inst = Instance.from_coords(aps=[(0, 0), (1, 1)], tds=[(0, 0), (1, 1)], k=1)
+    zero = Solution({1: 1, 2: 2}, {1: frozenset({1}), 2: frozenset({2})}, 0.0)
+    assert check_feasible(zero, inst) == check_feasible_reference(zero, inst) == []
+
+
 def test_check_feasible_flags_coverage_without_disk():
     inst, sol = _valid_two_ap_solution()
     broken = Solution(
@@ -519,13 +541,24 @@ def test_disk_order_equals_scalar_key_and_power_bits(alpha):
             by_key = sorted(range(inst.n), key=keys.__getitem__)
             assert table.order[a - 1].tolist() == by_key
             assert table.rank[a - 1].tolist() == sorted(range(inst.n), key=by_key.__getitem__)
+        _assert_power_bits_along_order(inst, table)
     # Powers must match the scalar formula bit for bit, on many radii.
     tds = np.random.default_rng(5).random((40_000, 2)) * 40
     inst = Instance.from_coords(aps=[(0.0, 0.0)], tds=tds.tolist(), k=1,
                                 power_c=1.7, power_alpha=alpha)
     table = disk_order(inst)
+    _assert_power_bits_along_order(inst, table)
     expected = [power_of(r, 1.7, alpha) for r in key_fields(inst)[0].ravel().tolist()]
-    assert (table.power.ravel().view(np.uint64) == np.array(expected).view(np.uint64)).all()
+    by_td = np.take_along_axis(table.power, table.rank, axis=1)
+    assert (by_td.ravel().view(np.uint64) == np.array(expected).view(np.uint64)).all()
+
+
+def _assert_power_bits_along_order(inst, table):
+    """``power[a0, r]`` is, bit for bit, the power that ``disk_geometry``
+    gives the disk of AP a0 + 1 whose boundary TD is ``order[a0, r]``."""
+    expected = [[disk_geometry(inst, a0 + 1, u0 + 1)[1] for u0 in row]
+                for a0, row in enumerate(table.order.tolist())]
+    assert (table.power.view(np.uint64) == np.array(expected).view(np.uint64)).all()
 
 
 @pytest.mark.parametrize("n", [5, 48, 300])
@@ -542,6 +575,52 @@ def test_disk_order_with_distinct_radii_equals_scalar_key_order(n):
         for a in range(1, inst.m + 1):
             keys = [disk_key(inst, a, u) for u in range(1, inst.n + 1)]
             assert table.order[a - 1].tolist() == sorted(range(inst.n), key=keys.__getitem__)
+
+
+def test_disk_order_memory_peak_is_bounded():
+    # Holding the boundary vectors through the sort and building the rank
+    # inverse with every table peaked at 48 bytes a disk here; the order,
+    # the radii and the powers along the order take about 32.
+    inst = generate_instance(ExperimentConfig(n=2000, m=80, k=40, side=40.0, seed=1729), 0)
+    tracemalloc.start()
+    try:
+        disk_order(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * inst.m * inst.n, peak / (inst.m * inst.n)
+
+
+def _counting_rank_builds(monkeypatch):
+    """The tables whose ``rank`` is built from now on, one entry a build."""
+    builds = []
+    build = DiskOrder.rank.func
+
+    def counted(table):
+        builds.append(table)
+        return build(table)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(DiskOrder, "rank")
+    monkeypatch.setattr(DiskOrder, "rank", prop)
+    return builds
+
+
+def test_rank_is_built_only_when_a_trace_reads_it(monkeypatch):
+    # n=1000, m=40 runs the windowed rounds and compacts; n=5, m=4 runs
+    # the scalar rounds and the exact search
+    builds = _counting_rank_builds(monkeypatch)
+    large = generate_instance(ExperimentConfig(n=1000, m=40, k=40, side=40.0, seed=1729), 0)
+    small = generate_instance(ExperimentConfig(n=5, m=4, k=4, side=40.0, seed=1729), 0)
+    solve_mlr(large)
+    solve_mlr(small)
+    solve_exact(small)
+    assert builds == []
+    rounds = []
+    solve_mlr(large, rounds.append)
+    assert len(builds) == 1 and len(rounds) > 1
+    assert len(builds[0].rank) == large.m  # cached on the table: no second build
+    assert len(builds) == 1
 
 
 def _mutations(rng, inst, sol, moves=None):
