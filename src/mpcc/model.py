@@ -23,7 +23,8 @@ builds this order for every AP at once, with the powers along it; MLR
 and the exact solver read containment from it, as an AP's disk of rank r
 holds the TDs of its order's prefix up to r.  ``pair_runs`` yields all
 (AP, TD) pairs in the same key order for NCA, in runs sorted only when
-drawn and blocks that leave out the TDs its caller has covered.
+drawn, each as one flat row of pairs, and blocks that leave out the TDs
+its caller has covered.
 """
 
 import math
@@ -204,22 +205,28 @@ def _key_fields(dx: np.ndarray, dy: np.ndarray, rsq: np.ndarray):
 
 
 def _key_order(rsq, boundary) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's column indices in ascending key order, and the squared
-    radii ``rsq`` along it, for squared radii whose boundary vectors
-    ``(dx, dy)`` the call ``boundary()`` returns.  A row holds one AP's
-    TDs in ``disk_order`` and one run of (TD, AP) pairs in ``pair_runs``."""
+    """Column indices in ascending key order, and the squared radii along
+    them, of a row of squared radii ``rsq`` or of each row of a table of
+    them; ``boundary()`` returns their boundary vectors ``(dx, dy)`` in the
+    same shape.  ``disk_order`` passes a table with one AP's TDs a row;
+    ``pair_runs`` passes each run of (TD, AP) pairs as a flat row."""
     # Strictly rising radii decide the order alone; the other key fields
-    # are computed only for a table that repeats a radius or holds a NaN,
-    # which compares false with everything.
-    rows = np.arange(rsq.shape[0])[:, None]
-    order = np.argsort(rsq, axis=-1)
-    ranked = rsq[rows, order]
-    if (ranked[:, 1:] > ranked[:, :-1]).all():
+    # are computed only for radii that repeat or hold a NaN, which
+    # compares false with everything.
+    order = rsq.argsort()
+    if rsq.ndim == 1:
+        ranked = rsq.take(order)
+        rising = ranked[1:] > ranked[:-1]
+    else:
+        rows = np.arange(len(rsq))[:, None]
+        ranked = rsq[rows, order]
+        rising = ranked[:, 1:] > ranked[:, :-1]
+    if rising.all():
         return order, ranked
     # np.lexsort is stable, so column indices break the remaining ties.
     cos, y_sign = _key_fields(*boundary(), rsq)
     order = np.lexsort((y_sign, cos, rsq), axis=-1)
-    return order, rsq[rows, order]
+    return order, rsq.take(order) if rsq.ndim == 1 else rsq[rows, order]
 
 
 def disk_order(inst: Instance) -> DiskOrder:
@@ -256,28 +263,29 @@ def pair_runs(inst: Instance) -> tuple[MutableSequence, Iterable[_Block]]:
     wants no more pairs of TD u0, and later blocks leave those pairs out.
     Pair (a0, u0) is the flat index ``u0 * m + a0``, so the stable key
     sort breaks disk-key ties by TD, then AP.  A table of at most 8192
-    pairs is one block, and its flags are a list.  A larger table is
-    drawn in runs: the radius leads the key, so the pairs of radius in
-    ``[lo, v)`` form a run, the bounds are the radii of rank 8192,
-    16384, ..., and the last run holds the rest, NaN radii included.  A
-    run is drawn only when the caller reaches it, so a caller that stops
-    early sorts no further.  A run after the first is cut to the pairs of
-    TDs not yet flagged before it is sorted.  Each run is handed out in
-    blocks of max(n, 1024) pairs, and every block after a run's first
-    drops the pairs of TDs flagged since.  With no TD flagged, the blocks
-    hold every pair in order.
+    pairs is sorted as one flat row into one block, and its flags are a
+    list.  A larger table is drawn in runs: the radius leads the key, so
+    the pairs of radius in ``[lo, v)`` form a run, the bounds are the
+    radii of rank 8192, 16384, ..., and the last run holds the rest, NaN
+    radii included.  A run is drawn only when the caller reaches it, so
+    a caller that stops early sorts no further.  Each run is sorted as a
+    flat row too, and a run after the first is first cut to the pairs of
+    TDs not yet flagged.  Each run is handed out in blocks of max(n,
+    1024) pairs, and every block after a run's first drops the pairs of
+    TDs flagged since.  With no TD flagged, the blocks hold every pair in
+    order.
     """
     m = inst.m
     ap, td = inst.ap_xy, inst.td_xy
     if m * inst.n <= _FIRST_RUN:
-        dx = (td[:, 0, None] - ap[:, 0]).reshape(1, -1)
-        dy = (td[:, 1, None] - ap[:, 1]).reshape(1, -1)
+        dx = (td[:, 0, None] - ap[:, 0]).ravel()
+        dy = (td[:, 1, None] - ap[:, 1]).ravel()
         rsq = dx * dx + dy * dy
         # A list, not a generator: on the smallest tables a generator's
         # set-up and close cost more than the sort.  A list's flags also
         # read faster than a bytearray's.
         order, _ = _key_order(rsq, lambda: (dx, dy))
-        u0, a0 = np.divmod(order[0], m)
+        u0, a0 = np.divmod(order, m)
         return [False] * inst.n, [(u0.tolist(), a0.tolist())]
     covered = bytearray(inst.n)
     return covered, _bounded_runs(inst, np.frombuffer(covered, dtype=np.bool_))
@@ -307,9 +315,8 @@ def _bounded_runs(inst: Instance, covered: np.ndarray) -> Iterator[_Block]:
             keep = ~covered[u0]
             idx, u0 = idx[keep], u0[keep]
         a0 = idx - u0 * m
-        order, _ = _key_order(flat[None, idx], lambda: (td[None, u0, 0] - ap[None, a0, 0],
-                                                        td[None, u0, 1] - ap[None, a0, 1]))
-        u0, a0 = u0[order[0]], a0[order[0]]
+        order, _ = _key_order(flat[idx], lambda: (td[u0, 0] - ap[a0, 0], td[u0, 1] - ap[a0, 1]))
+        u0, a0 = u0[order], a0[order]
         yield u0[:block].tolist(), a0[:block].tolist()
         for s in range(block, u0.size, block):
             u, a = u0[s:s + block], a0[s:s + block]

@@ -471,6 +471,79 @@ def pair_order_reference(inst) -> np.ndarray:
     return np.lexsort((y_sign, cos, rsq), axis=-1)[0]
 
 
+def _table_key_order(rsq, boundary):
+    """``model._key_order`` as it stood when it took only ``(rows, N)``
+    tables: a gather through a row index, then the strictly-rising test."""
+    rows = np.arange(rsq.shape[0])[:, None]
+    order = np.argsort(rsq, axis=-1)
+    ranked = rsq[rows, order]
+    if (ranked[:, 1:] > ranked[:, :-1]).all():
+        return order, ranked
+    cos, y_sign = model._key_fields(*boundary(), rsq)
+    order = np.lexsort((y_sign, cos, rsq), axis=-1)
+    return order, rsq[rows, order]
+
+
+def pair_runs_reference(inst):
+    """``model.pair_runs`` as it stood before NCA sorted its pairs as flat
+    rows: the one-block table and each later run posed as a ``(1, N)``
+    table for ``_table_key_order``.  Reads the package's run and block
+    sizes when called."""
+    m = inst.m
+    ap, td = inst.ap_xy, inst.td_xy
+    if m * inst.n <= model._FIRST_RUN:
+        dx = (td[:, 0, None] - ap[:, 0]).reshape(1, -1)
+        dy = (td[:, 1, None] - ap[:, 1]).reshape(1, -1)
+        rsq = dx * dx + dy * dy
+        order, _ = _table_key_order(rsq, lambda: (dx, dy))
+        u0, a0 = np.divmod(order[0], m)
+        return [False] * inst.n, [(u0.tolist(), a0.tolist())]
+    covered = bytearray(inst.n)
+    return covered, _bounded_runs_reference(inst, np.frombuffer(covered, dtype=np.bool_))
+
+
+def _bounded_runs_reference(inst, covered):
+    m = inst.m
+    ap, td = inst.ap_xy, inst.td_xy
+    flat = td[:, 0, None] - ap[:, 0]
+    flat *= flat
+    ranked = td[:, 1, None] - ap[:, 1]
+    ranked *= ranked
+    flat += ranked
+    flat, ranked = flat.reshape(-1), ranked.reshape(-1)
+    ranked[:] = flat
+    block = max(inst.n, model._MIN_BLOCK)
+
+    def run(idx, later):
+        u0 = idx // m
+        if later:
+            keep = ~covered[u0]
+            idx, u0 = idx[keep], u0[keep]
+        a0 = idx - u0 * m
+        order, _ = _table_key_order(flat[None, idx],
+                                    lambda: (td[None, u0, 0] - ap[None, a0, 0],
+                                             td[None, u0, 1] - ap[None, a0, 1]))
+        u0, a0 = u0[order[0]], a0[order[0]]
+        yield u0[:block].tolist(), a0[:block].tolist()
+        for s in range(block, u0.size, block):
+            u, a = u0[s:s + block], a0[s:s + block]
+            keep = ~covered[u]
+            yield u[keep].tolist(), a[keep].tolist()
+
+    lo, start, s = -np.inf, 0, model._FIRST_RUN
+    while s < flat.size:
+        ranked[start:].partition(s - start)
+        v = ranked[s]
+        if v != v:
+            break
+        below = flat < v
+        if start:
+            below &= flat >= lo
+        yield from run(np.flatnonzero(below), start)
+        lo, start, s = v, s, 2 * s
+    yield from run(np.flatnonzero(~(flat < lo)), start)
+
+
 def validate_reference(inst: Instance) -> list[str]:
     """``validate_instance`` as it stood before a bounding-box bound let
     it skip the pass over all m*n boundary vectors; same messages, same

@@ -40,6 +40,7 @@ from oracles import (
     max_flow_reference,
     nca_reference,
     pair_order_reference,
+    pair_runs_reference,
     product_assignment_exists,
     random_instance,
 )
@@ -262,6 +263,39 @@ def test_pair_runs_flag_types_follow_the_table_size():
     assert type(covered) is list and type(blocks) is list and len(blocks) == 1
     covered, blocks = model.pair_runs(random_instance(rng, m=8, n=1025, k=129))
     assert type(covered) is bytearray and not isinstance(blocks, list)
+
+
+def _pair_runs_edge_instances():
+    """Tables of exactly one run and of one pair more, and the NaN
+    instances with an infinite TD coordinate added."""
+    rng = np.random.default_rng(8193)
+    for m, n in ((8, 1024), (3, 2731)):
+        assert m * n in (model._FIRST_RUN, model._FIRST_RUN + 1)
+        yield random_instance(rng, m=m, n=n, k=n)
+        yield Instance.from_coords(aps=rng.integers(0, 12, (m, 2)).tolist(),
+                                   tds=rng.integers(0, 12, (n, 2)).tolist(), k=n)
+    for nan_aps in (0, 20, 30):
+        inst = _nan_instance(nan_aps)
+        yield inst
+        tds = inst.td_xy.copy()
+        tds[3] = (np.inf, -np.inf)
+        yield Instance.from_coords(aps=inst.ap_xy, tds=tds, k=inst.k)
+        yield Instance.from_coords(aps=inst.ap_xy[:2], tds=tds[:8], k=4)  # one block
+
+
+def test_pair_runs_match_the_one_row_table_reference():
+    # With no TD flagged, NCA's flat rows give the blocks and flag types of
+    # the (1, N) tables they replaced, ties, NaN and inf radii included.
+    sizes = set()
+    with np.errstate(invalid="ignore"):
+        for inst in itertools.chain(_nca_differential_instances(), _pair_runs_edge_instances()):
+            covered, blocks = model.pair_runs(inst)
+            ref_covered, ref_blocks = pair_runs_reference(inst)
+            assert type(covered) is type(ref_covered) and type(blocks) is type(ref_blocks)
+            assert list(blocks) == list(ref_blocks), inst
+            assert covered == ref_covered
+            sizes.add(inst.m * inst.n)
+    assert {model._FIRST_RUN, model._FIRST_RUN + 1} <= sizes
 
 
 def test_pair_run_bound_can_split_equal_radii(monkeypatch):

@@ -561,6 +561,24 @@ def _assert_power_bits_along_order(inst, table):
     assert (table.power.view(np.uint64) == np.array(expected).view(np.uint64)).all()
 
 
+@pytest.mark.parametrize("row", ["rising", "repeated", "nan"])
+def test_key_order_of_a_flat_row_equals_its_one_row_table(row):
+    rng = np.random.default_rng(30)
+    dx, dy = rng.random(40) * 40 - 20, rng.random(40) * 40 - 20
+    if row == "repeated":  # mirrored vectors tie on the radius; the y sign ranks them
+        dx[9], dy[9], dy[4] = dx[4], -abs(dy[4]), abs(dy[4])
+    elif row == "nan":
+        dx[6] = np.nan
+    rsq = dx * dx + dy * dy
+    ranked = np.sort(rsq)
+    assert (ranked[1:] > ranked[:-1]).all() == (row == "rising")
+    order, radii = model._key_order(rsq, lambda: (dx, dy))
+    table_order, table_radii = model._key_order(rsq[None], lambda: (dx[None], dy[None]))
+    assert order.shape == radii.shape == rsq.shape
+    assert np.array_equal(order, table_order[0])
+    assert (radii.view(np.uint64) == table_radii[0].view(np.uint64)).all()
+
+
 @pytest.mark.parametrize("n", [5, 48, 300])
 def test_disk_order_with_distinct_radii_equals_scalar_key_order(n):
     # no radius repeats within a row, so from 4 * 48 disks on the order
