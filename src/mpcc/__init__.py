@@ -6,6 +6,11 @@ at minimum total power.  Provides the minimum-local-ratio solver
 (``solve_mlr``), a nearest-capable-access greedy baseline
 (``solve_nca``), an exact enumeration oracle (``solve_exact``), stable
 JSON file formats, and a reproducible benchmark harness.
+
+``import mpcc`` gives the three solvers, the instance and solution model,
+the file formats and the experiment sweeps.  MLR's step functions
+(``init_state``, ``select_min_ratio``, ``apply_selection``,
+``assemble_solution``) live in ``mpcc.mlr``, for stepping through a solve.
 """
 
 from .baselines import (
@@ -38,16 +43,7 @@ from .formats import (
     solution_violations,
     trace_line,
 )
-from .mlr import (
-    MlrInvariantError,
-    SolverState,
-    apply_selection,
-    assemble_solution,
-    init_state,
-    local_ratio,
-    select_min_ratio,
-    solve_mlr,
-)
+from .mlr import MlrInvariantError, solve_mlr
 from .model import (
     DiskOrder,
     InfeasibleInstanceError,
@@ -56,7 +52,6 @@ from .model import (
     check_feasible,
     disk_geometry,
     disk_order,
-    power_of,
     validate_instance,
 )
 

@@ -17,13 +17,16 @@ assignment from the owners.  Both produce solutions that pass
 
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Iterable, Iterator, MutableSequence
+
+import numpy as np
 
 from .model import (
     Instance,
     InfeasibleInstanceError,
     Solution,
+    _key_order,
     disk_order,
-    pair_runs,
 )
 
 __all__ = [
@@ -42,15 +45,30 @@ STATUS_BUDGET_EXCEEDED = "budget_exceeded"
 def solve_nca(inst: Instance) -> Solution:
     """Nearest-capable-access greedy.
 
-    Pairs are ranked by the candidate disk's key, then the TD id, then
-    the AP id (``pair_runs``).  Scanning the pairs once in that order is
-    equivalent to repeatedly taking the closest available pair, because a
-    pair skipped for a covered TD or a full AP never becomes available
-    again.  Restricted to one AP, this order is the AP's disk order (key,
-    then TD id), so the last TD assigned to an AP is the boundary TD of
-    the largest-keyed disk among its assigned TDs.  The scan draws runs
-    of the order only until every TD is covered, and flags each TD as it
-    covers it, so that later blocks leave out the pairs it would skip.
+    The scan passes once over the (AP, TD) pairs, ranked by the candidate
+    disk's key, then the TD id, then the AP id.  That is equivalent to
+    repeatedly taking the closest available pair, because a pair skipped
+    for a covered TD or a full AP never becomes available again.
+    Restricted to one AP, this order is the AP's disk order (key, then TD
+    id), so the last TD assigned to an AP is the boundary TD of the
+    largest-keyed disk among its assigned TDs.
+
+    ``pair_runs`` hands the pairs out as consecutive blocks of TD and AP
+    indices ``(u0 list, a0 list)``, with the n TD flags ``covered`` that
+    the blocks consult: the scan sets ``covered[u0]`` as it covers TD u0,
+    and later blocks leave that TD's pairs out.  Pair (a0, u0) is the
+    flat index ``u0 * m + a0``, so the stable key sort breaks disk-key
+    ties by TD, then AP.  A table of at most 8192 pairs is sorted as one
+    flat row into one block, and its flags are a list.  A larger table is
+    drawn in runs: the radius leads the key, so the pairs of radius in
+    ``[lo, v)`` form a run, the bounds are the radii of rank 8192, 16384,
+    ..., and the last run holds the rest, NaN radii included.  A run is
+    drawn only when the scan reaches it, so the scan sorts no run past
+    the one that covers the last TD.  Each run is sorted as a flat row
+    too, and a run after the first is first cut to the pairs of TDs not
+    yet flagged.  Each run is handed out in blocks of max(n, 1024) pairs,
+    and every block after a run's first drops the pairs of TDs flagged
+    since.  With no TD flagged, the blocks hold every pair in order.
     """
     covered, blocks = pair_runs(inst)
     spare = [inst.k] * inst.m
@@ -75,6 +93,80 @@ def solve_nca(inst: Instance) -> Solution:
         )
     coverage = {a0 + 1: tds for a0, tds in enumerate(assigned) if tds}
     return Solution.from_picks(inst, {a: tds[-1] for a, tds in coverage.items()}, coverage)
+
+
+_FIRST_RUN = 8192  # pairs in pair_runs' first run; each later bound doubles
+_MIN_BLOCK = 1024  # least pairs in a block of a multi-run table
+
+
+_Block = tuple[list[int], list[int]]
+
+
+def pair_runs(inst: Instance) -> tuple[MutableSequence, Iterable[_Block]]:
+    """The pairs and TD flags of ``solve_nca``'s scan, ``(covered,
+    blocks)``; see there."""
+    m = inst.m
+    ap, td = inst.ap_xy, inst.td_xy
+    if m * inst.n <= _FIRST_RUN:
+        dx = (td[:, 0, None] - ap[:, 0]).ravel()
+        dy = (td[:, 1, None] - ap[:, 1]).ravel()
+        rsq = dx * dx + dy * dy
+        # A list, not a generator: on the smallest tables a generator's
+        # set-up and close cost more than the sort.  A list's flags also
+        # read faster than a bytearray's.
+        order, _ = _key_order(rsq, lambda: (dx, dy))
+        u0, a0 = np.divmod(order, m)
+        return [False] * inst.n, [(u0.tolist(), a0.tolist())]
+    covered = bytearray(inst.n)
+    return covered, _bounded_runs(inst, np.frombuffer(covered, dtype=np.bool_))
+
+
+def _bounded_runs(inst: Instance, covered: np.ndarray) -> Iterator[_Block]:
+    """``pair_runs`` of a table of more than one run; ``covered`` is a
+    live boolean view of the caller's flags."""
+    m = inst.m
+    ap, td = inst.ap_xy, inst.td_xy
+    # Only the squared radii span the whole table, rounded as dx*dx + dy*dy
+    # everywhere else; the key's later fields are computed per run, and
+    # only for a run that repeats a radius.  The second buffer then takes
+    # a copy of the radii, which each bound's partition reorders in place.
+    flat = td[:, 0, None] - ap[:, 0]
+    flat *= flat
+    ranked = td[:, 1, None] - ap[:, 1]
+    ranked *= ranked
+    flat += ranked
+    flat, ranked = flat.reshape(-1), ranked.reshape(-1)
+    ranked[:] = flat
+    block = max(inst.n, _MIN_BLOCK)
+
+    def run(idx, later):
+        u0 = idx // m
+        if later:  # a run after the first drops the TDs flagged so far
+            keep = ~covered[u0]
+            idx, u0 = idx[keep], u0[keep]
+        a0 = idx - u0 * m
+        order, _ = _key_order(flat[idx], lambda: (td[u0, 0] - ap[a0, 0], td[u0, 1] - ap[a0, 1]))
+        u0, a0 = u0[order], a0[order]
+        yield u0[:block].tolist(), a0[:block].tolist()
+        for s in range(block, u0.size, block):
+            u, a = u0[s:s + block], a0[s:s + block]
+            keep = ~covered[u]
+            yield u[keep].tolist(), a[keep].tolist()
+
+    lo, start, s = -np.inf, 0, _FIRST_RUN
+    while s < flat.size:
+        # ranked[:start] holds the start smallest radii, so a partition of
+        # the rest puts the radius of rank s at ranked[s].
+        ranked[start:].partition(s - start)
+        v = ranked[s]
+        if v != v:  # NaN sorts last, so no later bound is a number either
+            break
+        below = flat < v
+        if start:
+            below &= flat >= lo
+        yield from run(np.flatnonzero(below), start)
+        lo, start, s = v, s, 2 * s
+    yield from run(np.flatnonzero(~(flat < lo)), start)
 
 
 def _set_bits(mask: int) -> list[int]:

@@ -215,7 +215,8 @@ def _cmd_bench(args) -> int:
     else:
         series = "custom"
         configs = _parse_config_file(args.config)
-    configs = experiments.truncate_sweep(configs, args.max_n)
+    if args.max_n is not None:
+        configs = [cfg for cfg in configs if cfg.n <= args.max_n]
     configs = experiments.override_configs(configs, trials=args.trials, seed=args.seed)
     if not configs:
         return _error(EXIT_VALIDATION, "sweep is empty after truncation")

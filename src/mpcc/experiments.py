@@ -43,9 +43,7 @@ __all__ = [
     "solve_timed",
     "run_experiment",
     "preset",
-    "sweep_parameter",
     "run_sweep",
-    "truncate_sweep",
     "override_configs",
     "write_results_csv",
     "write_plot_csvs",
@@ -306,10 +304,6 @@ def preset(series: int) -> list[ExperimentConfig]:
     raise ValueError(f"unknown preset series {series!r}")
 
 
-def sweep_parameter(series) -> str:
-    return {1: "n", 2: "k", 3: "m", 4: "m"}.get(series, "config_id")
-
-
 def run_sweep(
     configs: list[ExperimentConfig],
     series,
@@ -371,7 +365,7 @@ def write_results_csv(path, series, configs, reports) -> None:
 def write_plot_csvs(out_dir, series, configs, reports) -> None:
     """One CSV per figure axis: sweep value then per-algorithm means."""
     out = Path(out_dir)
-    param = sweep_parameter(series)
+    param = {1: "n", 2: "k", 3: "m", 4: "m"}.get(series, "config_id")
     algorithms: list[str] = []
     for cfg in configs:
         for a in cfg.algorithms:
@@ -395,12 +389,6 @@ def write_plot_csvs(out_dir, series, configs, reports) -> None:
                     s = report.summary.get(a)
                     cells.append(_csv_value(getattr(s, attr) if s else None))
                 writer.writerow(cells)
-
-
-def truncate_sweep(configs: list[ExperimentConfig], max_n: int | None):
-    if max_n is None:
-        return configs
-    return [cfg for cfg in configs if cfg.n <= max_n]
 
 
 def override_configs(

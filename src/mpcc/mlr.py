@@ -137,16 +137,7 @@ from .model import (
     disk_order,
 )
 
-__all__ = [
-    "SolverState",
-    "MlrInvariantError",
-    "init_state",
-    "local_ratio",
-    "select_min_ratio",
-    "apply_selection",
-    "assemble_solution",
-    "solve_mlr",
-]
+__all__ = ["MlrInvariantError", "solve_mlr"]
 
 
 # Tables with fewer disks run every round at full width (see init_state).

@@ -21,17 +21,13 @@ and of two same-radius disks at one AP the greater-keyed one contains
 both boundary TDs while the lesser contains only its own.  ``disk_order``
 builds this order for every AP at once, with the powers along it; MLR
 and the exact solver read containment from it, as an AP's disk of rank r
-holds the TDs of its order's prefix up to r.  ``pair_runs`` yields all
-(AP, TD) pairs in the same key order for NCA, in runs sorted only when
-drawn, each as one flat row of pairs, and blocks that leave out the TDs
-its caller has covered.
+holds the TDs of its order's prefix up to r.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator, MutableSequence
 
 import numpy as np
 
@@ -43,7 +39,6 @@ __all__ = [
     "power_of",
     "disk_geometry",
     "disk_order",
-    "pair_runs",
     "validate_instance",
     "check_feasible",
 ]
@@ -208,8 +203,7 @@ def _key_order(rsq, boundary) -> tuple[np.ndarray, np.ndarray]:
     """Column indices in ascending key order, and the squared radii along
     them, of a row of squared radii ``rsq`` or of each row of a table of
     them; ``boundary()`` returns their boundary vectors ``(dx, dy)`` in the
-    same shape.  ``disk_order`` passes a table with one AP's TDs a row;
-    ``pair_runs`` passes each run of (TD, AP) pairs as a flat row."""
+    same shape."""
     # Strictly rising radii decide the order alone; the other key fields
     # are computed only for radii that repeat or hold a NaN, which
     # compares false with everything.
@@ -245,98 +239,6 @@ def disk_order(inst: Instance) -> DiskOrder:
                             dtype=np.float64, count=power.size).reshape(power.shape)
     power *= c
     return DiskOrder(order, power)
-
-
-_FIRST_RUN = 8192  # pairs in pair_runs' first run; each later bound doubles
-_MIN_BLOCK = 1024  # least pairs in a block of a multi-run table
-
-
-_Block = tuple[list[int], list[int]]
-
-
-def pair_runs(inst: Instance) -> tuple[MutableSequence, Iterable[_Block]]:
-    """All m*n (AP, TD) pairs in ascending (disk key, TD id, AP id) order,
-    as consecutive blocks of TD and AP indices ``(u0 list, a0 list)``,
-    with the n TD flags ``covered`` that the blocks consult.
-
-    ``covered`` starts all false; the caller sets ``covered[u0]`` once it
-    wants no more pairs of TD u0, and later blocks leave those pairs out.
-    Pair (a0, u0) is the flat index ``u0 * m + a0``, so the stable key
-    sort breaks disk-key ties by TD, then AP.  A table of at most 8192
-    pairs is sorted as one flat row into one block, and its flags are a
-    list.  A larger table is drawn in runs: the radius leads the key, so
-    the pairs of radius in ``[lo, v)`` form a run, the bounds are the
-    radii of rank 8192, 16384, ..., and the last run holds the rest, NaN
-    radii included.  A run is drawn only when the caller reaches it, so
-    a caller that stops early sorts no further.  Each run is sorted as a
-    flat row too, and a run after the first is first cut to the pairs of
-    TDs not yet flagged.  Each run is handed out in blocks of max(n,
-    1024) pairs, and every block after a run's first drops the pairs of
-    TDs flagged since.  With no TD flagged, the blocks hold every pair in
-    order.
-    """
-    m = inst.m
-    ap, td = inst.ap_xy, inst.td_xy
-    if m * inst.n <= _FIRST_RUN:
-        dx = (td[:, 0, None] - ap[:, 0]).ravel()
-        dy = (td[:, 1, None] - ap[:, 1]).ravel()
-        rsq = dx * dx + dy * dy
-        # A list, not a generator: on the smallest tables a generator's
-        # set-up and close cost more than the sort.  A list's flags also
-        # read faster than a bytearray's.
-        order, _ = _key_order(rsq, lambda: (dx, dy))
-        u0, a0 = np.divmod(order, m)
-        return [False] * inst.n, [(u0.tolist(), a0.tolist())]
-    covered = bytearray(inst.n)
-    return covered, _bounded_runs(inst, np.frombuffer(covered, dtype=np.bool_))
-
-
-def _bounded_runs(inst: Instance, covered: np.ndarray) -> Iterator[_Block]:
-    """``pair_runs`` of a table of more than one run; ``covered`` is a
-    live boolean view of the caller's flags."""
-    m = inst.m
-    ap, td = inst.ap_xy, inst.td_xy
-    # Only the squared radii span the whole table, rounded as dx*dx + dy*dy
-    # everywhere else; the key's later fields are computed per run, and
-    # only for a run that repeats a radius.  The second buffer then takes
-    # a copy of the radii, which each bound's partition reorders in place.
-    flat = td[:, 0, None] - ap[:, 0]
-    flat *= flat
-    ranked = td[:, 1, None] - ap[:, 1]
-    ranked *= ranked
-    flat += ranked
-    flat, ranked = flat.reshape(-1), ranked.reshape(-1)
-    ranked[:] = flat
-    block = max(inst.n, _MIN_BLOCK)
-
-    def run(idx, later):
-        u0 = idx // m
-        if later:  # a run after the first drops the TDs flagged so far
-            keep = ~covered[u0]
-            idx, u0 = idx[keep], u0[keep]
-        a0 = idx - u0 * m
-        order, _ = _key_order(flat[idx], lambda: (td[u0, 0] - ap[a0, 0], td[u0, 1] - ap[a0, 1]))
-        u0, a0 = u0[order], a0[order]
-        yield u0[:block].tolist(), a0[:block].tolist()
-        for s in range(block, u0.size, block):
-            u, a = u0[s:s + block], a0[s:s + block]
-            keep = ~covered[u]
-            yield u[keep].tolist(), a[keep].tolist()
-
-    lo, start, s = -np.inf, 0, _FIRST_RUN
-    while s < flat.size:
-        # ranked[:start] holds the start smallest radii, so a partition of
-        # the rest puts the radius of rank s at ranked[s].
-        ranked[start:].partition(s - start)
-        v = ranked[s]
-        if v != v:  # NaN sorts last, so no later bound is a number either
-            break
-        below = flat < v
-        if start:
-            below &= flat >= lo
-        yield from run(np.flatnonzero(below), start)
-        lo, start, s = v, s, 2 * s
-    yield from run(np.flatnonzero(~(flat < lo)), start)
 
 
 def validate_instance(inst: Instance) -> list[str]:

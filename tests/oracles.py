@@ -27,7 +27,7 @@ from mpcc import (
     disk_geometry,
     disk_order,
 )
-from mpcc import model
+from mpcc import baselines, model
 from mpcc.baselines import (
     STATUS_BUDGET_EXCEEDED,
     STATUS_OPTIMAL,
@@ -485,13 +485,13 @@ def _table_key_order(rsq, boundary):
 
 
 def pair_runs_reference(inst):
-    """``model.pair_runs`` as it stood before NCA sorted its pairs as flat
+    """``baselines.pair_runs`` as it stood before NCA sorted its pairs as flat
     rows: the one-block table and each later run posed as a ``(1, N)``
     table for ``_table_key_order``.  Reads the package's run and block
     sizes when called."""
     m = inst.m
     ap, td = inst.ap_xy, inst.td_xy
-    if m * inst.n <= model._FIRST_RUN:
+    if m * inst.n <= baselines._FIRST_RUN:
         dx = (td[:, 0, None] - ap[:, 0]).reshape(1, -1)
         dy = (td[:, 1, None] - ap[:, 1]).reshape(1, -1)
         rsq = dx * dx + dy * dy
@@ -512,7 +512,7 @@ def _bounded_runs_reference(inst, covered):
     flat += ranked
     flat, ranked = flat.reshape(-1), ranked.reshape(-1)
     ranked[:] = flat
-    block = max(inst.n, model._MIN_BLOCK)
+    block = max(inst.n, baselines._MIN_BLOCK)
 
     def run(idx, later):
         u0 = idx // m
@@ -530,7 +530,7 @@ def _bounded_runs_reference(inst, covered):
             keep = ~covered[u]
             yield u[keep].tolist(), a[keep].tolist()
 
-    lo, start, s = -np.inf, 0, model._FIRST_RUN
+    lo, start, s = -np.inf, 0, baselines._FIRST_RUN
     while s < flat.size:
         ranked[start:].partition(s - start)
         v = ranked[s]

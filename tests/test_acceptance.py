@@ -16,16 +16,12 @@ from mpcc import (
     ExperimentConfig,
     Instance,
     Solution,
-    apply_selection,
-    assemble_solution,
     check_feasible,
     disk_geometry,
     disk_order,
     generate_instance,
-    init_state,
     preset,
     run_experiment,
-    select_min_ratio,
     solution_to_json,
     solve_exact,
     solve_mlr,
@@ -33,6 +29,7 @@ from mpcc import (
     utilization_variance,
 )
 from mpcc.baselines import STATUS_OPTIMAL
+from mpcc.mlr import apply_selection, assemble_solution, init_state, select_min_ratio
 
 from oracles import (
     assignment_feasible,

@@ -26,7 +26,7 @@ from mpcc import (
     solve_nca,
     solution_to_json,
 )
-from mpcc import baselines, model
+from mpcc import baselines
 from mpcc.baselines import FlowNetwork, _choice_list, _hall_feasible
 
 from oracles import (
@@ -156,7 +156,7 @@ def _multi_run_instances():
 
 def _run_bounds(size):
     """The pair ranks at which ``pair_runs`` ends its runs before the last."""
-    bounds, s = [], model._FIRST_RUN
+    bounds, s = [], baselines._FIRST_RUN
     while s < size:
         bounds.append(s)
         s *= 2
@@ -168,11 +168,11 @@ def _unflagged_block_sizes(inst):
     of ranks 8192, 16384, ...: each run in blocks of max(n, 1024) pairs,
     and an empty run as one empty block."""
     rsq = key_fields(inst)[0].ravel()
-    if rsq.size <= model._FIRST_RUN:
+    if rsq.size <= baselines._FIRST_RUN:
         return [rsq.size]
     ranked = np.sort(rsq)
     ends = [np.count_nonzero(rsq < ranked[s]) for s in _run_bounds(rsq.size)]
-    block = max(inst.n, model._MIN_BLOCK)
+    block = max(inst.n, baselines._MIN_BLOCK)
     sizes = []
     for size in np.diff([0, *ends, rsq.size]).tolist():
         full, rest = divmod(size, block)
@@ -184,12 +184,12 @@ def _flat_pairs(inst):
     """``pair_runs`` with no TD flagged, as its blocks of flat pair indices
     ``u0 * m + a0``."""
     return [np.array(u0, dtype=np.int64) * inst.m + np.array(a0, dtype=np.int64)
-            for u0, a0 in model.pair_runs(inst)[1]]
+            for u0, a0 in baselines.pair_runs(inst)[1]]
 
 
 def _flat_runs(inst, monkeypatch):
     """``_flat_pairs`` with blocks too long to split a run: one per run."""
-    monkeypatch.setattr(model, "_MIN_BLOCK", inst.m * inst.n + 1)
+    monkeypatch.setattr(baselines, "_MIN_BLOCK", inst.m * inst.n + 1)
     return _flat_pairs(inst)
 
 
@@ -198,8 +198,8 @@ def _record_blocks(monkeypatch):
     as it draws them."""
     drawn = []
 
-    def recording(inst):
-        covered, blocks = model.pair_runs(inst)
+    def recording(inst, real=baselines.pair_runs):
+        covered, blocks = real(inst)
 
         def record():
             for block in blocks:
@@ -259,9 +259,9 @@ def test_pair_runs_flag_types_follow_the_table_size():
     # are the fastest; beyond: a generator over a bytearray the blocks view.
     rng = np.random.default_rng(12)
     small = random_instance(rng, m=8, n=1024, k=128)
-    covered, blocks = model.pair_runs(small)
+    covered, blocks = baselines.pair_runs(small)
     assert type(covered) is list and type(blocks) is list and len(blocks) == 1
-    covered, blocks = model.pair_runs(random_instance(rng, m=8, n=1025, k=129))
+    covered, blocks = baselines.pair_runs(random_instance(rng, m=8, n=1025, k=129))
     assert type(covered) is bytearray and not isinstance(blocks, list)
 
 
@@ -270,7 +270,7 @@ def _pair_runs_edge_instances():
     instances with an infinite TD coordinate added."""
     rng = np.random.default_rng(8193)
     for m, n in ((8, 1024), (3, 2731)):
-        assert m * n in (model._FIRST_RUN, model._FIRST_RUN + 1)
+        assert m * n in (baselines._FIRST_RUN, baselines._FIRST_RUN + 1)
         yield random_instance(rng, m=m, n=n, k=n)
         yield Instance.from_coords(aps=rng.integers(0, 12, (m, 2)).tolist(),
                                    tds=rng.integers(0, 12, (n, 2)).tolist(), k=n)
@@ -289,13 +289,13 @@ def test_pair_runs_match_the_one_row_table_reference():
     sizes = set()
     with np.errstate(invalid="ignore"):
         for inst in itertools.chain(_nca_differential_instances(), _pair_runs_edge_instances()):
-            covered, blocks = model.pair_runs(inst)
+            covered, blocks = baselines.pair_runs(inst)
             ref_covered, ref_blocks = pair_runs_reference(inst)
             assert type(covered) is type(ref_covered) and type(blocks) is type(ref_blocks)
             assert list(blocks) == list(ref_blocks), inst
             assert covered == ref_covered
             sizes.add(inst.m * inst.n)
-    assert {model._FIRST_RUN, model._FIRST_RUN + 1} <= sizes
+    assert {baselines._FIRST_RUN, baselines._FIRST_RUN + 1} <= sizes
 
 
 def test_pair_run_bound_can_split_equal_radii(monkeypatch):
@@ -379,7 +379,7 @@ def test_nca_skips_no_pair_it_needs_in_later_blocks_and_runs(monkeypatch):
                 where[u0, a0] = j
                 first.setdefault(u0, (j, a0))
         rsq = key_fields(inst)[0]
-        bound = np.sort(rsq, axis=None)[model._FIRST_RUN]
+        bound = np.sort(rsq, axis=None)[baselines._FIRST_RUN]
         for ap_id, tds in sol.coverage.items():
             for u in tds:
                 # AP a0 was full when the TD's first pair came in block j
@@ -398,7 +398,7 @@ def test_nca_tight_capacity_reaches_the_last_run(monkeypatch):
     # runs of 8 blocks, then 1, 1 and 1 once cut to the uncovered TDs
     assert _sizes(drawn) == [1024, 409, 228, 169, 173, 148, 100, 75, 908, 938, 170]
     runs = _record_blocks(monkeypatch)
-    monkeypatch.setattr(model, "_MIN_BLOCK", inst.m * inst.n + 1)
+    monkeypatch.setattr(baselines, "_MIN_BLOCK", inst.m * inst.n + 1)
     assert solution_to_json(solve_nca(inst), inst) == expected
     assert len(runs) == len(_run_bounds(inst.m * inst.n)) + 1
 
@@ -431,7 +431,7 @@ def test_nca_infeasible_after_every_run_without_validation(monkeypatch):
                              1024, 1024, 1024, 410, 1024, 1024, 265]
     assert sum(_sizes(drawn)) == 9809  # of 40 000
     runs = _record_blocks(monkeypatch)
-    monkeypatch.setattr(model, "_MIN_BLOCK", inst.m * inst.n + 1)
+    monkeypatch.setattr(baselines, "_MIN_BLOCK", inst.m * inst.n + 1)
     with pytest.raises(InfeasibleInstanceError):
         solve_nca(inst)
     assert len(runs) == len(_run_bounds(inst.m * inst.n)) + 1
@@ -443,7 +443,7 @@ def test_nca_without_aps_or_tds():
     for aps in ([(0, 0)], []):
         inst = Instance.from_coords(aps=aps, tds=[], k=1)
         assert solve_nca(inst) == Solution({}, {}, 0.0)
-        assert model.pair_runs(inst) == ([], [([], [])])
+        assert baselines.pair_runs(inst) == ([], [([], [])])
 
 
 # ---------------------------------------------------------------------------

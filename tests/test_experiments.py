@@ -349,6 +349,42 @@ def test_every_live_benchmark_binding_resolves():
     assert [b for b in DEAD_BINDINGS if tracing._resolve(*b) is not None] == []
 
 
+# What `import mpcc` gives: the three solvers, the model, the file formats
+# and the experiment sweeps.  MLR's step functions and the NCA pair scan
+# are module attributes only, for tests and step-through use.
+USER_API = {
+    "AlgorithmSummary", "DEFAULT_SEED", "DiskOrder", "ExactBudget", "ExactResult",
+    "ExperimentConfig", "ExperimentError", "ExperimentReport", "FormatError",
+    "InfeasibleInstanceError", "Instance", "MlrInvariantError", "STATUS_BUDGET_EXCEEDED",
+    "STATUS_OPTIMAL", "Solution", "TrialRow", "check_feasible", "disk_geometry",
+    "disk_order", "generate_instance", "instance_from_json", "instance_to_json", "preset",
+    "run_experiment", "run_sweep", "solution_from_json", "solution_to_json",
+    "solution_violations", "solve_exact", "solve_mlr", "solve_nca", "trace_line",
+    "utilization_variance", "validate_instance",
+}
+# Names the package root does not give, each still its module's attribute.
+MODULE_ONLY = {
+    "mlr": {"SolverState", "init_state", "local_ratio", "select_min_ratio",
+            "apply_selection", "assemble_solution"},
+    "model": {"power_of"},
+    "baselines": {"pair_runs", "_FIRST_RUN", "_MIN_BLOCK"},
+}
+
+
+def test_package_root_exports_only_the_user_api():
+    public = {name for name, value in vars(mpcc).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == USER_API
+    assert mpcc.mlr.__all__ == ["MlrInvariantError", "solve_mlr"]
+    assert "pair_runs" not in mpcc.model.__all__ + mpcc.baselines.__all__
+    assert not hasattr(mpcc.model, "pair_runs")
+    assert {"truncate_sweep", "sweep_parameter"}.isdisjoint(mpcc.experiments.__all__)
+    assert not hasattr(mpcc.experiments, "truncate_sweep")
+    assert not hasattr(mpcc.experiments, "sweep_parameter")
+    for module, names in MODULE_ONLY.items():
+        assert [n for n in names if not hasattr(getattr(mpcc, module), n)] == []
+
+
 @pytest.mark.parametrize("name", ["exact-small", "sweep-small"])
 def test_bench_workload_outputs_match_the_benchmark_reference(name, tmp_path, monkeypatch):
     # One pass of the benchmark's own workload through `mpcc bench`, gated

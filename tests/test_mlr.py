@@ -16,17 +16,19 @@ from mpcc import (
     Instance,
     MlrInvariantError,
     Solution,
-    apply_selection,
-    assemble_solution,
     check_feasible,
     generate_instance,
-    init_state,
-    local_ratio,
-    select_min_ratio,
     solution_to_json,
     solve_mlr,
 )
 from mpcc import mlr
+from mpcc.mlr import (
+    apply_selection,
+    assemble_solution,
+    init_state,
+    local_ratio,
+    select_min_ratio,
+)
 from mpcc.experiments import override_configs, preset
 
 from oracles import mlr_flat_reference, mlr_reference, random_instance

@@ -17,13 +17,13 @@ from mpcc import (
     disk_geometry,
     disk_order,
     generate_instance,
-    power_of,
     solve_exact,
     solve_mlr,
     solve_nca,
     validate_instance,
 )
 from mpcc import model
+from mpcc.model import power_of
 
 from oracles import (
     check_feasible_reference,
