@@ -1,12 +1,13 @@
 import json
 
-from record_golden import GOLDEN, corpus, digests
+from record_golden import GOLDEN, recorded
 
 
 def test_outputs_match_the_golden_digests():
-    """Every mlr and nca solution file and MLR trace of the golden corpus
-    hashes to its digest in golden.json (re-recorded only by
-    record_golden.py, in a change that means to change outputs).
+    """Every mlr and nca solution file and MLR trace of the golden corpus,
+    and exact's statuses and solution files and the results.csv of the
+    exact-small config, hash to their digests in golden.json (re-recorded
+    only by record_golden.py, in a change that means to change outputs).
 
     The alpha=2.5 and alpha=3.7 cases raise squared radii to a
     non-integer power alpha/2, so their digests also pin the recording
@@ -14,9 +15,9 @@ def test_outputs_match_the_golden_digests():
     from ``pow``, not from a solver.
     """
     golden = json.loads(GOLDEN.read_text())
-    got = {name: digests(inst) for name, inst in corpus()}
+    got = recorded()
     assert got.keys() == golden.keys()
-    assert len(got) == 86
+    assert len(got) == 90
     mismatched = [(name, key) for name, expected in golden.items()
                   for key in sorted(expected.keys() | got[name].keys())
                   if got[name].get(key) != expected.get(key)]
