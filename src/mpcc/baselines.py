@@ -15,6 +15,7 @@ assignment from the owners.  Both produce solutions that pass
 ``check_feasible``.
 """
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Iterator, MutableSequence
@@ -56,19 +57,11 @@ def solve_nca(inst: Instance) -> Solution:
     ``pair_runs`` hands the pairs out as consecutive blocks of TD and AP
     indices ``(u0 list, a0 list)``, with the n TD flags ``covered`` that
     the blocks consult: the scan sets ``covered[u0]`` as it covers TD u0,
-    and later blocks leave that TD's pairs out.  Pair (a0, u0) is the
-    flat index ``u0 * m + a0``, so the stable key sort breaks disk-key
-    ties by TD, then AP.  A table of at most 8192 pairs is sorted as one
-    flat row into one block, and its flags are a list.  A larger table is
-    drawn in runs: the radius leads the key, so the pairs of radius in
-    ``[lo, v)`` form a run, the bounds are the radii of rank 8192, 16384,
-    ..., and the last run holds the rest, NaN radii included.  A run is
-    drawn only when the scan reaches it, so the scan sorts no run past
-    the one that covers the last TD.  Each run is sorted as a flat row
-    too, and a run after the first is first cut to the pairs of TDs not
-    yet flagged.  Each run is handed out in blocks of max(n, 1024) pairs,
-    and every block after a run's first drops the pairs of TDs flagged
-    since.  With no TD flagged, the blocks hold every pair in order.
+    and later blocks leave that TD's pairs out.  A table of more than
+    8192 pairs comes in runs of pairs, each drawn and sorted only when
+    the scan reaches it, so the scan sorts no run past the one that
+    covers the last TD; a run after the first is drawn from the pairs of
+    the TDs still uncovered (see ``pair_runs``).
     """
     covered, blocks = pair_runs(inst)
     spare = [inst.k] * inst.m
@@ -95,7 +88,7 @@ def solve_nca(inst: Instance) -> Solution:
     return Solution.from_picks(inst, {a: tds[-1] for a, tds in coverage.items()}, coverage)
 
 
-_FIRST_RUN = 8192  # pairs in pair_runs' first run; each later bound doubles
+_FIRST_RUN = 8192  # pair_runs: most pairs of one block; first run aimed at; sample size
 _MIN_BLOCK = 1024  # least pairs in a block of a multi-run table
 
 
@@ -104,7 +97,29 @@ _Block = tuple[list[int], list[int]]
 
 def pair_runs(inst: Instance) -> tuple[MutableSequence, Iterable[_Block]]:
     """The pairs and TD flags of ``solve_nca``'s scan, ``(covered,
-    blocks)``; see there."""
+    blocks)``.
+
+    Pair (a0, u0) is the flat index ``u0 * m + a0``, so the stable key
+    sort breaks disk-key ties by TD, then AP.  A table of at most 8192
+    pairs is sorted as one flat row into one block, and its flags are a
+    list.  A larger table is drawn in runs, each sorted as a flat row.
+    The radius leads the key, so any bound v splits the pairs left into
+    two bands of the order: those of radius below v form the next run.
+    Each run's bound is read off a strided sample of at most about 8192
+    of the pairs it is drawn from, at the rank that estimates their
+    8192nd smallest radius for the first run and twice the last run's
+    rank for each later one.  A bound that ties the least radius left
+    moves just past it, so the pairs of that radius form the run.  Once
+    the rank reaches past the sample or falls on a NaN radius, the run
+    holds every finite radius left, and the last run holds the infinite
+    and NaN radii, which sort after them; no empty run is handed out.
+    The first run is drawn from every pair, each later one from the pairs
+    of the TDs not yet flagged whose radius is at or above the last
+    bound, so its cost follows the uncovered TDs times m, not the table.
+    Each run is handed out in blocks of max(n, 1024) pairs, and every
+    block after a run's first drops the pairs of TDs flagged since.  With
+    no TD flagged, the blocks hold every pair in order.
+    """
     m = inst.m
     ap, td = inst.ap_xy, inst.td_xy
     if m * inst.n <= _FIRST_RUN:
@@ -126,47 +141,85 @@ def _bounded_runs(inst: Instance, covered: np.ndarray) -> Iterator[_Block]:
     live boolean view of the caller's flags."""
     m = inst.m
     ap, td = inst.ap_xy, inst.td_xy
-    # Only the squared radii span the whole table, rounded as dx*dx + dy*dy
-    # everywhere else; the key's later fields are computed per run, and
-    # only for a run that repeats a radius.  The second buffer then takes
-    # a copy of the radii, which each bound's partition reorders in place.
-    flat = td[:, 0, None] - ap[:, 0]
-    flat *= flat
-    ranked = td[:, 1, None] - ap[:, 1]
-    ranked *= ranked
-    flat += ranked
-    flat, ranked = flat.reshape(-1), ranked.reshape(-1)
-    ranked[:] = flat
+    # Only the (n, m) squared radii span the whole table, rounded as
+    # dx*dx + dy*dy everywhere else, and dy*dy is added in chunks of about
+    # _FIRST_RUN pairs, so no second buffer of the table's size is made.
+    # The key's later fields are computed per run, and only for a run that
+    # repeats a radius.
+    rsq = td[:, 0, None] - ap[:, 0]
+    rsq *= rsq
+    step = _FIRST_RUN // m + 1
+    for s in range(0, inst.n, step):
+        dy = td[s:s + step, 1, None] - ap[:, 1]
+        dy *= dy
+        rsq[s:s + step] += dy
     block = max(inst.n, _MIN_BLOCK)
 
-    def run(idx, later):
-        u0 = idx // m
-        if later:  # a run after the first drops the TDs flagged so far
-            keep = ~covered[u0]
-            idx, u0 = idx[keep], u0[keep]
-        a0 = idx - u0 * m
-        order, _ = _key_order(flat[idx], lambda: (td[u0, 0] - ap[a0, 0], td[u0, 1] - ap[a0, 1]))
-        u0, a0 = u0[order], a0[order]
+    def pairs(tds, at):
+        # at: flat indices into the rows tds of rsq (None: every row)
+        u0 = at // m
+        a0 = at - u0 * m
+        return (u0 if tds is None else tds[u0]), a0
+
+    def boundary(tds, at):
+        u0, a0 = pairs(tds, at)
+        return td[u0, 0] - ap[a0, 0], td[u0, 1] - ap[a0, 1]
+
+    def ordered(tds, flat, keep):
+        # The pairs at the mask keep of the rows tds, in key order.  Their
+        # flat indices ascend, so the stable sort breaks key ties by TD,
+        # then AP.  Each array is dropped once read: a run's arrays add to
+        # the whole table's.
+        at = np.flatnonzero(keep)
+        del keep
+        order = _key_order(flat[at], lambda: boundary(tds, at))[0]
+        at = at[order]
+        del order
+        return pairs(tds, at)
+
+    def run(u0, a0):
         yield u0[:block].tolist(), a0[:block].tolist()
         for s in range(block, u0.size, block):
             u, a = u0[s:s + block], a0[s:s + block]
             keep = ~covered[u]
             yield u[keep].tolist(), a[keep].tolist()
 
-    lo, start, s = -np.inf, 0, _FIRST_RUN
-    while s < flat.size:
-        # ranked[:start] holds the start smallest radii, so a partition of
-        # the rest puts the radius of rank s at ranked[s].
-        ranked[start:].partition(s - start)
-        v = ranked[s]
-        if v != v:  # NaN sorts last, so no later bound is a number either
-            break
-        below = flat < v
-        if start:
+    def band(flat, lo, hi):
+        below = flat < hi
+        if lo > -np.inf:
             below &= flat >= lo
-        yield from run(np.flatnonzero(below), start)
-        lo, start, s = v, s, 2 * s
-    yield from run(np.flatnonzero(~(flat < lo)), start)
+        return below
+
+    # Each run is drawn from the pairs of the TDs not yet flagged, the rows
+    # tds of rsq (None: every row), whose radius is at or above the last
+    # bound lo, or NaN.  Any bound splits them into two bands of the key
+    # order, so a bound read off a sample of them keeps the order exact.
+    tds, table, lo, want = None, rsq, -np.inf, _FIRST_RUN
+    while lo < np.inf:
+        flat = table.reshape(-1)
+        # A stride prime to m samples every AP's pairs alike.
+        stride = flat.size // _FIRST_RUN + 1
+        while math.gcd(stride, m) > 1:
+            stride += 1
+        sample = flat[::stride]
+        if lo > -np.inf:
+            sample = sample[~(sample < lo)]
+        r = want // stride
+        v = np.partition(sample, r)[r] if r < sample.size else np.inf
+        if not v < np.inf:  # NaN sorts last: the run takes every finite radius
+            v = np.inf
+        u0, a0 = ordered(tds, flat, band(flat, lo, v))
+        if not u0.size and v < np.inf:  # v is the least radius left
+            v = np.nextafter(v, np.inf)
+            u0, a0 = ordered(tds, flat, band(flat, lo, v))
+        if u0.size:
+            yield from run(u0, a0)
+        tds = np.flatnonzero(~covered)
+        table, lo, want = rsq[tds], v, 2 * want
+    # The last run: the infinite and NaN radii, which sort after the rest.
+    u0, a0 = ordered(tds, table.reshape(-1), ~(table < np.inf))
+    if u0.size:
+        yield from run(u0, a0)
 
 
 def _set_bits(mask: int) -> list[int]:

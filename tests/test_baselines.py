@@ -147,37 +147,36 @@ def _multi_run_instances():
         # 18 000 pairs over a few hundred integer radii
         "grid": Instance.from_coords(aps=rng.integers(0, 12, (30, 2)).tolist(),
                                      tds=rng.integers(0, 12, (600, 2)).tolist(), k=25),
-        # every radius is 0, so all runs but the last are empty
+        # every radius is 0, so one run holds every pair
         "coincident": Instance.from_coords(aps=[(3.5, -2.0)] * 20,
                                            tds=[(3.5, -2.0)] * 1000, k=50),
         "tight": random_instance(rng, m=40, n=1000, k=25),  # m*k = n
     }
 
 
-def _run_bounds(size):
-    """The pair ranks at which ``pair_runs`` ends its runs before the last."""
-    bounds, s = [], baselines._FIRST_RUN
-    while s < size:
-        bounds.append(s)
-        s *= 2
-    return bounds
-
-
-def _unflagged_block_sizes(inst):
-    """The block sizes of ``pair_runs`` with no TD flagged, from the radii
-    of ranks 8192, 16384, ...: each run in blocks of max(n, 1024) pairs,
-    and an empty run as one empty block."""
-    rsq = key_fields(inst)[0].ravel()
-    if rsq.size <= baselines._FIRST_RUN:
-        return [rsq.size]
-    ranked = np.sort(rsq)
-    ends = [np.count_nonzero(rsq < ranked[s]) for s in _run_bounds(rsq.size)]
+def _block_sizes(inst, runs):
+    """The block sizes of ``pair_runs`` with no TD flagged, from its runs:
+    each run in blocks of max(n, 1024) pairs; a table of at most 8192
+    pairs is one block."""
+    if inst.m * inst.n <= baselines._FIRST_RUN:
+        return [inst.m * inst.n]
     block = max(inst.n, baselines._MIN_BLOCK)
     sizes = []
-    for size in np.diff([0, *ends, rsq.size]).tolist():
-        full, rest = divmod(size, block)
-        sizes += [block] * full + ([rest] if rest or not size else [])
+    for run in runs:
+        full, rest = divmod(len(run), block)
+        sizes += [block] * full + ([rest] if rest else [])
     return sizes
+
+
+def _assert_radius_bands(inst, runs):
+    """No run is empty, each run's radii lie below every radius of the
+    next run, and only the last run holds NaN radii."""
+    rsq = key_fields(inst)[0].T.ravel()  # by flat pair index u0 * m + a0
+    assert all(len(run) for run in runs)
+    for run, after in zip(runs, runs[1:]):
+        radii, later = rsq[run], rsq[after]
+        assert not np.isnan(radii).any()
+        assert (radii.max() < later[~np.isnan(later)]).all()
 
 
 def _flat_pairs(inst):
@@ -189,13 +188,15 @@ def _flat_pairs(inst):
 
 def _flat_runs(inst, monkeypatch):
     """``_flat_pairs`` with blocks too long to split a run: one per run."""
-    monkeypatch.setattr(baselines, "_MIN_BLOCK", inst.m * inst.n + 1)
-    return _flat_pairs(inst)
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, "_MIN_BLOCK", inst.m * inst.n + 1)
+        return _flat_pairs(inst)
 
 
-def _record_blocks(monkeypatch):
+def _record_blocks(monkeypatch, flagged=None):
     """The blocks ``(u0 list, a0 list)`` that ``solve_nca`` draws, recorded
-    as it draws them."""
+    as it draws them; ``flagged`` receives the TDs flagged as each block
+    was drawn."""
     drawn = []
 
     def recording(inst, real=baselines.pair_runs):
@@ -204,6 +205,8 @@ def _record_blocks(monkeypatch):
         def record():
             for block in blocks:
                 drawn.append(block)
+                if flagged is not None:
+                    flagged.append({u0 for u0, flag in enumerate(covered) if flag})
                 yield block
 
         return covered, record()
@@ -241,16 +244,21 @@ def test_nca_matches_solve_large_reference_digests():
         assert digest == outputs["nca"]["sha256"], seed
 
 
-def test_pair_runs_concatenate_to_the_one_shot_order():
+def test_pair_runs_concatenate_to_the_one_shot_order(monkeypatch):
     multi = 0
     for inst in _nca_differential_instances():
         blocks = _flat_pairs(inst)
         assert np.array_equal(np.concatenate(blocks), pair_order_reference(inst)), inst
-        assert [len(b) for b in blocks] == _unflagged_block_sizes(inst)
+        runs = _flat_runs(inst, monkeypatch)
+        assert [len(b) for b in blocks] == _block_sizes(inst, runs)
+        _assert_radius_bands(inst, runs)
         multi += len(blocks) > 1
     assert multi == len(_multi_run_instances())
-    # a 40 000-pair table: 8 blocks, then 8, then 16, then 8 of 1024 or fewer
-    sizes = _unflagged_block_sizes(_multi_run_instances()["random"])
+    # a 40 000-pair table: runs of 8190, 16 653 and 15 157 pairs, in
+    # 8, 17 and 15 blocks of 1024 or fewer
+    runs = _flat_runs(_multi_run_instances()["random"], monkeypatch)
+    assert [len(run) for run in runs] == [8190, 16_653, 15_157]
+    sizes = _block_sizes(_multi_run_instances()["random"], runs)
     assert len(sizes) == 40 and sum(sizes) == 40_000
 
 
@@ -283,48 +291,87 @@ def _pair_runs_edge_instances():
         yield Instance.from_coords(aps=inst.ap_xy[:2], tds=tds[:8], k=4)  # one block
 
 
+def _joined(blocks):
+    """A stream of blocks as one ``(u0 list, a0 list)``."""
+    u0s, a0s = [], []
+    for u0, a0 in blocks:
+        u0s += u0
+        a0s += a0
+    return u0s, a0s
+
+
+def _scan(inst, covered, blocks):
+    """The pairs ``(u0, a0)`` that NCA's scan assigns, in order, replayed
+    over one stream of blocks and the flags it consults."""
+    spare = [inst.k] * inst.m
+    assigned = []
+    for u0s, a0s in blocks:
+        for u0, a0 in zip(u0s, a0s):
+            if covered[u0] or spare[a0] == 0:
+                continue
+            covered[u0] = True
+            spare[a0] -= 1
+            assigned.append((u0, a0))
+            if len(assigned) == inst.n:
+                return assigned
+    return assigned
+
+
 def test_pair_runs_match_the_one_row_table_reference():
-    # With no TD flagged, NCA's flat rows give the blocks and flag types of
-    # the (1, N) tables they replaced, ties, NaN and inf radii included.
+    # NCA's flat rows give the order and flag types of the (1, N) tables
+    # they replaced, ties, NaN and inf radii included: block for block on a
+    # table of one block.  A larger table draws its runs by other bounds,
+    # so there the unflagged blocks match as one concatenation, and the
+    # pairs NCA's scan assigns from each stream match.
     sizes = set()
     with np.errstate(invalid="ignore"):
         for inst in itertools.chain(_nca_differential_instances(), _pair_runs_edge_instances()):
             covered, blocks = baselines.pair_runs(inst)
             ref_covered, ref_blocks = pair_runs_reference(inst)
             assert type(covered) is type(ref_covered) and type(blocks) is type(ref_blocks)
-            assert list(blocks) == list(ref_blocks), inst
             assert covered == ref_covered
+            blocks, ref_blocks = list(blocks), list(ref_blocks)
+            if inst.m * inst.n <= baselines._FIRST_RUN:
+                assert blocks == ref_blocks, inst
+            else:
+                assert _joined(blocks) == _joined(ref_blocks), inst
+                assert _scan(inst, *baselines.pair_runs(inst)) == \
+                    _scan(inst, *pair_runs_reference(inst)), inst
             sizes.add(inst.m * inst.n)
     assert {baselines._FIRST_RUN, baselines._FIRST_RUN + 1} <= sizes
 
 
 def test_pair_run_bound_can_split_equal_radii(monkeypatch):
-    # A run ends before every pair of its bound's radius, so a bound that
-    # falls inside a run of equal radii ends the run below its rank.
+    # A run ends before every pair of its bound's radius, so on a grid of
+    # integer radii a bound falls on a radius that many pairs share, and
+    # the next run opens with all of them.
     inst = _multi_run_instances()["grid"]
-    rsq = key_fields(inst)[0]
-    ranked = np.sort(rsq, axis=None)
-    bounds = _run_bounds(rsq.size)
+    ranked = np.sort(key_fields(inst)[0], axis=None)
     ends = np.cumsum([len(run) for run in _flat_runs(inst, monkeypatch)])[:-1]
-    assert ends.tolist() == [np.count_nonzero(rsq < ranked[s]) for s in bounds]
-    assert any(end < s for end, s in zip(ends, bounds))
+    assert ends.tolist() == [8096]
+    assert (ranked[ends - 1] < ranked[ends]).all()
+    assert (ranked[ends] == ranked[ends + 1]).all()
 
 
 def test_pair_runs_of_coincident_points_are_all_in_the_last_run(monkeypatch):
+    # Every radius is 0, so the first bound ties the least radius and moves
+    # just past it: the first run, the only one, holds every pair.
     inst = _multi_run_instances()["coincident"]
     sizes = [len(run) for run in _flat_runs(inst, monkeypatch)]
-    assert sizes == [0] * len(_run_bounds(inst.m * inst.n)) + [inst.m * inst.n]
-    assert len(sizes) > 1
+    assert sizes == [inst.m * inst.n]
 
 
 @pytest.mark.parametrize("nan_aps", [0, 20, 30])
 def test_pair_runs_permute_all_pairs_with_nan_coordinates(nan_aps, monkeypatch):
-    # Validation skipped: NaN radii sort last, and a NaN bound ends the
-    # bounded runs early (30 of 40 APs: the first bound; 20: the third).
+    # Validation skipped: NaN radii sort last, so once a bound's rank falls
+    # among them, the finite pairs left form one run and the NaN ones the
+    # last (30 of 40 APs: at the first bound; 20: at the second).
     inst = _nan_instance(nan_aps)
     runs = _flat_runs(inst, monkeypatch)
     assert np.array_equal(np.sort(np.concatenate(runs)), np.arange(inst.m * inst.n))
-    assert len(runs) == {0: 4, 20: 3, 30: 1}[nan_aps]
+    assert len(runs) == {0: 4, 20: 3, 30: 2}[nan_aps]
+    with np.errstate(invalid="ignore"):
+        _assert_radius_bands(inst, runs)
 
 
 def _nan_instance(nan_aps, k=40):
@@ -348,18 +395,31 @@ def test_nca_matches_reference_with_nan_coordinates(nan_aps):
         assert repr(sol.total_power) == repr(expected.total_power)
 
 
+def _assert_unflagged_when_drawn(drawn, flagged):
+    """Each block holds only pairs of TDs unflagged when it was drawn."""
+    assert len(drawn) == len(flagged)
+    for (u0s, _), done in zip(drawn, flagged):
+        assert done.isdisjoint(u0s)
+
+
 def test_nca_stops_drawing_runs_once_every_td_is_covered(monkeypatch):
     cfg = ExperimentConfig(n=1000, m=40, k=40, side=40.0, trials=1, seed=1729)
     inst = generate_instance(cfg, 0)
-    drawn = _record_blocks(monkeypatch)
+    flagged = []
+    drawn = _record_blocks(monkeypatch, flagged)
     sol = solve_nca(inst)
     assert check_feasible(sol, inst) == []
-    # The first run's 8192 pairs come in blocks of 1024, each after the
-    # first cut to the TDs still uncovered; the last 3 TDs take 16 pairs
-    # of the second of four runs, and no run is drawn after it.
-    assert _sizes(drawn) == [1024, 396, 139, 71, 36, 12, 8, 1, 16]
-    assert sum(_sizes(drawn)) == 1703
-    assert len(_flat_runs(inst, monkeypatch)) == 4
+    # The first run's pairs come in 9 blocks of at most 1024, each after
+    # the first cut to the TDs still uncovered; the last 3 TDs take the
+    # second run, their 75 pairs left, and the scan draws no other run.
+    assert _sizes(drawn) == [1024, 396, 139, 71, 36, 12, 8, 1, 1, 75]
+    assert sum(_sizes(drawn)) == 1763
+    _assert_unflagged_when_drawn(drawn, flagged)
+    runs = _record_blocks(monkeypatch)
+    monkeypatch.setattr(baselines, "_MIN_BLOCK", inst.m * inst.n + 1)
+    assert solve_nca(inst) == sol
+    assert len(runs) == 2
+    assert len(_flat_runs(inst, monkeypatch)) == 3
 
 
 def test_nca_skips_no_pair_it_needs_in_later_blocks_and_runs(monkeypatch):
@@ -395,12 +455,15 @@ def test_nca_tight_capacity_reaches_the_last_run(monkeypatch):
     drawn = _record_blocks(monkeypatch)
     expected = solution_to_json(nca_reference(inst), inst)
     assert solution_to_json(solve_nca(inst), inst) == expected
-    # runs of 8 blocks, then 1, 1 and 1 once cut to the uncovered TDs
-    assert _sizes(drawn) == [1024, 409, 228, 169, 173, 148, 100, 75, 908, 938, 170]
-    runs = _record_blocks(monkeypatch)
+    # a first run of 8 blocks, then the last, drawn from the TDs still
+    # uncovered, of 5
+    assert _sizes(drawn) == [1024, 409, 228, 169, 173, 148, 100, 68, 1024, 303, 211, 111, 48]
+    flagged = []
+    runs = _record_blocks(monkeypatch, flagged)
     monkeypatch.setattr(baselines, "_MIN_BLOCK", inst.m * inst.n + 1)
     assert solution_to_json(solve_nca(inst), inst) == expected
-    assert len(runs) == len(_run_bounds(inst.m * inst.n)) + 1
+    assert len(runs) == 2
+    _assert_unflagged_when_drawn(runs, flagged)
 
 
 def test_nca_with_capacity_of_every_td(monkeypatch):
@@ -416,8 +479,9 @@ def test_nca_on_coincident_points_reaches_the_last_run(monkeypatch):
     drawn = _record_blocks(monkeypatch)
     expected = solution_to_json(nca_reference(inst), inst)
     assert solution_to_json(solve_nca(inst), inst) == expected
-    # every radius is 0, so both runs before the last are one empty block
-    assert _sizes(drawn) == [0, 0, 1024, 1008, 1012, 1016, 1020, 1024, 1024, 1012, 1016,
+    # every radius is 0, so the first run, the last that holds pairs, is
+    # every pair
+    assert _sizes(drawn) == [1024, 1008, 1012, 1016, 1020, 1024, 1024, 1012, 1016,
                              1020, 1024, 1024, 1024, 1024, 1020, 1024, 1024, 1024, 1024, 544]
 
 
@@ -426,15 +490,33 @@ def test_nca_infeasible_after_every_run_without_validation(monkeypatch):
     drawn = _record_blocks(monkeypatch)
     with pytest.raises(InfeasibleInstanceError):
         solve_nca(inst)
-    # every run is drawn, each cut to the TDs still uncovered
-    assert _sizes(drawn) == [1024, 436, 296, 232, 207, 186, 168, 160, 1024, 281,
-                             1024, 1024, 1024, 410, 1024, 1024, 265]
-    assert sum(_sizes(drawn)) == 9809  # of 40 000
-    runs = _record_blocks(monkeypatch)
+    # both runs are drawn: the first in 9 blocks, then the last, drawn from
+    # the TDs still uncovered, in 8, each cut again
+    assert _sizes(drawn) == [1024, 436, 296, 232, 207, 186, 168, 160, 25,
+                             1024, 950, 977, 977, 994, 997, 1008, 135]
+    assert sum(_sizes(drawn)) == 9796  # of 40 000
+    flagged = []
+    runs = _record_blocks(monkeypatch, flagged)
     monkeypatch.setattr(baselines, "_MIN_BLOCK", inst.m * inst.n + 1)
     with pytest.raises(InfeasibleInstanceError):
         solve_nca(inst)
-    assert len(runs) == len(_run_bounds(inst.m * inst.n)) + 1
+    assert len(runs) == 2
+    _assert_unflagged_when_drawn(runs, flagged)
+
+
+def test_nca_memory_stays_below_24_bytes_a_pair():
+    # 2 000 000 pairs: the table of squared radii takes 8 bytes a pair, and
+    # a run after the first is drawn from the uncovered TDs' rows alone.
+    cfg = ExperimentConfig(n=10_000, m=200, k=60, side=40.0, trials=1, seed=1729)
+    inst = generate_instance(cfg, 0)
+    tracemalloc.start()
+    try:
+        sol = solve_nca(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check_feasible(sol, inst) == []
+    assert peak < 24 * inst.m * inst.n
 
 
 def test_nca_without_aps_or_tds():
