@@ -88,7 +88,7 @@ def solve_nca(inst: Instance) -> Solution:
     return Solution.from_picks(inst, {a: tds[-1] for a, tds in coverage.items()}, coverage)
 
 
-_FIRST_RUN = 8192  # pair_runs: most pairs of one block; first run aimed at; sample size
+_FIRST_RUN = 8192  # pairs: pair_runs' largest one-block table, first run's aim, sample size
 _MIN_BLOCK = 1024  # least pairs in a block of a multi-run table
 
 

@@ -487,8 +487,9 @@ def _table_key_order(rsq, boundary):
 def pair_runs_reference(inst):
     """``baselines.pair_runs`` as it stood before NCA sorted its pairs as flat
     rows: the one-block table and each later run posed as a ``(1, N)``
-    table for ``_table_key_order``.  Reads the package's run and block
-    sizes when called."""
+    table for ``_table_key_order``, and the runs bounded by the radii of
+    exact rank 8192, 16384, 32768, ... of the whole table.  Reads the
+    package's run and block sizes when called."""
     m = inst.m
     ap, td = inst.ap_xy, inst.td_xy
     if m * inst.n <= baselines._FIRST_RUN:
