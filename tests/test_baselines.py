@@ -361,6 +361,19 @@ def test_pair_runs_of_coincident_points_are_all_in_the_last_run(monkeypatch):
     assert sizes == [inst.m * inst.n]
 
 
+def test_pair_run_bound_at_a_tied_least_radius_takes_the_tied_pairs(monkeypatch):
+    # Half the 40 000 radii are 0, so the first bound ties the least radius
+    # and moves just past it: the first run is exactly the pairs of radius 0.
+    rng = np.random.default_rng(1729)
+    inst = Instance.from_coords(aps=[(3.5, -2.0)] * 20 + rng.uniform(-9, 9, (20, 2)).tolist(),
+                                tds=[(3.5, -2.0)] * 1000, k=50)
+    runs = _flat_runs(inst, monkeypatch)
+    rsq = key_fields(inst)[0].T.ravel()
+    assert np.array_equal(np.sort(runs[0]), np.flatnonzero(rsq == 0))
+    assert len(runs) > 1
+    _assert_radius_bands(inst, runs)
+
+
 @pytest.mark.parametrize("nan_aps", [0, 20, 30])
 def test_pair_runs_permute_all_pairs_with_nan_coordinates(nan_aps, monkeypatch):
     # Validation skipped: NaN radii sort last, so once a bound's rank falls
