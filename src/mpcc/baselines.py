@@ -16,6 +16,7 @@ assignment from the owners.  Both produce solutions that pass
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Iterator, MutableSequence
@@ -327,14 +328,17 @@ def _choice_list(
     servable count ``min(k, rank + 1)``.  One walk along the AP's disk
     order builds them, as the disk of rank r holds exactly the TDs of
     ranks 0..r; a stable sort then puts the disks in ascending power,
-    equal powers in rank order.
+    equal powers in rank order.  A row whose powers never fall along
+    rank, as the usual power law's do, is in that order already and is
+    not sorted; a NaN power fails the ``<=`` test, so such a row is.
     """
     disks = []
     mask = 0
     for r, (u0, power) in enumerate(zip(order_row, power_row)):
         mask |= 1 << u0
         disks.append((u0, power, mask, min(k, r + 1)))
-    disks.sort(key=lambda choice: choice[1])
+    if not all(map(operator.le, power_row, power_row[1:])):
+        disks.sort(key=lambda choice: choice[1])
     return [(None, 0.0, 0, 0), *disks]
 
 
@@ -385,24 +389,40 @@ def _hall_feasible(masks: list[int], k: int, n: int) -> bool:
     return all(n - u.bit_count() <= k * (q - c.bit_count()) for c, u in enumerate(unions))
 
 
+def _leaf_feasible(chosen: list, k: int, n: int) -> bool:
+    """Whether the disks of the choices ``chosen`` can serve all n TDs:
+    Hall's condition over their masks when there are at most
+    ``_HALL_MAX_APS`` of them, a max flow otherwise."""
+    masks = [c[2] for c in chosen if c[0] is not None]
+    if len(masks) <= _HALL_MAX_APS:
+        return _hall_feasible(masks, k, n)
+    return FlowNetwork(masks, k, n).max_flow() == n
+
+
 def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResult:
     """Minimum-total-power solution by exhaustive disk-choice search.
 
     Each AP independently picks one of its n disks or none; choice lists
     are explored in ascending power order (no disk first) and branches
-    are pruned once the partial power reaches the incumbent.  The search
-    walks the tree with an explicit stack, so its depth is not bounded by
-    the interpreter's recursion limit.  A leaf is screened by TD
-    bitmasks: it is skipped unless the chosen disks' union holds every TD
-    and their servable counts ``min(k, rank + 1)`` sum to at least n.  A
-    leaf that passes is decided by Hall's condition over the same masks
-    (``_hall_feasible``) when it chooses at most ``_HALL_MAX_APS`` disks,
-    and by max flow otherwise; a feasible leaf keeps only its choice
-    vector as the incumbent.  Once the search ends, finished or out of
-    budget, one max flow on the final incumbent builds its assignment
-    from the owner it leaves for each TD.
-    The set-up holds one mask per disk, O(m·n) masks.  The optimum is
-    over exactly-once coverings, matching ``check_feasible``.
+    are pruned once the partial power reaches the incumbent.  APs 0 to
+    m-3 are walked with an explicit stack, so the search's depth is not
+    bounded by the interpreter's recursion limit.  From each node that
+    reaches the last two APs, two plain nested loops scan their choices
+    in the order the stack would take them; most nodes lie there (139
+    of 156 a solve at n=5, m=4).  With one AP the stack decides its
+    leaves.  Every choice visited is one node; the node budget is
+    checked at each node and the time budget at every 256th.  A leaf is
+    screened by TD bitmasks: it is skipped unless the chosen disks'
+    union holds every TD and their servable counts ``min(k, rank + 1)``
+    sum to at least n.  A leaf that passes is decided by Hall's
+    condition over the same masks (``_hall_feasible``) when it chooses
+    at most ``_HALL_MAX_APS`` disks, and by max flow otherwise; a
+    feasible leaf keeps only its choice vector as the incumbent.  Once
+    the search ends, finished or out of budget, one max flow on the
+    final incumbent builds its assignment from the owner it leaves for
+    each TD.  The set-up holds one mask per disk: O(m·n) masks of up to
+    n bits, O(m·n²) bits in all.  The optimum is over exactly-once
+    coverings, matching ``check_feasible``.
     """
     if budget is None:
         budget = ExactBudget()
@@ -415,6 +435,15 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
     all_tds = (1 << n) - 1
     max_nodes, max_seconds = budget.max_nodes, budget.max_seconds
 
+    def next_check(nodes: int) -> int:
+        # 0 once nodes exceeds the budget: past max_nodes, or past
+        # max_seconds when read at every 256th node.  Else the next node
+        # count at which either can fire; the search compares against
+        # that alone, and the checks fire at exactly the same nodes.
+        if nodes > max_nodes or (nodes % 256 == 0 and perf_counter() - t0 > max_seconds):
+            return 0
+        return min(max_nodes + 1, nodes - nodes % 256 + 256)
+
     best_total = float("inf")
     best: list | None = None  # the incumbent's choice per AP
     chosen = [choices[0] for choices in choice_lists]
@@ -425,11 +454,52 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
     union = [0] * m
     cap = [0] * m
     nodes = 1  # the root; each step down below counts one more
-    status = STATUS_OPTIMAL if nodes <= max_nodes else STATUS_BUDGET_EXCEEDED
-    if status == STATUS_OPTIMAL and m == n == 0:
+    check_at = next_check(nodes)
+    if check_at and m == n == 0:
         best = []  # the root is the only leaf, and there is no TD to cover
-    d = 0 if status == STATUS_OPTIMAL and m else -1
+    d = 0 if check_at and m else -1
     while d >= 0:
+        if d == m - 2:
+            # The last two APs' choices in two plain loops, in the order
+            # the stack would take them.  A choice that reaches the
+            # incumbent ends its loop, as later ones ascend in power.
+            # Without every TD in the union and n servable slots no
+            # assignment covers; Hall or the flow decides the leaves
+            # that have both.
+            at_s, at_union, at_cap = partial[d], union[d], cap[d]
+            leaves = choice_lists[d + 1]
+            for choice in choice_lists[d]:
+                s = at_s + choice[1]
+                if not s < best_total:
+                    break
+                nodes += 1
+                if nodes >= check_at:
+                    check_at = next_check(nodes)
+                    if not check_at:
+                        break
+                chosen[d] = choice
+                both = at_union | choice[2]
+                slots = at_cap + choice[3]
+                for leaf in leaves:
+                    t = s + leaf[1]
+                    if not t < best_total:
+                        break
+                    nodes += 1
+                    if nodes >= check_at:
+                        check_at = next_check(nodes)
+                        if not check_at:
+                            break
+                    if both | leaf[2] == all_tds and slots + leaf[3] >= n:
+                        chosen[d + 1] = leaf
+                        if _leaf_feasible(chosen, k, n):
+                            best_total = t
+                            best = chosen[:]
+                if not check_at:
+                    break
+            if not check_at:
+                break
+            d -= 1
+            continue
         choices = choice_lists[d]
         i = pos[d]
         if i < len(choices):
@@ -439,14 +509,10 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
                 pos[d] = i + 1
                 chosen[d] = choice
                 nodes += 1
-                if nodes > max_nodes or (
-                    nodes % 256 == 0 and perf_counter() - t0 > max_seconds
-                ):
-                    status = STATUS_BUDGET_EXCEEDED
-                    break
-                # Step down, or decide a leaf.  Without every TD in the
-                # union and n servable slots no assignment covers; Hall
-                # or the flow decides the leaves that have both.
+                if nodes >= check_at:
+                    check_at = next_check(nodes)
+                    if not check_at:
+                        break
                 _, _, mask, servable = choice
                 if d + 1 < m:
                     d += 1
@@ -455,16 +521,12 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
                     union[d] = union[d - 1] | mask
                     cap[d] = cap[d - 1] + servable
                 elif union[d] | mask == all_tds and cap[d] + servable >= n:
-                    masks = [c[2] for c in chosen if c[0] is not None]
-                    if (
-                        _hall_feasible(masks, k, n)
-                        if len(masks) <= _HALL_MAX_APS
-                        else FlowNetwork(masks, k, n).max_flow() == n
-                    ):
+                    if _leaf_feasible(chosen, k, n):  # m = 1
                         best_total = s
                         best = chosen[:]
                 continue
         d -= 1
+    status = STATUS_OPTIMAL if check_at else STATUS_BUDGET_EXCEEDED
 
     solution = None
     if best is not None:

@@ -283,9 +283,10 @@ def preset(series: int) -> list[ExperimentConfig]:
 
     All presets use a side-40 square, alpha = 2, c = 1, and 50 trials.
     The exact solver is omitted.  m sets its reach, not n: at seed 1729
-    it solves preset 1's n = 20, m = 1 and n = 50, m = 2 points in under
-    1 ms (22 and 1681-1965 nodes, trials 0-2), but spends its 2M-node
-    budget in under a second at n = 100, m = 4, every other point's least m.
+    on a 2-vCPU VM it solves preset 1's n = 20, m = 1 and n = 50, m = 2
+    points in under 0.4 ms (22 and 1681-1965 nodes, trials 0-2), but
+    spends its 2M-node budget in about 0.19 s at n = 100, m = 4, every
+    other point's least m.
     """
     if series == 1:
         return [

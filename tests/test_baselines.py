@@ -438,29 +438,35 @@ def test_nca_stops_drawing_runs_once_every_td_is_covered(monkeypatch):
 def test_nca_skips_no_pair_it_needs_in_later_blocks_and_runs(monkeypatch):
     # TDs whose nearest AP filled before their first pair was reached are
     # assigned by a pair of a later block of the same run, or of a later
-    # run, and the solutions match the one-shot order.
+    # run, and the solutions match the one-shot order.  Each pair is
+    # labelled by the run it was drawn in, recorded with blocks too long
+    # to split a run.
     cfg = ExperimentConfig(n=1000, m=40, k=40, side=40.0, trials=1, seed=1729)
     counts = []
     for inst in (generate_instance(cfg, 0), _multi_run_instances()["tight"]):
+        with monkeypatch.context() as patch:
+            patch.setattr(baselines, "_MIN_BLOCK", inst.m * inst.n + 1)
+            runs = _record_blocks(patch)
+            sol = solve_nca(inst)
+        run_of = {pair: r for r, (u0s, a0s) in enumerate(runs) for pair in zip(u0s, a0s)}
         later = {"block": 0, "run": 0}
         drawn = _record_blocks(monkeypatch)
-        sol = solve_nca(inst)
+        assert solve_nca(inst) == sol
         assert solution_to_json(sol, inst) == solution_to_json(nca_reference(inst), inst)
         where, first = {}, {}
         for j, (u0s, a0s) in enumerate(drawn):
             for u0, a0 in zip(u0s, a0s):
                 where[u0, a0] = j
                 first.setdefault(u0, (j, a0))
-        rsq = key_fields(inst)[0]
-        bound = np.sort(rsq, axis=None)[baselines._FIRST_RUN]
         for ap_id, tds in sol.coverage.items():
             for u in tds:
                 # AP a0 was full when the TD's first pair came in block j
                 j, a0 = first[u - 1]
                 if a0 != ap_id - 1 and where[u - 1, ap_id - 1] > j:
-                    later["run" if rsq[ap_id - 1, u - 1] >= bound else "block"] += 1
+                    later_run = run_of[u - 1, ap_id - 1] > run_of[u - 1, a0]
+                    later["run" if later_run else "block"] += 1
         counts.append(later)
-    assert counts == [{"block": 25, "run": 3}, {"block": 96, "run": 127}]
+    assert counts == [{"block": 26, "run": 2}, {"block": 96, "run": 127}]
 
 
 def test_nca_tight_capacity_reaches_the_last_run(monkeypatch):
@@ -816,6 +822,43 @@ def test_exact_matches_rerun_reference_bytes(monkeypatch, hall_max_aps):
     assert incumbents >= 50
 
 
+def _budget_sweep_instances():
+    """Small instances with m = 1 to 5 APs, a few of each: every node
+    budget of theirs is cheap to run."""
+    rng = np.random.default_rng(2029)
+    for i in range(25):
+        m = i % 5 + 1
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(-(-n // m), n + 1))
+        if i % 2:
+            aps, tds = rng.integers(0, 3, (m, 2)).tolist(), rng.integers(0, 3, (n, 2)).tolist()
+        else:
+            aps, tds = (rng.random((m, 2)) * 40).tolist(), (rng.random((n, 2)) * 40).tolist()
+        yield Instance.from_coords(aps=aps, tds=tds, k=k,
+                                   power_alpha=float(rng.choice([1.0, 2.0, 4.0])))
+
+
+@pytest.mark.parametrize("hall_max_aps", [baselines._HALL_MAX_APS, 0], ids=["hall", "flow"])
+def test_exact_matches_reference_at_every_node_budget(monkeypatch, hall_max_aps):
+    # Every budget from 0 to one past the full count, so budget hits fall
+    # at every depth, inside the scan of the last two APs included, and
+    # each keeps the incumbent the reference holds there.
+    monkeypatch.setattr(baselines, "_HALL_MAX_APS", hall_max_aps)
+    aps_seen, cases, incumbents = set(), 0, 0
+    for inst in _budget_sweep_instances():
+        full = solve_exact(inst).nodes_explored
+        for max_nodes in range(full + 2):
+            budget = ExactBudget(max_nodes=max_nodes, max_seconds=600)
+            expected = _exact_outcome(exact_reference(inst, budget), inst)
+            assert _exact_outcome(solve_exact(inst, budget), inst) == expected, (inst, max_nodes)
+            assert (expected[0] == STATUS_OPTIMAL) == (max_nodes >= full)
+            cases += 1
+            incumbents += expected[0] == STATUS_BUDGET_EXCEEDED and expected[2] is not None
+        aps_seen.add(inst.m)
+    assert aps_seen == {1, 2, 3, 4, 5}
+    assert cases >= 500 and incumbents >= 100, (cases, incumbents)
+
+
 EXACT_BYTES_SHA256 = {
     (8, 3, 3): "6cdb0aca5195c6290306478a752315b65ed59ed4c6690b294eafef83257994a8",
     (6, 2, 4): "97ce91847ddfe3b2bbd3f37d669e94ce1140f01132ea09e40be284a9a0e7512c",
@@ -987,6 +1030,30 @@ def test_choice_list_follows_power_where_it_falls_along_rank(monkeypatch):
     monkeypatch.setattr("mpcc.baselines.disk_order", lambda _: patched)
     monkeypatch.setattr("oracles.disk_order", lambda _: patched)
     assert _exact_outcome(solve_exact(inst), inst) == _exact_outcome(exact_reference(inst), inst)
+
+
+def test_choice_list_equals_the_stable_sort_by_power():
+    # A row whose powers never fall skips the sort; every kind of row must
+    # still equal the plain stable sort of its rank walk by power.  NaN
+    # fails the <= test, so a row holding one is sorted, NaN's order too.
+    order, k = [3, 0, 4, 1, 2], 2
+    rows = {
+        "equal": [2.5] * 5,
+        "rising": [1.0, 2.0, 3.5, 3.75, 9.0],
+        "falling": [9.0, 3.75, 3.5, 2.0, 1.0],
+        "nan": [3.0, math.nan, 2.0, 1.0, math.nan],
+    }
+    moved = set()
+    for name, power in rows.items():
+        walk, mask = [], 0
+        for r, (u0, p) in enumerate(zip(order, power)):
+            mask |= 1 << u0
+            walk.append((u0, p, mask, min(k, r + 1)))
+        expected = [(None, 0.0, 0, 0), *sorted(walk, key=lambda choice: choice[1])]
+        assert repr(_choice_list(power, order, k)) == repr(expected), name
+        if expected[1:] != walk:
+            moved.add(name)
+    assert moved == {"falling", "nan"}
 
 
 def test_exact_setup_memory_is_linear_in_disks():
