@@ -53,16 +53,8 @@ def solve_nca(inst: Instance) -> Solution:
     for a covered TD or a full AP never becomes available again.
     Restricted to one AP, this order is the AP's disk order (key, then TD
     id), so the last TD assigned to an AP is the boundary TD of the
-    largest-keyed disk among its assigned TDs.
-
-    ``pair_runs`` hands the pairs out as consecutive blocks of TD and AP
-    indices ``(u0 list, a0 list)``, with the n TD flags ``covered`` that
-    the blocks consult: the scan sets ``covered[u0]`` as it covers TD u0,
-    and later blocks leave that TD's pairs out.  A table of more than
-    8192 pairs comes in runs of pairs, each drawn and sorted only when
-    the scan reaches it, so the scan sorts no run past the one that
-    covers the last TD; a run after the first is drawn from the pairs of
-    the TDs still uncovered (see ``pair_runs``).
+    largest-keyed disk among its assigned TDs.  ``pair_runs`` hands out
+    the pairs in this order, and the TD flags the scan sets.
     """
     covered, blocks = pair_runs(inst)
     spare = [inst.k] * inst.m

@@ -7,7 +7,6 @@ solution, 6 exact-solver budget exceeded, 1 other runtime failure.
 
 import argparse
 import functools
-import json
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -16,6 +15,7 @@ from . import experiments
 from .baselines import ExactBudget
 from .formats import (
     FormatError,
+    configs_from_json,
     instance_from_json,
     instance_to_json,
     solution_to_json,
@@ -95,8 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -169,52 +169,13 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _config_fields(i: int, entry: dict) -> dict:
-    """The ExperimentConfig fields a config entry sets, so that absent ones
-    keep their defaults; FormatError for an unknown or mistyped field."""
-    fields = {}
-    for f, value in entry.items():
-        if f in ("n", "m", "k", "trials", "seed"):
-            ok = type(value) is int
-        elif f in ("side", "c", "alpha"):
-            ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
-        elif f == "algorithms":
-            ok = isinstance(value, list) and all(isinstance(a, str) for a in value)
-        else:
-            raise FormatError(f"config {i} has unknown field '{f}'")
-        if not ok:
-            raise FormatError(f"config {i} field '{f}' has the wrong type or value")
-        name = {"c": "power_c", "alpha": "power_alpha"}.get(f, f)
-        fields[name] = tuple(value) if f == "algorithms" else value
-    return fields
-
-
-def _parse_config_file(path: str) -> list[experiments.ExperimentConfig]:
-    try:
-        doc = json.loads(_read(path))
-    except ValueError as exc:
-        raise FormatError(f"invalid config file: {exc}") from exc
-    if not isinstance(doc, list):
-        raise FormatError("config file must hold a JSON list of config objects")
-    configs = []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict):
-            raise FormatError(f"config {i} is not an object")
-        fields = _config_fields(i, entry)
-        for f in ("n", "m", "k", "side"):
-            if f not in fields:
-                raise FormatError(f"config {i} missing field '{f}'")
-        configs.append(experiments.ExperimentConfig(**fields))
-    return configs
-
-
 def _cmd_bench(args) -> int:
     if args.preset is not None:
         series = args.preset
         configs = experiments.preset(series)
     else:
         series = "custom"
-        configs = _parse_config_file(args.config)
+        configs = configs_from_json(_read(args.config))
     if args.max_n is not None:
         configs = [cfg for cfg in configs if cfg.n <= args.max_n]
     configs = experiments.override_configs(configs, trials=args.trials, seed=args.seed)
@@ -246,6 +207,8 @@ def run(argv=None) -> int:
         return _error(EXIT_FAILURE, exc)
     except OSError as exc:
         return _error(EXIT_FAILURE, f"cannot write: {exc}")
+    except MemoryError as exc:
+        return _error(EXIT_FAILURE, f"out of memory: {exc}" if str(exc) else "out of memory")
 
 
 def main() -> None:

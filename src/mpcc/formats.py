@@ -1,4 +1,5 @@
-"""Stable JSON file formats for instances, solutions, and solver traces.
+"""Stable JSON file formats for instances, solutions, solver traces, and
+``bench`` sweep configs.
 
 Instance document::
 
@@ -17,6 +18,14 @@ Trace line, one per MLR round in round order::
 
 ``covered`` (the TDs assigned) and ``removed`` (the disks retired) ascend.
 
+Config document, read only::
+
+    [{"n": int, "m": int, "k": int, "side": real, "c": real, "alpha": real,
+      "trials": int, "seed": int, "algorithms": [name, ...]}, ...]
+
+``n``, ``m``, ``k`` and ``side`` are required; an absent field keeps
+``ExperimentConfig``'s default, and any other field is an error.
+
 Ids are 1-based positions in the instance arrays.  Reals are written with
 up to 17 significant digits so parsing recovers the exact double; the
 ``radius`` and ``power`` fields of an assignment are informational on
@@ -26,12 +35,14 @@ deterministic: equal values produce byte-identical documents.
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
 
 import numpy as np
 
+from .experiments import ExperimentConfig
 from .model import Instance, Solution, check_feasible, disk_geometry
 
 __all__ = [
@@ -87,11 +98,13 @@ def instance_to_json(inst: Instance) -> str:
     return _dump(doc) + "\n"
 
 
-def _load(text: str):
+def _load(text: str, what: str = "JSON"):
+    """``text`` decoded; FormatError for text that is not JSON, an integer
+    past Python's digit limit, or nesting past the recursion limit."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"invalid {what}: {exc}") from exc
 
 
 def _real(value, what: str) -> float:
@@ -240,6 +253,38 @@ def solution_violations(text: str, inst: Instance) -> list[str]:
     sol = Solution({ap: td for ap, td, _ in triples},
                    {ap: frozenset(covered) for ap, _, covered in triples}, total)
     return check_feasible(sol, inst)
+
+
+def configs_from_json(text: str) -> list[ExperimentConfig]:
+    """The configs of a config document; FormatError for an unknown,
+    mistyped or missing field, so that a misspelt one cannot fall back to
+    its default."""
+    doc = _load(text, "config file")
+    if not isinstance(doc, list):
+        raise FormatError("config file must hold a JSON list of config objects")
+    configs = []
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise FormatError(f"config {i} is not an object")
+        fields = {}
+        for f, value in entry.items():
+            if f in ("n", "m", "k", "trials", "seed"):
+                ok = type(value) is int
+            elif f in ("side", "c", "alpha"):
+                ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+            elif f == "algorithms":
+                ok = isinstance(value, list) and all(isinstance(a, str) for a in value)
+            else:
+                raise FormatError(f"config {i} has unknown field '{f}'")
+            if not ok:
+                raise FormatError(f"config {i} field '{f}' has the wrong type or value")
+            name = {"c": "power_c", "alpha": "power_alpha"}.get(f, f)
+            fields[name] = tuple(value) if f == "algorithms" else value
+        for f in ("n", "m", "k", "side"):
+            if f not in fields:
+                raise FormatError(f"config {i} missing field '{f}'")
+        configs.append(ExperimentConfig(**fields))
+    return configs
 
 
 def trace_line(doc: dict) -> str:

@@ -102,25 +102,12 @@ nearly all per-call cost: a round made about 25 numpy calls on the
 through ``_scalar_rounds`` on Python lists instead.  It runs at full
 width and never compacts; each round is one pass per live AP over its
 live disks that charges, recounts, retires and finds the next pick, with
-the floats and the tie-break of the arrays.  Per solve, in process
-(the lower of two runs of the fastest of 11 passes over 40 trials a
-shape, side 40, alpha 2, seed 1729, on a 2-vCPU x86-64 VM), array rounds
-against scalar ones:
-
-    n, m, k (disks)      array     scalar
-    5, 4, 4 (20)         117 us     66 us
-    20, 1, 40 (20)       162 us     60 us
-    50, 2, 40 (100)      243 us    176 us
-    30, 4, 25 (120)      266 us    234 us
-    16, 8, 4 (128)       272 us    263 us
-    8, 16, 4 (128)       185 us    217 us
-    40, 5, 25 (200)      322 us    409 us
-    100, 4, 25 (400)     600 us   1016 us
-
-A pass costs about 0.2 us a live disk, so the crossover moves with the
-shape and the number of rounds; 128 sits about where the two cost the
-same.  Every sweep-small table has at least 400 disks and solve-large's
-40 000, so both run the arrays.
+the floats and the tie-break of the arrays.  A pass costs about 0.2 us a
+live disk, while an array round costs mostly per numpy call, so the
+crossover moves with the shape and the number of rounds; 128 sits about
+where the two cost the same (README times both on eight shapes).  Every
+sweep-small table has at least 400 disks and solve-large's 40 000, so
+both run the arrays.
 """
 
 import math

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpcc import cli, experiments, instance_from_json, mlr, solution_violations
+from mpcc import cli, experiments, formats, instance_from_json, mlr, solution_violations
 
 
 def run_cli(*argv):
@@ -434,7 +434,7 @@ def test_check_rejects_boolean_disk_td(tmp_path, capsys):
 def test_config_entry_keeps_dataclass_defaults(tmp_path):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps([{"n": 10, "m": 2, "k": 6, "side": 40}]))
-    assert cli._parse_config_file(str(cfg_path)) == [
+    assert formats.configs_from_json(cfg_path.read_text()) == [
         experiments.ExperimentConfig(10, 2, 6, 40)]
 
 
@@ -543,6 +543,43 @@ def test_bench_config_that_is_not_json_is_a_parse_error(tmp_path, capsys):
     assert run_cli("bench", "--config", str(cfg_path),
                    "--out-dir", str(tmp_path / "out")) == cli.EXIT_PARSE
     assert "invalid config file" in capsys.readouterr().err
+
+
+DECODING_FAULTS = {
+    "not-utf8": b'{"c": "\xff"}',
+    "deep-nesting": b"[" * (sys.getrecursionlimit() + 1) + b"]" * (sys.getrecursionlimit() + 1),
+    "long-integer": b"[" + b"9" * 5000 + b"]",
+}
+
+
+@pytest.mark.parametrize("fault", DECODING_FAULTS)
+@pytest.mark.parametrize("document", ["instance", "solution", "config"])
+def test_undecodable_input_file_is_a_parse_error(tmp_path, capsys, document, fault):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(DECODING_FAULTS[fault])
+    argv = {
+        "instance": ["solve", "--alg", "mlr", "--in", str(bad), "--out", str(tmp_path / "s.json")],
+        "solution": ["check", "--instance", str(gen_instance(tmp_path)), "--solution", str(bad)],
+        "config": ["bench", "--config", str(bad), "--out-dir", str(tmp_path / "out")],
+    }[document]
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_out_of_memory_is_a_failure_without_traceback(tmp_path, capsys, monkeypatch):
+    def exhausted(inst):
+        raise MemoryError("cannot allocate the pair table")
+
+    monkeypatch.setattr(experiments, "solve_nca", exhausted)
+    inst_path = gen_instance(tmp_path)
+    capsys.readouterr()
+    code = run_cli("solve", "--alg", "nca", "--in", str(inst_path),
+                   "--out", str(tmp_path / "sol.json"))
+    assert code == cli.EXIT_FAILURE
+    assert capsys.readouterr().err == "error: out of memory: cannot allocate the pair table\n"
+    assert not (tmp_path / "sol.json").exists()
 
 
 @pytest.mark.parametrize("doc, message", [
