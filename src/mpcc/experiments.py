@@ -171,9 +171,14 @@ def generate_instance(cfg: ExperimentConfig, trial_index: int) -> Instance:
     gen = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([cfg.seed, trial_index]))
     )
-    ap_xy = gen.random((cfg.m, 2)) * cfg.side
-    td_xy = gen.random((cfg.n, 2)) * cfg.side
-    return Instance.from_coords(ap_xy, td_xy, cfg.k, cfg.power_c, cfg.power_alpha)
+    # One draw of m + n rows is the same stream as the APs' draw followed
+    # by the TDs'.  The instance holds the two views of this fresh array,
+    # so it shares it with no caller.
+    xy = gen.random((cfg.m + cfg.n, 2))
+    xy *= cfg.side
+    xy.flags.writeable = False
+    return Instance(xy[:cfg.m], xy[cfg.m:], int(cfg.k), float(cfg.power_c),
+                    float(cfg.power_alpha))
 
 
 def utilization_variance(sol: Solution, inst: Instance) -> float:
@@ -182,12 +187,14 @@ def utilization_variance(sol: Solution, inst: Instance) -> float:
     APs that cover nothing count with size zero; the value is zero
     exactly when every AP covers n/m TDs.
     """
-    target = inst.n / inst.m
+    m = inst.m
+    target = inst.n / m
+    get = sol.coverage.get
     acc = 0.0
-    for ap_id in range(1, inst.m + 1):
-        diff = len(sol.coverage.get(ap_id, ())) - target
+    for ap_id in range(1, m + 1):
+        diff = len(get(ap_id, ())) - target
         acc += diff * diff
-    return acc / inst.m
+    return acc / m
 
 
 def solve_timed(
@@ -231,6 +238,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if problems:
         raise ExperimentError(f"invalid config {cfg}: " + "; ".join(problems))
     rows: list[TrialRow] = []
+    done = {algorithm: [] for algorithm in cfg.algorithms}  # each solver's "ok" rows
     for trial in range(cfg.trials):
         inst = generate_instance(cfg, trial)
         for algorithm in cfg.algorithms:
@@ -244,32 +252,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     f"infeasible {algorithm} output at config={cfg}, "
                     f"trial={trial}, seed={cfg.seed}: {violations}"
                 )
-            rows.append(
-                TrialRow(
-                    trial,
-                    algorithm,
-                    sol.total_power,
-                    wall_ms,
-                    utilization_variance(sol, inst),
-                    status,
-                )
-            )
-    summary = {}
-    for algorithm in cfg.algorithms:
-        done = [r for r in rows if r.algorithm == algorithm and r.status == "ok"]
-        summary[algorithm] = AlgorithmSummary(
+            row = TrialRow(trial, algorithm, sol.total_power, wall_ms,
+                           utilization_variance(sol, inst), status)
+            rows.append(row)
+            done[algorithm].append(row)
+    summary = {
+        algorithm: AlgorithmSummary(
             algorithm=algorithm,
-            mean_total_power=(
-                sum(r.total_power for r in done) / len(done) if done else None
-            ),
-            mean_wall_ms=(sum(r.wall_ms for r in done) / len(done) if done else None),
-            mean_variance=(
-                sum(r.variance for r in done) / len(done) if done else None
-            ),
-            completed=len(done),
+            mean_total_power=_mean([r.total_power for r in ok]),
+            mean_wall_ms=_mean([r.wall_ms for r in ok]),
+            mean_variance=_mean([r.variance for r in ok]),
+            completed=len(ok),
             trials=cfg.trials,
         )
+        for algorithm, ok in done.items()
+    }
     return ExperimentReport(config=cfg, rows=rows, summary=summary)
+
+
+def _mean(values: list[float]) -> float | None:
+    """``values`` summed in order over their count; None if there are none."""
+    return sum(values) / len(values) if values else None
 
 
 def preset(series: int) -> list[ExperimentConfig]:
@@ -343,24 +346,15 @@ def write_results_csv(path, series, configs, reports) -> None:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for config_id, (cfg, report) in enumerate(zip(configs, reports)):
-            for row in report.rows:
-                writer.writerow(
-                    [
-                        _csv_value(series),
-                        _csv_value(config_id),
-                        _csv_value(row.trial),
-                        row.algorithm,
-                        _csv_value(cfg.n),
-                        _csv_value(cfg.m),
-                        _csv_value(cfg.k),
-                        _csv_value(cfg.side),
-                        _csv_value(cfg.power_alpha),
-                        _csv_value(row.total_power),
-                        _csv_value(row.wall_ms),
-                        _csv_value(row.variance),
-                        row.status,
-                    ]
-                )
+            # The cells every row of a config shares are formatted once.
+            head = _csv_value(series), _csv_value(config_id)
+            shape = tuple(map(_csv_value, (cfg.n, cfg.m, cfg.k, cfg.side, cfg.power_alpha)))
+            writer.writerows(
+                (*head, _csv_value(row.trial), row.algorithm, *shape,
+                 _csv_value(row.total_power), _csv_value(row.wall_ms),
+                 _csv_value(row.variance), row.status)
+                for row in report.rows
+            )
 
 
 def write_plot_csvs(out_dir, series, configs, reports) -> None:

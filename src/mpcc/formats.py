@@ -249,7 +249,7 @@ def solution_violations(text: str, inst: Instance) -> list[str]:
             violations.append(f"assignment of AP {ap} references unknown TD {td}")
     if violations:
         return violations
-    # check_feasible walks both maps in sorted order itself.
+    # check_feasible reports by AP id, and by TD id within an AP, itself.
     sol = Solution({ap: td for ap, td, _ in triples},
                    {ap: frozenset(covered) for ap, _, covered in triples}, total)
     return check_feasible(sol, inst)

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -319,13 +320,16 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
     of a selected disk wherever coverage is claimed, order-based
     containment of each covered TD in its AP's disk, and consistency of
     the stated total power with the selected disks.  Empty list means
-    feasible.
+    feasible.  Violations come in a fixed order: the selected disks' by
+    AP id, then each covering AP's by AP id and within it by TD id, then
+    the uncovered TDs, then the total.
     """
     v = []
     m, n, k = inst.m, inst.n, inst.k
     # Containment compares keys in each AP's disk order, the squared
-    # radius first, computed in scalar floats as in _key_order.
-    tx, ty = inst.td_xy[:, 0].tolist(), inst.td_xy[:, 1].tolist()
+    # radius first, computed in scalar floats as in _key_order.  TD u's
+    # coordinates are ``xy[2u - 2]`` and ``xy[2u - 1]``.
+    xy = inst.td_xy.ravel().tolist()
     aps = inst.ap_xy.tolist()
 
     disks = {}  # AP id -> its position, boundary TD id, vector and squared radius
@@ -338,14 +342,15 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
             v.append(f"disk of AP {ap_id} has unknown boundary TD {b}")
         else:
             ax, ay = aps[ap_id - 1]
-            bx, by = tx[b - 1] - ax, ty[b - 1] - ay
+            bx, by = xy[2 * b - 2] - ax, xy[2 * b - 1] - ay
             rb = bx * bx + by * by
             disks[ap_id] = ax, ay, b, bx, by, rb
             derived += power_of(rb, inst.power_c, inst.power_alpha)
 
-    owner: dict[int, int] = {}
+    owner = [0] * (n + 1)  # TD id -> the first AP that covers it, 0 for none
+    held = 0  # TDs with an owner
     for ap_id in sorted(sol.coverage):
-        tds = sorted(sol.coverage[ap_id])
+        tds = sol.coverage[ap_id]
         if not 1 <= ap_id <= m:
             v.append(f"coverage references unknown AP {ap_id}")
             continue
@@ -356,25 +361,31 @@ def check_feasible(sol: Solution, inst: Instance) -> list[str]:
         disk = disks.get(ap_id)
         if disk:
             ax, ay, b, bx, by, rb = disk
+        # (TD id, message) in claim order, sorted by TD id at the end: the
+        # sort is stable, so each TD's messages keep their order.
+        bad = []
         for u in tds:
             if not 1 <= u <= n:
-                v.append(f"coverage of AP {ap_id} references unknown TD {u}")
+                bad.append((u, f"coverage of AP {ap_id} references unknown TD {u}"))
                 continue
-            if u in owner:
-                v.append(f"TD {u} covered by both AP {owner[u]} and AP {ap_id}")
+            if owner[u]:
+                bad.append((u, f"TD {u} covered by both AP {owner[u]} and AP {ap_id}"))
             else:
                 owner[u] = ap_id
+                held += 1
             if not disk:
                 continue
-            dx, dy = tx[u - 1] - ax, ty[u - 1] - ay
+            dx, dy = xy[2 * u - 2] - ax, xy[2 * u - 1] - ay
             r = dx * dx + dy * dy
             # A NaN radius compares false both ways and so lies outside.
             if not r <= rb or r == rb and u != b and (
                     _key_tail(dx, dy, r, u) > _key_tail(bx, by, rb, b)):
-                v.append(f"TD {u} lies outside the selected disk of AP {ap_id}")
-    for u in range(1, n + 1):
-        if u not in owner:
-            v.append(f"TD {u} is not covered")
+                bad.append((u, f"TD {u} lies outside the selected disk of AP {ap_id}"))
+        if bad:
+            bad.sort(key=itemgetter(0))
+            v.extend(msg for _, msg in bad)
+    if held < n:
+        v.extend(f"TD {u} is not covered" for u in range(1, n + 1) if not owner[u])
 
     if not math.isclose(sol.total_power, derived, rel_tol=1e-9):
         v.append(

@@ -4,14 +4,16 @@ These deliberately avoid the package's max-flow and branch-and-bound
 code: feasibility is decided by raw enumeration or per-TD backtracking,
 so they can serve as oracles for the production paths.  The exceptions
 are the earlier forms of rewritten solvers, orders, the containment
-test and the max flow, kept for differential tests.  The max flow here
-is the package's earlier general Dinic on an arc-list network, which
-the package's owner/load form must match augmentation for augmentation.
+test, the max flow, instance generation and the results CSV writer,
+kept for differential tests.  The max flow here is the package's
+earlier general Dinic on an arc-list network, which the package's
+owner/load form must match augmentation for augmentation.
 The disk order is specified here one pair at a time by the scalar
 ``disk_key``, against which the package's array-built ``disk_order`` is
 tested.
 """
 
+import csv
 import itertools
 import json
 import math
@@ -34,6 +36,7 @@ from mpcc.baselines import (
     ExactBudget,
     ExactResult,
 )
+from mpcc.experiments import RESULT_COLUMNS
 from mpcc.formats import FormatError, _fmt_real, _real
 
 
@@ -195,6 +198,42 @@ def dump_reference(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(dump_reference(v) for v in value) + "]"
     raise FormatError(f"cannot serialize {type(value).__name__}")
+
+
+def generate_instance_reference(cfg, trial_index: int) -> Instance:
+    """``generate_instance`` drawing the APs' rows and then the TDs' in
+    two calls, both copied by ``Instance.from_coords``."""
+    gen = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([cfg.seed, trial_index]))
+    )
+    ap_xy = gen.random((cfg.m, 2)) * cfg.side
+    td_xy = gen.random((cfg.n, 2)) * cfg.side
+    return Instance.from_coords(ap_xy, td_xy, cfg.k, cfg.power_c, cfg.power_alpha)
+
+
+def _csv_cell_reference(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def write_results_csv_reference(path, series, configs, reports) -> None:
+    """``write_results_csv`` formatting all 13 cells of every row, one
+    ``writerow`` a row."""
+    cell = _csv_cell_reference
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULT_COLUMNS)
+        for config_id, (cfg, report) in enumerate(zip(configs, reports)):
+            for row in report.rows:
+                writer.writerow([
+                    cell(series), cell(config_id), cell(row.trial), row.algorithm,
+                    cell(cfg.n), cell(cfg.m), cell(cfg.k), cell(cfg.side),
+                    cell(cfg.power_alpha), cell(row.total_power), cell(row.wall_ms),
+                    cell(row.variance), row.status,
+                ])
 
 
 def random_instance(rng, m, n, k, side=40.0, power_c=1.0, power_alpha=2.0) -> Instance:

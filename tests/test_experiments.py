@@ -1,11 +1,13 @@
 import csv
 import importlib
+import itertools
 import json
 import math
 import tracemalloc
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,7 +26,17 @@ from mpcc import (
     utilization_variance,
     validate_instance,
 )
-from mpcc.experiments import MAX_DISKS, MAX_TRIALS, config_violations, run_sweep, solve_timed
+from mpcc.experiments import (
+    MAX_DISKS,
+    MAX_TRIALS,
+    ExperimentReport,
+    TrialRow,
+    config_violations,
+    run_sweep,
+    solve_timed,
+    write_results_csv,
+)
+from oracles import generate_instance_reference, write_results_csv_reference
 
 
 def small_cfg(**overrides):
@@ -53,6 +65,21 @@ def test_generated_coordinates_stay_in_the_square():
         inst = generate_instance(cfg, trial)
         for xy in (inst.ap_xy, inst.td_xy):
             assert ((0 <= xy) & (xy <= 15)).all()
+
+
+def test_generation_draws_the_two_draw_stream():
+    # One draw of m + n rows, APs first, gives the bytes of the APs' draw
+    # followed by the TDs'.
+    grid = itertools.product((1, 2, 5, 100), (1, 2, 5, 100), (0, 1729), (0, 7), (0.3, 40.0))
+    for n, m, seed, trial, side in grid:
+        cfg = ExperimentConfig(n=n, m=m, k=n, side=side, power_alpha=2.5, seed=seed)
+        got, want = generate_instance(cfg, trial), generate_instance_reference(cfg, trial)
+        for xy, ref, rows in ((got.ap_xy, want.ap_xy, m), (got.td_xy, want.td_xy, n)):
+            assert xy.dtype == np.float64 and xy.shape == (rows, 2)
+            assert not xy.flags.writeable
+            assert xy.tobytes() == ref.tobytes()
+        assert (got.k, got.power_c, got.power_alpha) == (want.k, want.power_c, want.power_alpha)
+        assert list(map(type, (got.k, got.power_c, got.power_alpha))) == [int, float, float]
 
 
 def test_generated_instance_memory_is_two_coordinate_arrays():
@@ -311,6 +338,34 @@ def test_run_sweep_writes_csvs(tmp_path):
             plot_rows = list(csv.reader(fh))
         assert plot_rows[0] == ["config_id", "mlr", "nca"]
         assert len(plot_rows) == 3
+
+
+def test_results_csv_bytes_equal_the_row_by_row_writer(tmp_path):
+    # wall_ms included, which the golden digests leave out.  One budget
+    # miss with its empty cells, a non-integer side and alpha, an integer
+    # and a "custom" series.
+    configs = [
+        small_cfg(n=5, m=2, k=3, side=12.5, power_alpha=2.5, algorithms=("exact", "mlr")),
+        small_cfg(n=7, m=3, k=3, side=40.0),
+    ]
+    rows = [
+        [TrialRow(0, "exact", None, 0.1 + 0.2, None, "budget_exceeded"),
+         TrialRow(0, "mlr", 208.37500000000003, 1e-05, 0.25, "ok"),
+         TrialRow(1, "exact", 97.5, 123456.789, 1 / 3, "ok"),
+         TrialRow(1, "mlr", 97.5, 2.0, 1 / 3, "ok")],
+        [TrialRow(0, "mlr", 1e300, 0.5, 0.0, "ok"),
+         TrialRow(0, "nca", 5e-324, 7.25, 2 / 3, "ok")],
+    ]
+    reports = [ExperimentReport(cfg, r, {}) for cfg, r in zip(configs, rows)]
+    for series in (3, "custom"):
+        write_results_csv(tmp_path / "got.csv", series, configs, reports)
+        write_results_csv_reference(tmp_path / "want.csv", series, configs, reports)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        lines = got.decode().split("\r\n")
+        assert lines[1] == f"{series},0,0,exact,5,2,3,12.5,2.5,,0.30000000000000004,,budget_exceeded"
+        assert lines[5] == f"{series},1,0,mlr,7,3,3,40,2,1.0000000000000001e+300,0.5,0,ok"
+        assert len(lines) == 8 and lines[-1] == ""
 
 
 # ---------------------------------------------------------------------------

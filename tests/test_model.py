@@ -666,6 +666,16 @@ def _mutations(rng, inst, sol, moves=None):
     yield Solution({**sol.selected, a: n + 1}, sol.coverage, sol.total_power)
     yield Solution(sol.selected, {**sol.coverage, 0: frozenset({1})}, sol.total_power)
     yield Solution(sol.selected, {b: frozenset() for b in sol.coverage}, sol.total_power)
+    # unknown TDs 0, n + 1 and 8(n + 1) beside a TD outside the AP's disk.
+    # 8(n + 1) goes in first and takes the set's slot 0, so the set does not
+    # iterate in id order.
+    for a, w in sol.selected.items():
+        out = [u for u in range(1, n + 1) if disk_key(inst, a, u) > disk_key(inst, a, w)]
+        if out:
+            tds = frozenset((8 * (n + 1), 0, out[0], n + 1))
+            assert list(tds) != sorted(tds)
+            yield Solution(sol.selected, {**sol.coverage, a: tds}, sol.total_power)
+            break
     # random disks and random owners
     for _ in range(4):
         selected = {a: int(rng.integers(1, n + 1)) for a in range(1, inst.m + 1)}
@@ -737,7 +747,7 @@ def test_check_feasible_equals_pairwise_contains_checker():
                         ties.add((ku[0] == 0.0, next(i for i in (1, 2, 3) if ku[i] != kb[i])))
     assert outside >= 100  # the mutations reach the containment test
     for fault in ("selected disk references unknown AP", "has unknown boundary TD",
-                  "coverage references unknown AP"):
+                  "coverage references unknown AP", "references unknown TD"):
         assert any(fault in v for v in reached), fault
     # ties decided by cosine, by y sign and by TD id, and at radius 0
     assert {(False, 1), (False, 2), (False, 3), (True, 3)} <= ties
@@ -764,7 +774,8 @@ def test_check_feasible_ranks_non_finite_keys_as_disk_order():
 def test_check_feasible_memory_is_not_per_claim_objects():
     # 200 000 claimed containments at one AP; a Python tuple and key per
     # claim end peaked at about 118 MB here, the scalar pass with its TD
-    # coordinate lists at 30 MB.
+    # coordinate lists, owner dict and sorted claims at 30 MB, and one
+    # flat coordinate list with an owner list indexed by TD id at 14 MB.
     cfg = ExperimentConfig(n=200_000, m=1, k=200_000, side=40.0, trials=1)
     inst = generate_instance(cfg, 0)
     sol = solve_nca(inst)
