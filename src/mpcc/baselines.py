@@ -96,19 +96,16 @@ def pair_runs(inst: Instance) -> tuple[MutableSequence, Iterable[_Block]]:
     sort breaks disk-key ties by TD, then AP.  A table of at most 8192
     pairs is sorted as one flat row into one block, and its flags are a
     list.  A larger table is drawn in runs, each sorted as a flat row.
-    The radius leads the key, so any bound v splits the pairs left into
-    two bands of the order: those of radius below v form the next run.
-    Each run's bound is read off a strided sample of at most about 8192
-    of the pairs it is drawn from, at the rank that estimates their
-    8192nd smallest radius for the first run and twice the last run's
-    rank for each later one.  A bound that ties the least radius left
-    moves just past it, so the pairs of that radius form the run.  Once
-    the rank reaches past the sample or falls on a NaN radius, the run
-    holds every finite radius left, and the last run holds the infinite
-    and NaN radii, which sort after them; no empty run is handed out.
-    The first run is drawn from every pair, each later one from the pairs
-    of the TDs not yet flagged whose radius is at or above the last
-    bound, so its cost follows the uncovered TDs times m, not the table.
+    The radius leads the key, so each run is a band of the order: the
+    pairs left whose radius lies in (lo, v], where lo is the last run's
+    bound.  The bound v is read off a strided sample of the radii above lo
+    among at most about 8192 of the pairs the run is drawn from, at the
+    rank that estimates their 8192nd smallest radius for the first run
+    and twice the last run's rank for each later one; once that rank
+    falls past the sample, v is inf and the run holds every pair left,
+    NaN radii last.  No empty run is handed out.  The first run is drawn
+    from every pair, each later one from the pairs of the TDs not yet
+    flagged, so its cost follows the uncovered TDs times m, not the table.
     Each run is handed out in blocks of max(n, 1024) pairs, and every
     block after a run's first drops the pairs of TDs flagged since.  With
     no TD flagged, the blocks hold every pair in order.
@@ -158,11 +155,17 @@ def _bounded_runs(inst: Instance, covered: np.ndarray) -> Iterator[_Block]:
         u0, a0 = pairs(tds, at)
         return td[u0, 0] - ap[a0, 0], td[u0, 1] - ap[a0, 1]
 
-    def ordered(tds, flat, keep):
-        # The pairs at the mask keep of the rows tds, in key order.  Their
-        # flat indices ascend, so the stable sort breaks key ties by TD,
-        # then AP.  Each array is dropped once read: a run's arrays add to
-        # the whole table's.
+    def ordered(tds, flat, lo, v):
+        # The pairs of the rows tds whose radius lies in (lo, v], in key
+        # order.  Their flat indices ascend, so the stable sort breaks key
+        # ties by TD, then AP.  Each array is dropped once read: a run's
+        # arrays add to the whole table's.
+        if v < np.inf:
+            keep = flat <= v
+            if lo > -np.inf:
+                keep &= flat > lo
+        else:
+            keep = ~(flat <= lo)
         at = np.flatnonzero(keep)
         del keep
         order = _key_order(flat[at], lambda: boundary(tds, at))[0]
@@ -177,16 +180,11 @@ def _bounded_runs(inst: Instance, covered: np.ndarray) -> Iterator[_Block]:
             keep = ~covered[u]
             yield u[keep].tolist(), a[keep].tolist()
 
-    def band(flat, lo, hi):
-        below = flat < hi
-        if lo > -np.inf:
-            below &= flat >= lo
-        return below
-
     # Each run is drawn from the pairs of the TDs not yet flagged, the rows
-    # tds of rsq (None: every row), whose radius is at or above the last
-    # bound lo, or NaN.  Any bound splits them into two bands of the key
-    # order, so a bound read off a sample of them keeps the order exact.
+    # tds of rsq (None: every row), and holds those whose radius lies in
+    # (lo, v]: lo is the last run's bound and v a sampled radius > lo, or
+    # inf once the rank falls past the sample.  NaN fails "> lo", so v is
+    # never NaN, and NaN radii, which sort last, join the run of v = inf.
     tds, table, lo, want = None, rsq, -np.inf, _FIRST_RUN
     while lo < np.inf:
         flat = table.reshape(-1)
@@ -195,24 +193,14 @@ def _bounded_runs(inst: Instance, covered: np.ndarray) -> Iterator[_Block]:
         while math.gcd(stride, m) > 1:
             stride += 1
         sample = flat[::stride]
-        if lo > -np.inf:
-            sample = sample[~(sample < lo)]
+        sample = sample[sample > lo]
         r = want // stride
         v = np.partition(sample, r)[r] if r < sample.size else np.inf
-        if not v < np.inf:  # NaN sorts last: the run takes every finite radius
-            v = np.inf
-        u0, a0 = ordered(tds, flat, band(flat, lo, v))
-        if not u0.size and v < np.inf:  # v is the least radius left
-            v = np.nextafter(v, np.inf)
-            u0, a0 = ordered(tds, flat, band(flat, lo, v))
+        u0, a0 = ordered(tds, flat, lo, v)
         if u0.size:
             yield from run(u0, a0)
         tds = np.flatnonzero(~covered)
         table, lo, want = rsq[tds], v, 2 * want
-    # The last run: the infinite and NaN radii, which sort after the rest.
-    u0, a0 = ordered(tds, table.reshape(-1), ~(table < np.inf))
-    if u0.size:
-        yield from run(u0, a0)
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -391,6 +379,15 @@ def _leaf_feasible(chosen: list, k: int, n: int) -> bool:
     return FlowNetwork(masks, k, n).max_flow() == n
 
 
+# The most bytes the exact set-up may take, estimated as m·n²/8: its TD
+# bitmasks hold about m·n²/2 bits.  Above it, solve_exact returns
+# budget_exceeded after 0 nodes.  With a 10-node budget (k = 40, 2-vCPU
+# VM) the maxrss read 128 MB at n x m = 2000 x 100, 325 MB at 4000 x 100
+# and 459 MB at 5000 x 100, 35 MB of them before the solve; so m·n² <=
+# 4·10^9 admits 4000 x 100 and refuses 10 000 x 100 (1.53 GB).
+_MAX_SETUP_BYTES = 5 * 10**8
+
+
 def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResult:
     """Minimum-total-power solution by exhaustive disk-choice search.
 
@@ -413,9 +410,13 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
     the search ends, finished or out of budget, one max flow on the
     final incumbent builds its assignment from the owner it leaves for
     each TD.  The set-up holds one mask per disk: O(m·n) masks of up to
-    n bits, O(m·n²) bits in all.  The optimum is over exactly-once
+    n bits, O(m·n²) bits in all.  An instance whose set-up is estimated
+    past ``_MAX_SETUP_BYTES`` is not searched: the result is
+    budget_exceeded after 0 nodes.  The optimum is over exactly-once
     coverings, matching ``check_feasible``.
     """
+    if inst.m * inst.n**2 // 8 > _MAX_SETUP_BYTES:
+        return ExactResult(STATUS_BUDGET_EXCEEDED, None, 0)
     if budget is None:
         budget = ExactBudget()
     t0 = perf_counter()

@@ -57,9 +57,10 @@ DEFAULT_SEED = 1729
 # shape of 10**6 disks tried (n x m = 5000 x 200, 1000 x 1000, 10**5 x 10,
 # 10**6 x 1, 1 x 10**6) runs one mlr and nca trial in under a minute and
 # 1 GB on a 2-vCPU machine.  That promise covers mlr and nca only: exact
-# builds a TD bitmask per disk before its first node, and with a 10-node
-# budget reached a maxrss of 129 MB at n x m = 2000 x 100 and 1.5 GB at
-# 10 000 x 100.
+# builds a TD bitmask per disk before its first node, about m·n²/8 bytes,
+# and reports budget_exceeded after 0 nodes where m·n² > 4·10^9
+# (``baselines._MAX_SETUP_BYTES``); with a 10-node budget it reached a
+# maxrss of 128 MB at n x m = 2000 x 100 and 509 MB at 60 000 x 1.
 MAX_DISKS = 10**6
 MAX_TRIALS = 10**6
 

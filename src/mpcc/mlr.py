@@ -153,8 +153,8 @@ class SolverState:
     since ``d`` never decreases along a row.  Retired entries of
     ``p_hat`` hold +inf, so they never win a selection; a compacted row
     shorter than ``width`` starts with retired padding.  Each round
-    replaces ``first_live`` by a copy, so the round's ``Retired`` record
-    keeps the array it started from.
+    replaces ``first_live`` by a new array, so the round's ``Retired``
+    record keeps the array it started from.
 
     Rounds work on the window of columns below ``hi`` (see the module
     docstring), so ``d`` and ``div`` cover the window only, and the
@@ -302,10 +302,6 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     order = state.order
     d_star, k_star = state.d.item(a0, r), state.k_hat.item(a0)
     e_star = local_ratio(state.p_win.item(a0, r), k_star, d_star)
-    # The round works on a fresh copy, so the record keeps the old one.
-    before = state.first_live
-    first = state.first_live = before.copy()
-
     prefix = order[a0, : r + 1]
     covered0 = np.sort(prefix[state.live_td[prefix]])
     covered_ids = (covered0 + 1).tolist()
@@ -337,19 +333,21 @@ def apply_selection(state: SolverState, pick: tuple[int, int]):
     if hi < width and (state.d[:, -1] < state.k_hat).any():
         _widen(state)
 
-    # 4. Retire disks.  A pick that exactly fills the residual capacity
-    # (c == d_star == k_star) retires its AP wholly; that is the only
-    # whole retirement before the last TD is covered, so only then is
-    # ``live_ap`` refreshed.  Then every AP drops its new prefix of d = 0
-    # disks (a row of d never decreases), which at the chosen AP holds
-    # the pick and every smaller-keyed disk.
+    # 4. Retire disks.  Every AP drops its new prefix of d = 0 disks (a
+    # row of d never decreases), which at the chosen AP holds the pick and
+    # every smaller-keyed disk.  ``first_live`` becomes a new array, so
+    # the round's record keeps the old one.  A pick that exactly fills the
+    # residual capacity (c == d_star == k_star) then retires its AP
+    # wholly; that is the only whole retirement before the last TD is
+    # covered, so only then is ``live_ap`` refreshed.
+    before = state.first_live
+    dead = state.d == 0
+    state.p_win[dead] = math.inf
+    first = state.first_live = np.maximum(before, dead.sum(axis=1))
     if d_star == k_star:
         _retire(state, a0)
         state.live_ap = np.flatnonzero(first < width)
     retired = Retired(state.table, order, before, first)
-    dead = state.d == 0
-    state.p_win[dead] = math.inf
-    np.maximum(first, dead.sum(axis=1), out=first)
     if 0 < state.left <= state.compact_at:
         _compact(state)
         state.compact_at = state.left // 2

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -254,10 +255,10 @@ def test_pair_runs_concatenate_to_the_one_shot_order(monkeypatch):
         _assert_radius_bands(inst, runs)
         multi += len(blocks) > 1
     assert multi == len(_multi_run_instances())
-    # a 40 000-pair table: runs of 8190, 16 653 and 15 157 pairs, in
+    # a 40 000-pair table: runs of 8191, 16 673 and 15 136 pairs, in
     # 8, 17 and 15 blocks of 1024 or fewer
     runs = _flat_runs(_multi_run_instances()["random"], monkeypatch)
-    assert [len(run) for run in runs] == [8190, 16_653, 15_157]
+    assert [len(run) for run in runs] == [8191, 16_673, 15_136]
     sizes = _block_sizes(_multi_run_instances()["random"], runs)
     assert len(sizes) == 40 and sum(sizes) == 40_000
 
@@ -342,28 +343,28 @@ def test_pair_runs_match_the_one_row_table_reference():
 
 
 def test_pair_run_bound_can_split_equal_radii(monkeypatch):
-    # A run ends before every pair of its bound's radius, so on a grid of
+    # A run closes with every pair of its bound's radius, so on a grid of
     # integer radii a bound falls on a radius that many pairs share, and
-    # the next run opens with all of them.
+    # the run ends with all of them.
     inst = _multi_run_instances()["grid"]
     ranked = np.sort(key_fields(inst)[0], axis=None)
     ends = np.cumsum([len(run) for run in _flat_runs(inst, monkeypatch)])[:-1]
-    assert ends.tolist() == [8096]
+    assert ends.tolist() == [8542]
     assert (ranked[ends - 1] < ranked[ends]).all()
-    assert (ranked[ends] == ranked[ends + 1]).all()
+    assert (ranked[ends - 2] == ranked[ends - 1]).all()
 
 
 def test_pair_runs_of_coincident_points_are_all_in_the_last_run(monkeypatch):
-    # Every radius is 0, so the first bound ties the least radius and moves
-    # just past it: the first run, the only one, holds every pair.
+    # Every radius is 0, so the first bound is 0 and its run, the only one,
+    # holds every pair.
     inst = _multi_run_instances()["coincident"]
     sizes = [len(run) for run in _flat_runs(inst, monkeypatch)]
     assert sizes == [inst.m * inst.n]
 
 
 def test_pair_run_bound_at_a_tied_least_radius_takes_the_tied_pairs(monkeypatch):
-    # Half the 40 000 radii are 0, so the first bound ties the least radius
-    # and moves just past it: the first run is exactly the pairs of radius 0.
+    # Half the 40 000 radii are 0, so the first bound is 0: the first run
+    # is exactly the pairs of radius 0.
     rng = np.random.default_rng(1729)
     inst = Instance.from_coords(aps=[(3.5, -2.0)] * 20 + rng.uniform(-9, 9, (20, 2)).tolist(),
                                 tds=[(3.5, -2.0)] * 1000, k=50)
@@ -376,13 +377,13 @@ def test_pair_run_bound_at_a_tied_least_radius_takes_the_tied_pairs(monkeypatch)
 
 @pytest.mark.parametrize("nan_aps", [0, 20, 30])
 def test_pair_runs_permute_all_pairs_with_nan_coordinates(nan_aps, monkeypatch):
-    # Validation skipped: NaN radii sort last, so once a bound's rank falls
-    # among them, the finite pairs left form one run and the NaN ones the
-    # last (30 of 40 APs: at the first bound; 20: at the second).
+    # Validation skipped: the samples drop NaN radii, so once a bound's rank
+    # falls past the finite ones sampled, one run holds every pair left, the
+    # NaN ones last (30 of 40 APs: the first run; 20: the second).
     inst = _nan_instance(nan_aps)
     runs = _flat_runs(inst, monkeypatch)
     assert np.array_equal(np.sort(np.concatenate(runs)), np.arange(inst.m * inst.n))
-    assert len(runs) == {0: 4, 20: 3, 30: 2}[nan_aps]
+    assert len(runs) == {0: 3, 20: 2, 30: 1}[nan_aps]
     with np.errstate(invalid="ignore"):
         _assert_radius_bands(inst, runs)
 
@@ -987,6 +988,24 @@ def test_exact_search_depth_is_not_bounded_by_recursion():
     assert res.status == STATUS_OPTIMAL
     assert res.solution.total_power == disk_order(inst).power.min()
     assert hit.solution.total_power > res.solution.total_power
+
+
+def test_exact_refuses_a_set_up_past_its_byte_limit(monkeypatch):
+    # One AP and 10^6 TDs, within MAX_DISKS: the TD bitmasks would take
+    # about 62 GB, so solve_exact reports the budget exceeded at once.
+    rng = np.random.default_rng(1729)
+    inst = Instance.from_coords(aps=rng.random((1, 2)) * 40, tds=rng.random((10**6, 2)) * 40,
+                                k=10**6)
+    t0 = time.perf_counter()
+    res = solve_exact(inst)
+    assert time.perf_counter() - t0 < 0.5
+    assert (res.status, res.solution, res.nodes_explored) == (STATUS_BUDGET_EXCEEDED, None, 0)
+    # The limit compares m·n²/8 bytes, rounded down, with _MAX_SETUP_BYTES.
+    small = random_instance(rng, m=4, n=5, k=2)
+    monkeypatch.setattr(baselines, "_MAX_SETUP_BYTES", 4 * 5**2 // 8)
+    assert solve_exact(small).status == STATUS_OPTIMAL
+    monkeypatch.setattr(baselines, "_MAX_SETUP_BYTES", 4 * 5**2 // 8 - 1)
+    assert solve_exact(small).nodes_explored == 0
 
 
 def _power_rank_order(table, a0):
