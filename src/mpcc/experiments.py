@@ -14,6 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +102,7 @@ class ExperimentConfig:
     exact_budget: ExactBudget = ExactBudget()
 
 
-@dataclass(frozen=True)
-class TrialRow:
+class TrialRow(NamedTuple):
     trial: int
     algorithm: str
     total_power: float | None

@@ -30,7 +30,9 @@ Ids are 1-based positions in the instance arrays.  Reals are written with
 up to 17 significant digits so parsing recovers the exact double; the
 ``radius`` and ``power`` fields of an assignment are informational on
 output and recomputed from the ids on input.  Serialization is
-deterministic: equal values produce byte-identical documents.
+deterministic: equal values produce byte-identical documents.  Each
+writer emits its document as one line, its fields in the order shown,
+with ``", "`` between items and ``": "`` after keys.
 """
 
 import json
@@ -66,36 +68,20 @@ def _fmt_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _dump(value) -> str:
-    if isinstance(value, bool):
-        raise FormatError("no boolean fields in these formats")
-    if isinstance(value, float):
-        return _fmt_real(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, (list, tuple)):
-        types = set(map(type, value))
-        if types <= {int}:  # id lists: no per-element dispatch
-            return "[" + ", ".join(map(str, value)) + "]"
-        if types <= {list, tuple} and set(map(type, chain.from_iterable(value))) <= {int}:
-            return json.dumps(value)  # id-pair lists; json's default separators match
-        return "[" + ", ".join(_dump(v) for v in value) + "]"
-    raise FormatError(f"cannot serialize {type(value).__name__}")
+def _ids(ids) -> str:
+    """A JSON list of int ids."""
+    return "[" + ", ".join(map(str, ids)) + "]"
+
+
+def _points(xy: np.ndarray) -> str:
+    """The rows of an ``(N, 2)`` array as a JSON list of ``[x, y]`` pairs."""
+    reals = map(_fmt_real, xy.ravel().tolist())
+    return "[" + ", ".join([f"[{x}, {y}]" for x, y in zip(reals, reals)]) + "]"
 
 
 def instance_to_json(inst: Instance) -> str:
-    doc = {
-        "c": float(inst.power_c),
-        "alpha": float(inst.power_alpha),
-        "k": int(inst.k),
-        "aps": inst.ap_xy.tolist(),
-        "tds": inst.td_xy.tolist(),
-    }
-    return _dump(doc) + "\n"
+    return (f'{{"c": {_fmt_real(inst.power_c)}, "alpha": {_fmt_real(inst.power_alpha)}, '
+            f'"k": {int(inst.k)}, "aps": {_points(inst.ap_xy)}, "tds": {_points(inst.td_xy)}}}\n')
 
 
 def _load(text: str, what: str = "JSON"):
@@ -120,14 +106,15 @@ def _point_list(doc, field: str):
     pts = doc.get(field)
     if not isinstance(pts, list):
         raise FormatError(f"'{field}' must be a list of [x, y] pairs")
-    # JSON gives exact types, and bool is a type of its own.  np.array
+    # JSON gives exact types, and bool is a type of its own.  np.fromiter
     # converts ints as float() does, OverflowError included.
-    if (set(map(type, pts)) <= {list} and set(map(len, pts)) <= {2}
-            and set(map(type, chain.from_iterable(pts))) <= {float, int}):
-        try:
-            return np.array(pts, dtype=np.float64)
-        except OverflowError:
-            pass
+    if set(map(type, pts)) <= {list} and set(map(len, pts)) <= {2}:
+        flat = list(chain.from_iterable(pts))
+        if set(map(type, flat)) <= {float, int}:
+            try:
+                return np.fromiter(flat, np.float64, len(flat)).reshape(-1, 2)
+            except OverflowError:
+                pass
     # Some point is bad, or an int overflowed: name the first such point.
     for i, p in enumerate(pts):
         if (
@@ -162,21 +149,17 @@ def instance_from_json(text: str) -> Instance:
 
 
 def solution_to_json(sol: Solution, inst: Instance) -> str:
-    assignments = []
+    entries = []
     for ap_id in sorted(sol.selected):
         td_id = sol.selected[ap_id]
         radius_sq, power = disk_geometry(inst, ap_id, td_id)
-        assignments.append(
-            {
-                "ap": int(ap_id),
-                "disk_td": int(td_id),
-                "radius": math.sqrt(radius_sq),
-                "power": power,
-                "covered": sorted(map(int, sol.coverage.get(ap_id, ()))),
-            }
+        entries.append(
+            f'{{"ap": {int(ap_id)}, "disk_td": {int(td_id)}, '
+            f'"radius": {_fmt_real(math.sqrt(radius_sq))}, "power": {_fmt_real(power)}, '
+            f'"covered": {_ids(sorted(map(int, sol.coverage.get(ap_id, ()))))}}}'
         )
-    doc = {"total_power": float(sol.total_power), "assignments": assignments}
-    return _dump(doc) + "\n"
+    return (f'{{"total_power": {_fmt_real(sol.total_power)}, '
+            f'"assignments": [{", ".join(entries)}]}}\n')
 
 
 def _solution_parts(text: str):
@@ -233,12 +216,12 @@ def solution_violations(text: str, inst: Instance) -> list[str]:
     """
     total, triples = _solution_parts(text)
     violations = []
-    seen = set()
+    coverage = {}  # each assignment's TD set, built once
     for ap, _, covered in triples:
-        if ap in seen:
+        if ap in coverage:
             violations.append(f"more than one disk selected for AP {ap}")
-        seen.add(ap)
-        if len(set(covered)) < len(covered):
+        coverage[ap] = tds = frozenset(covered)
+        if len(tds) < len(covered):
             for u, times in sorted(Counter(covered).items()):
                 if times > 1:
                     violations.append(f"coverage of AP {ap} lists TD {u} {times} times")
@@ -250,9 +233,7 @@ def solution_violations(text: str, inst: Instance) -> list[str]:
     if violations:
         return violations
     # check_feasible reports by AP id, and by TD id within an AP, itself.
-    sol = Solution({ap: td for ap, td, _ in triples},
-                   {ap: frozenset(covered) for ap, _, covered in triples}, total)
-    return check_feasible(sol, inst)
+    return check_feasible(Solution({ap: td for ap, td, _ in triples}, coverage, total), inst)
 
 
 def configs_from_json(text: str) -> list[ExperimentConfig]:
@@ -287,6 +268,22 @@ def configs_from_json(text: str) -> list[ExperimentConfig]:
     return configs
 
 
+_TRACE_FIELDS = {"iter", "disk", "ratio", "covered", "removed"}
+
+
 def trace_line(doc: dict) -> str:
-    """One trace document as one line, newline included."""
-    return _dump(doc) + "\n"
+    """One trace document as one line, newline included: its five fields
+    in the documented order.  FormatError for any other field set, a
+    non-finite ratio, a round number or id that is not an int, or a disk
+    that is not an ``[ap, td]`` pair."""
+    if doc.keys() != _TRACE_FIELDS:
+        raise FormatError(f"a trace document has the fields {sorted(_TRACE_FIELDS)}")
+    disk, covered, removed = doc["disk"], doc["covered"], doc["removed"]
+    disks = [disk, *removed]
+    if not (set(map(type, disks)) <= {list, tuple} and set(map(len, disks)) == {2}
+            and set(map(type, chain([doc["iter"]], covered, *disks))) <= {int}):
+        raise FormatError("trace ids and round numbers must be ints, and disks [ap, td] pairs")
+    pairs = ", ".join([f"[{ap}, {td}]" for ap, td in removed])
+    return (f'{{"iter": {doc["iter"]}, "disk": [{disk[0]}, {disk[1]}], '
+            f'"ratio": {_fmt_real(doc["ratio"])}, "covered": {_ids(covered)}, '
+            f'"removed": [{pairs}]}}\n')

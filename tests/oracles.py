@@ -4,8 +4,8 @@ These deliberately avoid the package's max-flow and branch-and-bound
 code: feasibility is decided by raw enumeration or per-TD backtracking,
 so they can serve as oracles for the production paths.  The exceptions
 are the earlier forms of rewritten solvers, orders, the containment
-test, the max flow, instance generation and the results CSV writer,
-kept for differential tests.  The max flow here is the package's
+test, the max flow, instance generation, the results CSV writer and
+the generic document writer, kept for differential tests.  The max flow here is the package's
 earlier general Dinic on an arc-list network, which the package's
 owner/load form must match augmentation for augmentation.
 The disk order is specified here one pair at a time by the scalar
@@ -198,6 +198,33 @@ def dump_reference(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(dump_reference(v) for v in value) + "]"
     raise FormatError(f"cannot serialize {type(value).__name__}")
+
+
+def instance_doc_reference(inst: Instance) -> dict:
+    """An instance document as a dict, for ``dump_reference``."""
+    return {
+        "c": float(inst.power_c),
+        "alpha": float(inst.power_alpha),
+        "k": int(inst.k),
+        "aps": inst.ap_xy.tolist(),
+        "tds": inst.td_xy.tolist(),
+    }
+
+
+def solution_doc_reference(sol: Solution, inst: Instance) -> dict:
+    """A solution document as a dict, for ``dump_reference``."""
+    assignments = []
+    for ap_id in sorted(sol.selected):
+        td_id = sol.selected[ap_id]
+        radius_sq, power = disk_geometry(inst, ap_id, td_id)
+        assignments.append({
+            "ap": int(ap_id),
+            "disk_td": int(td_id),
+            "radius": math.sqrt(radius_sq),
+            "power": power,
+            "covered": sorted(map(int, sol.coverage.get(ap_id, ()))),
+        })
+    return {"total_power": float(sol.total_power), "assignments": assignments}
 
 
 def generate_instance_reference(cfg, trial_index: int) -> Instance:

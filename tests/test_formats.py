@@ -1,6 +1,8 @@
 import json
 import math
+from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,9 +22,13 @@ from mpcc import (
     solve_nca,
     trace_line,
 )
-from mpcc import formats
-from mpcc.experiments import override_configs, preset
-from oracles import dump_reference, point_list_reference
+from mpcc.experiments import ExperimentConfig, override_configs, preset
+from oracles import (
+    dump_reference,
+    instance_doc_reference,
+    point_list_reference,
+    solution_doc_reference,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
 HUGE = [2**53 + 1, 2**63, 2**64 + 12345, 10**30, -2**63 - 5]
@@ -98,36 +104,102 @@ def test_parse_matches_reference_on_random_points(aps, tds):
     assert type(got) is type(want) and got == want
 
 
+def _reference_cases():
+    """The preset-3 corpus at 10 trials a config, and the solve-large
+    instance: (instance, MLR solution, NCA solution, MLR trace)."""
+    instances = [generate_instance(cfg, t)
+                 for cfg in override_configs(preset(3), trials=10) for t in range(cfg.trials)]
+    instances.append(generate_instance(
+        ExperimentConfig(n=1000, m=40, k=40, side=40.0, trials=1, seed=1729), 0))
+    for inst in instances:
+        trace = []
+        yield inst, solve_mlr(inst, trace.append), solve_nca(inst), trace
+
+
+def test_serialisation_matches_per_element_reference():
+    lines = 0
+    for inst, mlr, nca, trace in _reference_cases():
+        assert instance_to_json(inst) == dump_reference(instance_doc_reference(inst)) + "\n"
+        for sol in (mlr, nca):
+            assert solution_to_json(sol, inst) == (
+                dump_reference(solution_doc_reference(sol, inst)) + "\n")
+        for doc in trace:
+            assert trace_line(doc) == dump_reference(doc) + "\n"
+        lines += len(trace)
+    assert lines > 1000  # the trace lines are compared, not skipped
+
+
+def _trace_doc(**fields):
+    return {"iter": 3, "disk": [2, 5], "ratio": 2.5, "covered": [5, 7],
+            "removed": [[2, 5]], **fields}
+
+
+def _ints_in_pairs(doc) -> bool:
+    """Whether the round number and every id of a trace document are ints
+    and every disk an [ap, td] pair, tested element by element."""
+    disks = [doc["disk"], *doc["removed"]]
+    if not all(isinstance(d, (list, tuple)) and len(d) == 2 for d in disks):
+        return False
+    return all(type(u) is int for u in [doc["iter"], *doc["covered"], *chain.from_iterable(disks)])
+
+
+# The generic writer's value cases, each written in the trace field that
+# holds its kind of value: a dict as fields, a list of pairs as "removed",
+# any other list as "covered".  The reference writes any number there;
+# trace_line refuses ids that are not ints and disks that are not pairs.
 @pytest.mark.parametrize("value", [[], [1, 2, -3], (4, 5), [1, True], [True], [1, 2.5],
                                    [1, "a"], [[1, 2], [3]], {"covered": [7, 1]}, [2**70],
                                    [(1, 2), [3, 2**70]], [(1, True)], [(1, 2.5)], [[], (7,)],
-                                   [(1, 2), 3], {"removed": [(4, 1), (4, 3)]}])
+                                   [(1, 2), 3], {"removed": [(4, 1), (4, 3)]},
+                                   {"removed": []}, {"disk": (4, 5)}, {"disk": [2**70, 1]},
+                                   {"iter": 2**70}, {"ratio": 1}, {"ratio": -0.0},
+                                   {"disk": [True, 1]}, {"iter": True}, {"disk": [1, 2, 3]},
+                                   {"disk": 1}])
 def test_dump_matches_per_element_reference(value):
-    def dumped(dump):
-        try:
-            return dump(value)
-        except FormatError as exc:
-            return f"FormatError: {exc}"
+    if isinstance(value, dict):
+        doc = _trace_doc(**value)
+    elif value and isinstance(value[0], (list, tuple)):
+        doc = _trace_doc(removed=value)
+    else:
+        doc = _trace_doc(covered=value)
+    if _ints_in_pairs(doc):
+        assert trace_line(doc) == dump_reference(doc) + "\n"
+    else:
+        with pytest.raises(FormatError):
+            trace_line(doc)
 
-    assert dumped(formats._dump) == dumped(dump_reference)
+
+def test_trace_line_writes_the_documented_field_order():
+    doc = _trace_doc()
+    shuffled = {f: doc[f] for f in ("removed", "ratio", "iter", "covered", "disk")}
+    assert trace_line(shuffled) == trace_line(doc) == (
+        '{"iter": 3, "disk": [2, 5], "ratio": 2.5, "covered": [5, 7], "removed": [[2, 5]]}\n')
+    for fields in ({**doc, "extra": 1}, {f: doc[f] for f in ("iter", "disk", "ratio", "covered")}):
+        with pytest.raises(FormatError):
+            trace_line(fields)
 
 
-def test_serialisation_matches_per_element_reference(monkeypatch):
-    cases = []
-    for cfg in override_configs(preset(3), trials=10):
-        for t in range(cfg.trials):
-            inst = generate_instance(cfg, t)
-            trace = []
-            cases.append((inst, solve_mlr(inst, trace.append), solve_nca(inst), trace))
+def test_solution_writer_matches_reference_on_odd_ids():
+    # Covered ids past 2**64 and bools (written as ints), and an AP whose
+    # coverage is empty or absent.
+    inst = Instance.from_coords(aps=[(0, 0), (5, 5), (9, 9)], tds=[(1, 0), (2, 0)], k=2)
+    for coverage in ({1: frozenset({2**70, 2, 1})}, {1: frozenset({True, 2})},
+                     {1: frozenset(), 2: frozenset([1, 2])}, {}):
+        sol = Solution({1: 2, 2: 1, 3: 1}, coverage, 7.0)
+        assert solution_to_json(sol, inst) == (
+            dump_reference(solution_doc_reference(sol, inst)) + "\n")
+    sol = Solution({2: 1}, {}, 41.0)
+    assert solution_to_json(sol, inst) == (
+        '{"total_power": 41, "assignments": [{"ap": 2, "disk_td": 1, '
+        '"radius": 6.4031242374328485, "power": 41, "covered": []}]}\n')
+    assert solution_to_json(Solution({}, {}, 0.0), inst) == (
+        '{"total_power": 0, "assignments": []}\n')
 
-    def write():
-        return [(instance_to_json(inst), solution_to_json(mlr, inst),
-                 solution_to_json(nca, inst), "".join(map(trace_line, trace)))
-                for inst, mlr, nca, trace in cases]
 
-    got = write()
-    monkeypatch.setattr(formats, "_dump", dump_reference)
-    assert got == write()
+def test_empty_point_list_parses_to_no_rows():
+    inst = instance_from_json('{"c": 1, "alpha": 2, "k": 1, "aps": [[0, 0]], "tds": []}')
+    assert inst.td_xy.shape == (0, 2) and inst.td_xy.dtype == np.float64
+    assert inst.ap_xy.shape == (1, 2)
 
 
 def test_round_trip_keeps_value_equality_not_hashability():
@@ -298,6 +370,22 @@ def test_trace_jsonl_parses_line_by_line():
 
 
 def test_non_finite_reals_refused():
-    inst = Instance.from_coords(aps=[(math.inf, 0.0)], tds=[(0.0, 0.0)], k=1)
-    with pytest.raises(FormatError):
-        instance_to_json(inst)
+    # by every writer, in each of its real fields
+    good = dict(aps=[(0.0, 0.0)], tds=[(1.0, 0.0)], k=1)
+    strong = Instance.from_coords(**{**good, "tds": [(2.0, 0.0)]}, power_c=1e308)
+    for bad in (math.inf, -math.inf, math.nan):
+        for inst in (Instance.from_coords(**good, power_c=bad),
+                     Instance.from_coords(**good, power_alpha=bad),
+                     Instance.from_coords(**{**good, "aps": [(bad, 0.0)]}),
+                     Instance.from_coords(**{**good, "tds": [(0.0, bad)]})):
+            with pytest.raises(FormatError, match="non-finite"):
+                instance_to_json(inst)
+        picks = ({1: 1}, {1: frozenset({1})})
+        far = Instance.from_coords(**{**good, "tds": [(bad, 0.0)]})
+        for sol, inst in ((Solution(*picks, bad), Instance.from_coords(**good)),  # total_power
+                          (Solution(*picks, 1.0), far),  # radius and power
+                          (Solution(*picks, 1.0), strong)):  # a finite radius, power past range
+            with pytest.raises(FormatError, match="non-finite"):
+                solution_to_json(sol, inst)
+        with pytest.raises(FormatError, match="non-finite"):
+            trace_line(_trace_doc(ratio=bad))
