@@ -58,7 +58,8 @@ def solve_nca(inst: Instance) -> Solution:
     """
     covered, blocks = pair_runs(inst)
     spare = [inst.k] * inst.m
-    assigned: list[list[int]] = [[] for _ in range(inst.m)]
+    # Made at an AP's first TD, so only the APs that serve get a list.
+    assigned: list[list[int] | None] = [None] * inst.m
     remaining = inst.n
     for u0s, a0s in blocks:
         for u0, a0 in zip(u0s, a0s):
@@ -66,7 +67,11 @@ def solve_nca(inst: Instance) -> Solution:
                 continue
             covered[u0] = True
             spare[a0] -= 1
-            assigned[a0].append(u0 + 1)
+            tds = assigned[a0]
+            if tds is None:
+                assigned[a0] = [u0 + 1]
+            else:
+                tds.append(u0 + 1)
             remaining -= 1
             if remaining == 0:
                 break
@@ -392,28 +397,29 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
     """Minimum-total-power solution by exhaustive disk-choice search.
 
     Each AP independently picks one of its n disks or none; choice lists
-    are explored in ascending power order (no disk first) and branches
-    are pruned once the partial power reaches the incumbent.  APs 0 to
-    m-3 are walked with an explicit stack, so the search's depth is not
-    bounded by the interpreter's recursion limit.  From each node that
-    reaches the last two APs, two plain nested loops scan their choices
-    in the order the stack would take them; most nodes lie there (139
-    of 156 a solve at n=5, m=4).  With one AP the stack decides its
-    leaves.  Every choice visited is one node; the node budget is
-    checked at each node and the time budget at every 256th.  A leaf is
-    screened by TD bitmasks: it is skipped unless the chosen disks'
-    union holds every TD and their servable counts ``min(k, rank + 1)``
-    sum to at least n.  A leaf that passes is decided by Hall's
-    condition over the same masks (``_hall_feasible``) when it chooses
-    at most ``_HALL_MAX_APS`` disks, and by max flow otherwise; a
-    feasible leaf keeps only its choice vector as the incumbent.  Once
-    the search ends, finished or out of budget, one max flow on the
-    final incumbent builds its assignment from the owner it leaves for
-    each TD.  The set-up holds one mask per disk: O(m·n) masks of up to
-    n bits, O(m·n²) bits in all.  An instance whose set-up is estimated
-    past ``_MAX_SETUP_BYTES`` is not searched: the result is
-    budget_exceeded after 0 nodes.  The optimum is over exactly-once
-    coverings, matching ``check_feasible``.
+    are explored in ascending power order (no disk first) and branches are
+    pruned once the partial power reaches the incumbent.  APs 0 to m-3 are
+    walked with one frame per depth on an explicit stack, free of the
+    interpreter's recursion limit: a step takes the top frame's next
+    choice and pushes its child's frame, or pops the frame once its
+    choices run out or one reaches the incumbent.  AP m-2's frame is
+    popped into two plain nested loops over the last two APs' choices,
+    where most nodes lie (139 of 156 a solve at n=5, m=4); with one AP,
+    its frame's steps decide the leaves.  Every choice visited is one
+    node; the node budget is checked at each node and the time budget at
+    every 256th.  A leaf is screened by TD bitmasks: it is skipped unless
+    the chosen disks' union holds every TD and their servable counts
+    ``min(k, rank + 1)`` sum to at least n.  A leaf that passes is decided
+    by Hall's condition over the same masks (``_hall_feasible``) when it
+    chooses at most ``_HALL_MAX_APS`` disks, and by max flow otherwise; a
+    feasible leaf keeps only its choice vector as the incumbent.  Once the
+    search ends, finished or out of budget, one max flow on the final
+    incumbent builds its assignment from the owner it leaves for each TD.
+    The set-up holds one mask per disk: O(m·n) masks of up to n bits,
+    O(m·n²) bits in all.  An instance whose set-up is estimated past
+    ``_MAX_SETUP_BYTES`` is not searched: the result is budget_exceeded
+    after 0 nodes.  The optimum is over exactly-once coverings, matching
+    ``check_feasible``.
     """
     if inst.m * inst.n**2 // 8 > _MAX_SETUP_BYTES:
         return ExactResult(STATUS_BUDGET_EXCEEDED, None, 0)
@@ -440,28 +446,25 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
     best_total = float("inf")
     best: list | None = None  # the incumbent's choice per AP
     chosen = [choices[0] for choices in choice_lists]
-    # Per depth d: the next choice to try at the node there, and the
-    # partial power, mask union and servable count of APs 0..d-1.
-    pos = [0] * m
-    partial = [0.0] * m
-    union = [0] * m
-    cap = [0] * m
     nodes = 1  # the root; each step down below counts one more
     check_at = next_check(nodes)
     if check_at and m == n == 0:
         best = []  # the root is the only leaf, and there is no TD to cover
-    d = 0 if check_at and m else -1
-    while d >= 0:
+    # The frame at depth d: an iterator over AP d's choices left to try,
+    # and the partial power, mask union and servable count of APs 0..d-1.
+    frames = [(iter(choice_lists[0]), 0.0, 0, 0)] if m else []
+    while check_at and frames:
+        d = len(frames) - 1
         if d == m - 2:
             # The last two APs' choices in two plain loops, in the order
-            # the stack would take them.  A choice that reaches the
+            # the frames would take them.  A choice that reaches the
             # incumbent ends its loop, as later ones ascend in power.
             # Without every TD in the union and n servable slots no
             # assignment covers; Hall or the flow decides the leaves
             # that have both.
-            at_s, at_union, at_cap = partial[d], union[d], cap[d]
+            choices, at_s, at_union, at_cap = frames.pop()
             leaves = choice_lists[d + 1]
-            for choice in choice_lists[d]:
+            for choice in choices:
                 s = at_s + choice[1]
                 if not s < best_total:
                     break
@@ -489,36 +492,26 @@ def solve_exact(inst: Instance, budget: ExactBudget | None = None) -> ExactResul
                             best = chosen[:]
                 if not check_at:
                     break
+            continue
+        choices, at_s, at_union, at_cap = frames[-1]
+        choice = next(choices, None)
+        # Ascending power: once a choice reaches the incumbent, later ones do too.
+        if choice is None or not (s := at_s + choice[1]) < best_total:
+            frames.pop()
+            continue
+        chosen[d] = choice
+        nodes += 1
+        if nodes >= check_at:
+            check_at = next_check(nodes)
             if not check_at:
                 break
-            d -= 1
-            continue
-        choices = choice_lists[d]
-        i = pos[d]
-        if i < len(choices):
-            choice = choices[i]
-            s = partial[d] + choice[1]
-            if s < best_total:  # ascending power: else later choices prune too
-                pos[d] = i + 1
-                chosen[d] = choice
-                nodes += 1
-                if nodes >= check_at:
-                    check_at = next_check(nodes)
-                    if not check_at:
-                        break
-                _, _, mask, servable = choice
-                if d + 1 < m:
-                    d += 1
-                    pos[d] = 0
-                    partial[d] = s
-                    union[d] = union[d - 1] | mask
-                    cap[d] = cap[d - 1] + servable
-                elif union[d] | mask == all_tds and cap[d] + servable >= n:
-                    if _leaf_feasible(chosen, k, n):  # m = 1
-                        best_total = s
-                        best = chosen[:]
-                continue
-        d -= 1
+        _, _, mask, servable = choice
+        if d + 1 < m:
+            frames.append((iter(choice_lists[d + 1]), s, at_union | mask, at_cap + servable))
+        elif at_union | mask == all_tds and at_cap + servable >= n:
+            if _leaf_feasible(chosen, k, n):  # m = 1
+                best_total = s
+                best = chosen[:]
     status = STATUS_OPTIMAL if check_at else STATUS_BUDGET_EXCEEDED
 
     solution = None

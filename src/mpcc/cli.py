@@ -118,9 +118,6 @@ def _cmd_gen(args) -> int:
     if problems:
         return _error(EXIT_VALIDATION, *problems)
     inst = experiments.generate_instance(cfg, args.trial)
-    problems = validate_instance(inst)
-    if problems:
-        return _error(EXIT_VALIDATION, *problems)
     Path(args.out).write_text(instance_to_json(inst))
     print(f"seed={args.seed} trial={args.trial} n={args.n} m={args.m} "
           f"k={args.k} side={args.side:g} -> {args.out}")

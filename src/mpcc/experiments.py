@@ -25,7 +25,7 @@ from .baselines import (
     solve_exact,
     solve_nca,
 )
-from .model import Instance, Solution, check_feasible, validate_instance
+from .model import Instance, Solution, _power_law_violations, check_feasible, validate_instance
 from .mlr import solve_mlr
 
 __all__ = [
@@ -146,14 +146,16 @@ def config_violations(cfg: ExperimentConfig) -> list[str]:
         v.append(f"total capacity m*k = {cfg.m * cfg.k} cannot cover n = {cfg.n} TDs")
     if cfg.n * cfg.m > MAX_DISKS:
         v.append(f"m*n = {cfg.m * cfg.n} candidate disks must be at most {MAX_DISKS}")
+    law = _power_law_violations(cfg.power_c, cfg.power_alpha)
     if not (cfg.side > 0 and math.isfinite(cfg.side)):
         v.append(f"side length {cfg.side} must be positive and finite")
-    elif min(cfg.n, cfg.m) >= 1 and cfg.n * cfg.m <= MAX_DISKS:
+    elif not law and min(cfg.n, cfg.m) >= 1 and cfg.n * cfg.m <= MAX_DISKS:
         # Every AP-TD distance in a generated instance is below the square's
-        # diagonal, so the power law is checked on m disks that wide.
+        # diagonal, so the power range is checked on m disks that wide.
         corner = Instance.from_coords(aps=np.zeros((cfg.m, 2)), tds=[(cfg.side, cfg.side)],
                                       k=1, power_c=cfg.power_c, power_alpha=cfg.power_alpha)
         v.extend(validate_instance(corner))
+    v.extend(law)
     if not 1 <= cfg.trials <= MAX_TRIALS:
         v.append(f"trials must be between 1 and {MAX_TRIALS}")
     if cfg.seed < 0:

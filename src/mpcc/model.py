@@ -242,6 +242,16 @@ def disk_order(inst: Instance) -> DiskOrder:
     return DiskOrder(order, power)
 
 
+def _power_law_violations(c: float, alpha: float) -> list[str]:
+    """Every fault of the power law's constant c and exponent alpha."""
+    v = []
+    if not (c > 0 and math.isfinite(c)):
+        v.append(f"power constant c={c} must be positive and finite")
+    if not (1.0 <= alpha <= 5.0):
+        v.append(f"attenuation factor alpha={alpha} outside [1, 5]")
+    return v
+
+
 def validate_instance(inst: Instance) -> list[str]:
     """Report every violated instance invariant; empty list means valid."""
     v = []
@@ -260,10 +270,7 @@ def validate_instance(inst: Instance) -> list[str]:
         if not finite.all():
             bad = np.flatnonzero(~finite.all(axis=1)) + 1
             v.extend(f"{label} {i} has non-finite coordinates" for i in bad.tolist())
-    if not (inst.power_c > 0 and math.isfinite(inst.power_c)):
-        v.append(f"power constant c={inst.power_c} must be positive and finite")
-    if not (1.0 <= inst.power_alpha <= 5.0):
-        v.append(f"attenuation factor alpha={inst.power_alpha} outside [1, 5]")
+    v.extend(_power_law_violations(inst.power_c, inst.power_alpha))
     if not v:
         def power(rsq):  # inf where the float range ends
             try:

@@ -824,12 +824,13 @@ def test_exact_matches_rerun_reference_bytes(monkeypatch, hall_max_aps):
 
 
 def _budget_sweep_instances():
-    """Small instances with m = 1 to 5 APs, a few of each: every node
-    budget of theirs is cheap to run."""
+    """Small instances with m = 1 to 5 APs, a few of each, then m = 6 and
+    7 at n <= 3, so frames run deeper than 3: every node budget of theirs
+    is cheap to run."""
     rng = np.random.default_rng(2029)
-    for i in range(25):
-        m = i % 5 + 1
-        n = int(rng.integers(1, 5))
+    for i in range(31):
+        m = i % 5 + 1 if i < 25 else 6 + i % 2
+        n = int(rng.integers(1, 5 if i < 25 else 4))
         k = int(rng.integers(-(-n // m), n + 1))
         if i % 2:
             aps, tds = rng.integers(0, 3, (m, 2)).tolist(), rng.integers(0, 3, (n, 2)).tolist()
@@ -856,7 +857,7 @@ def test_exact_matches_reference_at_every_node_budget(monkeypatch, hall_max_aps)
             cases += 1
             incumbents += expected[0] == STATUS_BUDGET_EXCEEDED and expected[2] is not None
         aps_seen.add(inst.m)
-    assert aps_seen == {1, 2, 3, 4, 5}
+    assert aps_seen == {1, 2, 3, 4, 5, 6, 7}
     assert cases >= 500 and incumbents >= 100, (cases, incumbents)
 
 

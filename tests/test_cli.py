@@ -410,6 +410,22 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert instance_from_json(out.read_text()).n == 4
 
 
+def test_gen_reports_power_law_faults_beside_side_and_size_faults(tmp_path, capsys):
+    for size, first in ((["--n", "5", "--m", "4", "--k", "4", "--side", "0"],
+                         "side length 0.0 must be positive and finite"),
+                        (["--n", "5000", "--m", "201", "--k", "40"],
+                         "m*n = 1005000 candidate disks must be at most 1000000")):
+        code = run_cli("gen", *size, "--c", "-1", "--alpha", "9",
+                       "--out", str(tmp_path / "x.json"))
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {first}\n"
+            "error: power constant c=-1.0 must be positive and finite\n"
+            "error: attenuation factor alpha=9.0 outside [1, 5]\n"
+        )
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_gen_rejects_negative_trial(tmp_path, capsys):
     code = run_cli("gen", "--n", "5", "--m", "2", "--k", "3", "--trial", "-1",
                    "--out", str(tmp_path / "x.json"))
@@ -504,7 +520,11 @@ def test_trace_lines_are_written_as_the_rounds_end(tmp_path, monkeypatch):
     ({"c": "1", "alpha": 2, "k": 1, "aps": [[0, 0]], "tds": [[1, 0]]}, "'c' must be a number"),
     ({"c": 1, "alpha": True, "k": 1, "aps": [[0, 0]], "tds": [[1, 0]]},
      "'alpha' must be a number"),
-], ids=["list", "c-string", "alpha-boolean"])
+    ({"c": 1, "alpha": 2, "k": 1, "aps": 5, "tds": [[1, 0]]},
+     "'aps' must be a list of [x, y] pairs"),
+    ({"c": 1, "alpha": 2, "k": 1, "aps": [[0, 0]], "tds": {}},
+     "'tds' must be a list of [x, y] pairs"),
+], ids=["list", "c-string", "alpha-boolean", "aps-number", "tds-object"])
 def test_solve_rejects_malformed_instance_document(tmp_path, capsys, doc, message):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(doc))

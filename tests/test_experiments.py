@@ -232,6 +232,19 @@ def test_invalid_config_rejected():
         preset(5)
 
 
+def test_power_law_faults_are_reported_whatever_else_is_wrong():
+    law = ["power constant c=-1.0 must be positive and finite",
+           "attenuation factor alpha=9.0 outside [1, 5]"]
+    bad_law = {"power_c": -1.0, "power_alpha": 9.0}
+    assert config_violations(small_cfg(n=5, m=4, k=4, side=0.0, **bad_law)) == [
+        "side length 0.0 must be positive and finite", *law]
+    assert config_violations(small_cfg(n=5000, m=201, k=40, **bad_law)) == [
+        "m*n = 1005000 candidate disks must be at most 1000000", *law]
+    assert config_violations(small_cfg(n=0, m=4, k=4, side=math.nan, **bad_law)) == [
+        "n, m, and k must all be at least 1", "side length nan must be positive and finite", *law]
+    assert config_violations(small_cfg(n=5, m=4, k=4, **bad_law)) == law
+
+
 def test_config_whose_ap_powers_sum_past_the_float_range_is_rejected():
     # each corner disk fits the float range; twenty of them sum past it
     cfg = small_cfg(n=20, m=20, k=1, side=0.7, power_c=1.7e308, trials=1)
